@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from . import convert as conv
 from . import metrics
 from . import segmentation as seg
 from . import validation
-from .inline import ParseResult, emit_document, parse_bytes
+from .inline import ParseResult, emit_document, parse_bytes, parse_document
 from .model import Document
 from .validation import Severity
 
@@ -68,17 +69,19 @@ def _print_parse_diags(path: str, result: ParseResult) -> None:
         print(f"{path}:{d.line}:{d.column}: {d.code} {d.message}", file=sys.stderr)
 
 
+# From the first non-whitespace character to the end of its line.
+_FIRST_LINE = re.compile(r"\S[^\n]*")
+
+
 def sniff_format(text: str) -> str:
-    """Guess the storage format of ``text``: inline, standoff, or columns."""
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("{"):
-            return "standoff"
-        if line == "# doc" or line.startswith("# doc "):
-            return "columns"
-        return "inline"
+    """Guess the storage format of ``text`` (inline, standoff, or columns)
+    from its first non-blank line."""
+    match = _FIRST_LINE.search(text)
+    line = match.group().rstrip() if match else ""
+    if line.startswith("{"):
+        return "standoff"
+    if line == "# doc" or line.startswith("# doc "):
+        return "columns"
     return "inline"
 
 
@@ -95,7 +98,7 @@ def _load_documents(
     text = _decode(path, data)
     fmt = forced_format or sniff_format(text)
     if fmt == "inline":
-        result = parse_bytes(data)
+        result = parse_document(text)
         _print_parse_diags(path, result)
         status = EXIT_PARSE if result.diagnostics else EXIT_OK
         return [result.document], status, result.unit_lines

@@ -16,6 +16,9 @@ metadata line. The trigger/body separator has no character of its own:
 it is re-derived as the boundary between the T-flagged and B-flagged
 runs.
 
+Both readers take tags from ``model.TAGS``, the standoff reader through
+its ``(kind, sub)`` view ``model.STANDOFF_TAGS``.
+
 Error codes: C001 bad span geometry, C002 overlapping elements, C003
 illegal kind/subtag combination, C004 malformed standoff record, C010
 I-tag without a matching B, C011 role flag inconsistent with the
@@ -25,23 +28,20 @@ boundary tag, C012 bad document structure, C013 malformed column row.
 from __future__ import annotations
 
 import json
+import re
+from operator import itemgetter
 from typing import Any, Iterable
 
 from .model import (
+    STANDOFF_TAGS,
+    TAGS,
     Document,
     Element,
-    ElementForm,
-    ElementType,
     LabelingUnit,
     ModelError,
-    PredicatePattern,
     Segment,
     Span,
 )
-
-_KINDS = {k.value: k for k in ElementType}
-_PATTERNS = {p.value: p for p in PredicatePattern}
-_FORMS = {f.value: f for f in ElementForm}
 
 
 class ConvertError(ValueError):
@@ -86,77 +86,103 @@ def to_standoff(doc: Document) -> str:
     return json.dumps(rec, ensure_ascii=False, separators=(",", ":"))
 
 
-def _require(cond: bool, code: str, message: str) -> None:
-    if not cond:
-        raise ConvertError(code, message)
+def _offset_type_error(rec: dict[str, Any], *keys: str) -> ConvertError | None:
+    """C004 for the first of ``keys`` whose value is present but not an integer."""
+    for key in keys:
+        value = rec.get(key)
+        if value is not None and type(value) is not int:
+            return ConvertError("C004", f"field {key!r} must be an integer")
+    return None
 
 
-def _get_offset(rec: dict[str, Any], key: str) -> int | None:
-    value = rec.get(key)
-    if value is None:
-        return None
-    _require(isinstance(value, int) and not isinstance(value, bool), "C004",
-             f"field {key!r} must be an integer")
-    return value
-
-
-def _element_from_record(rec: Any, text_len: int) -> Element:
-    _require(isinstance(rec, dict), "C004", "element record must be an object")
-    kind_name = rec.get("kind")
-    _require(isinstance(kind_name, str), "C004", "element record needs a 'kind'")
-    kind = _KINDS.get(kind_name)
-    _require(kind is not None, "C003", f"unknown element kind {kind_name!r}")
-    sub = rec.get("sub")
-    pattern = form = None
-    if kind is ElementType.PRE:
-        pattern = _PATTERNS.get(sub) if isinstance(sub, str) else None
-        _require(pattern is not None, "C003", f"PRE requires a pattern subtag, got {sub!r}")
-    elif kind is ElementType.UNC:
-        _require(sub is None, "C003", "UNC takes no subtag")
-    else:
-        form = _FORMS.get(sub) if isinstance(sub, str) else None
-        _require(form is not None, "C003",
-                 f"{kind.value} requires a form subtag, got {sub!r}")
-
-    start = _get_offset(rec, "start")
-    end = _get_offset(rec, "end")
-    _require(start is not None and end is not None, "C004",
-             "element record needs 'start' and 'end'")
-    _require(0 <= start < end <= text_len, "C001",
-             f"element span [{start}, {end}) out of bounds for text of length {text_len}")
-
-    trig_start = _get_offset(rec, "trig_start")
-    trig_end = _get_offset(rec, "trig_end")
-    trigger = None
-    body_start = start
-    if trig_start is not None or trig_end is not None:
-        _require(trig_start == start, "C001", "trigger must start at the element start")
-        _require(trig_end is not None and trig_start < trig_end < end, "C001",
-                 "trigger must end strictly inside the element")
-        trig_head = _span_pair(rec, "trig_head_start", "trig_head_end",
-                               trig_start, trig_end)
-        trigger = Segment(Span(trig_start, trig_end), trig_head)
-        body_start = trig_end
-    else:
-        _require("trig_head_start" not in rec and "trig_head_end" not in rec, "C001",
-                 "trigger head offsets without a trigger span")
-    body_head = _span_pair(rec, "head_start", "head_end", body_start, end)
-    body = Segment(Span(body_start, end), body_head)
-    return Element(kind, body, trigger, pattern, form)
-
-
-def _span_pair(
+def _head_span(
     rec: dict[str, Any], start_key: str, end_key: str, lo: int, hi: int
 ) -> Span | None:
-    s = _get_offset(rec, start_key)
-    e = _get_offset(rec, end_key)
+    s = rec.get(start_key)
+    e = rec.get(end_key)
     if s is None and e is None:
         return None
-    _require(s is not None and e is not None, "C001",
-             f"{start_key}/{end_key} must be given together")
-    _require(lo <= s < e <= hi and e - s < hi - lo, "C001",
-             f"head [{s}, {e}) is not strictly inside its segment [{lo}, {hi})")
+    if type(s) is not int or type(e) is not int:
+        raise _offset_type_error(rec, start_key, end_key) or ConvertError(
+            "C001", f"{start_key}/{end_key} must be given together"
+        )
+    if not (lo <= s < e <= hi and e - s < hi - lo):
+        raise ConvertError(
+            "C001", f"head [{s}, {e}) is not strictly inside its segment [{lo}, {hi})"
+        )
     return Span(s, e)
+
+
+def _element_from_record(rec: Any, text_len: int) -> tuple[int, int, Element]:
+    """Decode one element record into (start, end, element). ``type(v) is int``
+    excludes bools: on ``json.loads`` output no other int subclass occurs."""
+    if type(rec) is not dict:
+        raise ConvertError("C004", "element record must be an object")
+    kind = rec.get("kind")
+    if type(kind) is not str:
+        raise ConvertError("C004", "element record needs a 'kind'")
+    sub = rec.get("sub")
+    # Check the types first: a list or object is not a valid dict key.
+    entry = STANDOFF_TAGS.get((kind, sub)) if sub is None or type(sub) is str else None
+    if entry is None:
+        raise ConvertError("C003", f"illegal kind/subtag combination {kind!r}/{sub!r}")
+
+    start = rec.get("start")
+    end = rec.get("end")
+    if type(start) is not int or type(end) is not int:
+        raise _offset_type_error(rec, "start", "end") or ConvertError(
+            "C004", "element record needs 'start' and 'end'"
+        )
+    if not 0 <= start < end <= text_len:
+        raise ConvertError(
+            "C001",
+            f"element span [{start}, {end}) out of bounds for text of length {text_len}",
+        )
+
+    trig_start = rec.get("trig_start")
+    trig_end = rec.get("trig_end")
+    if trig_start is None and trig_end is None:
+        if "trig_head_start" in rec or "trig_head_end" in rec:
+            raise ConvertError("C001", "trigger head offsets without a trigger span")
+        trigger = None
+        body_start = start
+    else:
+        if type(trig_start) is not int or type(trig_end) is not int or trig_start != start:
+            raise _offset_type_error(rec, "trig_start", "trig_end") or ConvertError(
+                "C001", "trigger must start at the element start and end inside it"
+            )
+        if not trig_start < trig_end < end:
+            raise ConvertError("C001", "trigger must end strictly inside the element")
+        trig_head = _head_span(rec, "trig_head_start", "trig_head_end", start, trig_end)
+        trigger = Segment(Span(start, trig_end), trig_head)
+        body_start = trig_end
+    body_head = _head_span(rec, "head_start", "head_end", body_start, end)
+    kind, pattern, form = entry
+    body = Segment(Span(body_start, end), body_head)
+    return start, end, Element(kind, body, trigger, pattern, form)
+
+
+def _unit_from_record(rec: Any) -> LabelingUnit:
+    if type(rec) is not dict:
+        raise ConvertError("C004", "unit record must be an object")
+    text = rec.get("text")
+    if type(text) is not str:
+        raise ConvertError("C004", "unit record needs a 'text' string")
+    element_recs = rec.get("elements", [])
+    if type(element_recs) is not list:
+        raise ConvertError("C004", "'elements' must be a list")
+    text_len = len(text)
+    decoded = [_element_from_record(erec, text_len) for erec in element_recs]
+    decoded.sort(key=itemgetter(0))
+    prev_end = 0
+    for start, end, _ in decoded:
+        if start < prev_end:
+            raise ConvertError("C002", f"element spans overlap at [{start}, {end})")
+        prev_end = end
+    try:
+        return LabelingUnit(text, tuple([el for _, _, el in decoded]))
+    except ModelError as exc:
+        raise ConvertError("C001", str(exc)) from None
 
 
 def from_standoff(line: str) -> Document:
@@ -165,39 +191,20 @@ def from_standoff(line: str) -> Document:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
-    _require(isinstance(rec, dict), "C004", "record must be a JSON object")
+    if type(rec) is not dict:
+        raise ConvertError("C004", "record must be a JSON object")
     doc_id = rec.get("id", "")
-    _require(isinstance(doc_id, str), "C004", "'id' must be a string")
+    if type(doc_id) is not str:
+        raise ConvertError("C004", "'id' must be a string")
     meta = rec.get("meta", [])
-    _require(
-        isinstance(meta, list) and all(isinstance(m, str) for m in meta),
-        "C004",
-        "'meta' must be a list of strings",
-    )
+    if type(meta) is not list or not all(type(m) is str for m in meta):
+        raise ConvertError("C004", "'meta' must be a list of strings")
     units_rec = rec.get("units", [])
-    _require(isinstance(units_rec, list), "C004", "'units' must be a list")
-    units = []
-    for urec in units_rec:
-        _require(isinstance(urec, dict), "C004", "unit record must be an object")
-        text = urec.get("text")
-        _require(isinstance(text, str), "C004", "unit record needs a 'text' string")
-        elements_rec = urec.get("elements", [])
-        _require(isinstance(elements_rec, list), "C004", "'elements' must be a list")
-        elements = sorted(
-            (_element_from_record(erec, len(text)) for erec in elements_rec),
-            key=lambda el: el.span.start,
-        )
-        prev_end = 0
-        for el in elements:
-            _require(el.span.start >= prev_end, "C002",
-                     f"element spans overlap at [{el.span.start}, {el.span.end})")
-            prev_end = el.span.end
-        try:
-            units.append(LabelingUnit(text, tuple(elements)))
-        except ModelError as exc:
-            raise ConvertError("C001", str(exc)) from None
+    if type(units_rec) is not list:
+        raise ConvertError("C004", "'units' must be a list")
+    units = tuple([_unit_from_record(urec) for urec in units_rec])
     try:
-        return Document(doc_id, tuple(meta), tuple(units))
+        return Document(doc_id, tuple(meta), units)
     except ModelError as exc:
         raise ConvertError("C004", str(exc)) from None
 
@@ -244,80 +251,98 @@ def to_columns(doc: Document) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_btag(btag: str) -> tuple[str, ElementType, PredicatePattern | None, ElementForm | None]:
-    prefix, _, tag = btag.partition("-")
-    kind_name, _, sub = tag.partition("-")
-    kind = _KINDS.get(kind_name)
-    _require(kind is not None, "C003", f"unknown element kind in tag {btag!r}")
-    pattern = form = None
-    if kind is ElementType.PRE:
-        pattern = _PATTERNS.get(sub)
-        _require(pattern is not None, "C003", f"bad PRE pattern in tag {btag!r}")
-    elif kind is ElementType.UNC:
-        _require(not sub, "C003", f"UNC takes no subtag: {btag!r}")
-    else:
-        form = _FORMS.get(sub)
-        _require(form is not None, "C003", f"bad form subtag in tag {btag!r}")
-    return prefix, kind, pattern, form
+# One token of a column stream. Each starts at a line start and takes
+# its line end with it: a run of rows (one character, then exactly two
+# tabs), a "# doc" header, a "# meta" line, a blank line, or any other line.
+_COLUMN_TOKEN = re.compile(
+    r"(?P<rows>(?:[^\t\n]\t[^\t\n]*\t[^\t\n]*(?:\n|\Z))+)"
+    r"|(?P<doc># doc(?: [^\n]*)?)(?:\n|\Z)"
+    r"|# meta\t(?P<meta>[^\n]*)(?:\n|\Z)"
+    r"|(?P<blank>\n)"
+    r"|(?P<bad>[^\n]+)"
+)
+
+# Role flags as one character per row ("t" for TH), so that an element's
+# roles can be checked with one match over a slice of the unit's codes.
+_ROLE_CODES = {"O": "O", "T": "T", "TH": "t", "B": "B", "H": "H"}
+
+# An element's roles: a trigger of T flags with at most one run of TH,
+# then a body of B flags with at most one run of H.
+_ELEMENT_ROLES = re.compile(r"(T*(t*)T*)B*(H*)B*")
 
 
-def _element_from_rows(
-    start: int,
-    kind: ElementType,
-    pattern: PredicatePattern | None,
-    form: ElementForm | None,
-    roles: list[str],
-) -> Element:
-    n = len(roles)
-    for r in roles:
-        _require(r in ("T", "TH", "B", "H"), "C011",
-                 f"role flag {r!r} inside an element")
-    t_len = 0
-    while t_len < n and roles[t_len] in ("T", "TH"):
-        t_len += 1
-    _require(
-        all(r in ("B", "H") for r in roles[t_len:]),
-        "C011",
-        "trigger roles may not resume after the body has begun",
-    )
-    _require(t_len < n, "C011", "element has no body roles")
-
-    trigger = None
-    if t_len:
-        head = _head_from_roles(roles[:t_len], "TH", start)
-        trigger = Segment(Span(start, start + t_len), head)
-    body_head = _head_from_roles(roles[t_len:], "H", start + t_len)
-    body = Segment(Span(start + t_len, start + n), body_head)
-    return Element(kind, body, trigger, pattern, form)
-
-
-def _head_from_roles(roles: list[str], flag: str, offset: int) -> Span | None:
-    positions = [i for i, r in enumerate(roles) if r == flag]
-    if not positions:
-        return None
-    first, last = positions[0], positions[-1]
-    _require(len(positions) == last - first + 1, "C011",
-             f"{flag} run is not contiguous (two head groups?)")
-    _require(len(positions) < len(roles), "C011",
-             f"{flag} run covers its whole segment")
-    return Span(offset + first, offset + last + 1)
+def _unit_from_rows(block: str) -> LabelingUnit:
+    """Decode one unit from its rows: newline-separated lines that each
+    hold one character and exactly two tabs."""
+    fields = block.rstrip("\n").replace("\n", "\t").split("\t")
+    btags = fields[1::3]
+    roles = fields[2::3]
+    codes = "".join([_ROLE_CODES.get(r, "?") for r in roles])
+    elements: list[Element] = []
+    i = 0
+    n = len(btags)
+    try:
+        while i < n:
+            btag = btags[i]
+            start = i
+            i += 1
+            if btag == "O":
+                while i < n and btags[i] == "O":
+                    i += 1
+                if codes.count("O", start, i) != i - start:
+                    bad = next(r for r in roles[start:i] if r != "O")
+                    raise ConvertError("C011", f"role {bad!r} on an O-tagged character")
+                continue
+            if not btag.startswith("B-"):
+                raise ConvertError("C010", f"{btag!r} without a preceding matching B tag")
+            # An empty subtag after UNC ("B-UNC-") reads as bare UNC.
+            entry = TAGS.get("UNC" if btag == "B-UNC-" else btag[2:])
+            if entry is None:
+                raise ConvertError("C003", f"illegal element tag {btag!r}")
+            inside = "I" + btag[1:]
+            while i < n and btags[i] == inside:
+                i += 1
+            if i < n and btags[i].startswith("I-"):
+                raise ConvertError("C010", f"{btags[i]!r} without a preceding matching B tag")
+            match = _ELEMENT_ROLES.fullmatch(codes, start, i)
+            if match is None or match.end(1) == i:
+                raise ConvertError(
+                    "C011",
+                    f"roles {roles[start:i]} are not T/TH flags then B/H flags,"
+                    " each head one run, with a nonempty body",
+                )
+            body_start = match.end(1)
+            trigger = None
+            if body_start > start:
+                hs, he = match.span(2)
+                trigger = Segment(Span(start, body_start), Span(hs, he) if hs < he else None)
+            hs, he = match.span(3)
+            body = Segment(Span(body_start, i), Span(hs, he) if hs < he else None)
+            kind, pattern, form = entry
+            elements.append(Element(kind, body, trigger, pattern, form))
+        return LabelingUnit("".join(fields[0::3]), tuple(elements))
+    except ModelError as exc:
+        # A head run as long as its whole segment, or text the model forbids.
+        raise ConvertError("C011", str(exc)) from None
 
 
 def read_columns(text: str) -> list[Document]:
     """Parse a column-format stream into documents."""
+    if "\r" in text:  # one "\r" before each line end is dropped
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
     docs: list[Document] = []
     doc_id = ""
     meta: list[str] = []
     units: list[LabelingUnit] = []
-    rows: list[tuple[str, str, str]] = []
+    blocks: list[str] = []  # row runs of the open unit, split by "# meta" lines
     started = False
 
     def close_unit() -> None:
-        nonlocal rows
-        if not rows:
-            return
-        units.append(_unit_from_rows(rows))
-        rows = []
+        if blocks:
+            units.append(_unit_from_rows("".join(blocks)))
+            blocks.clear()
 
     def close_doc() -> None:
         nonlocal doc_id, meta, units
@@ -331,61 +356,28 @@ def read_columns(text: str) -> list[Document]:
         meta = []
         units = []
 
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
-        if not line:
+    for token in _COLUMN_TOKEN.finditer(text):
+        kind = token.lastgroup
+        if kind == "rows":
+            started = True
+            blocks.append(token.group())
+        elif kind == "blank":
             close_unit()
-            continue
-        if line == "# doc" or line.startswith("# doc "):
+        elif kind == "doc":
             close_doc()
             started = True
-            doc_id = line[6:] if len(line) > 6 else ""
-            continue
-        if line.startswith("# meta\t"):
+            doc_id = token.group(kind)[6:]
+        elif kind == "meta":
             started = True
-            meta.append(line[7:])
-            continue
-        fields = line.split("\t")
-        _require(len(fields) == 3, "C013",
-                 f"line {line_no}: expected 3 tab-separated fields")
-        char, btag, role = fields
-        _require(len(char) == 1, "C013",
-                 f"line {line_no}: first field must be a single character")
-        started = True
-        rows.append((char, btag, role))
+            meta.append(token.group(kind))
+        else:
+            line = token.group()
+            line_no = text.count("\n", 0, token.start()) + 1
+            if line.count("\t") != 2:
+                raise ConvertError("C013", f"line {line_no}: expected 3 tab-separated fields")
+            raise ConvertError("C013", f"line {line_no}: first field must be a single character")
     close_doc()
     return docs
-
-
-def _unit_from_rows(rows: list[tuple[str, str, str]]) -> LabelingUnit:
-    text = "".join(char for char, _, _ in rows)
-    elements: list[Element] = []
-    i = 0
-    n = len(rows)
-    while i < n:
-        _, btag, role = rows[i]
-        if btag == "O":
-            _require(role == "O", "C011",
-                     f"role {role!r} on an O-tagged character")
-            i += 1
-            continue
-        _require(btag.startswith("B-"), "C010",
-                 f"{btag!r} without a preceding matching B tag")
-        prefix, kind, pattern, form = _parse_btag(btag)
-        start = i
-        tag = btag[2:]
-        i += 1
-        while i < n and rows[i][1] == "I-" + tag:
-            i += 1
-        if i < n and rows[i][1].startswith("I-"):
-            _require(False, "C010",
-                     f"{rows[i][1]!r} without a preceding matching B tag")
-        roles = [r for _, _, r in rows[start:i]]
-        elements.append(_element_from_rows(start, kind, pattern, form, roles))
-    try:
-        return LabelingUnit(text, tuple(elements))
-    except ModelError as exc:
-        raise ConvertError("C011", str(exc)) from None
 
 
 def from_columns(text: str) -> Document:
@@ -393,8 +385,8 @@ def from_columns(text: str) -> Document:
     docs = read_columns(text)
     if not docs:
         return Document()
-    _require(len(docs) == 1, "C012",
-             f"expected one document, found {len(docs)} '# doc' headers")
+    if len(docs) != 1:
+        raise ConvertError("C012", f"expected one document, found {len(docs)} '# doc' headers")
     return docs[0]
 
 

@@ -33,16 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .model import (
-    Document,
-    Element,
-    ElementForm,
-    ElementType,
-    LabelingUnit,
-    PredicatePattern,
-    Segment,
-    Span,
-)
+from .model import TAGS, Document, Element, ElementType, LabelingUnit, Segment, Span
 
 RESERVED_CHARS = "[]()-\\"
 _ESCAPABLE = frozenset(RESERVED_CHARS)
@@ -52,23 +43,6 @@ _ESCAPE_MAP = {ord(c): "\\" + c for c in RESERVED_CHARS}
 # is literal text and is copied in one slice.
 _GAP_SPECIAL = re.compile(r"[][\\]")
 _CONTENT_SPECIAL = re.compile(r"[][()\\-]")
-
-#: All legal tags mapped to (kind, pattern, form).
-VALID_TAGS: dict[str, tuple[ElementType, PredicatePattern | None, ElementForm | None]] = {
-    "UNC": (ElementType.UNC, None, None)
-}
-for _p in PredicatePattern:
-    VALID_TAGS[f"PRE-{_p.value}"] = (ElementType.PRE, _p, None)
-for _k in (
-    ElementType.SUB,
-    ElementType.TEM,
-    ElementType.LOC,
-    ElementType.ADV,
-    ElementType.COM,
-    ElementType.RAI,
-):
-    for _f in ElementForm:
-        VALID_TAGS[f"{_k.value}-{_f.value}"] = (_k, None, _f)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,7 +141,7 @@ def parse_unit(
         if line[j] == "]":
             if not tag:
                 report("P010", open_col, "empty tag")
-            elif tag in VALID_TAGS:
+            elif tag in TAGS:
                 report("P003", j + 1, "expected one space between tag and content")
             else:
                 report("P002", i + 1, _tag_message(tag))
@@ -175,7 +149,7 @@ def parse_unit(
         if not tag:
             report("P010", open_col, "empty tag")
             return _skip_element(line, j), tlen
-        entry = VALID_TAGS.get(tag)
+        entry = TAGS.get(tag)
         if entry is None:
             report("P002", i + 1, _tag_message(tag))
             return _skip_element(line, j), tlen

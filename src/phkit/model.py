@@ -62,6 +62,27 @@ FORM_KINDS = frozenset(
     }
 )
 
+TagEntry = tuple[ElementType, PredicatePattern | None, ElementForm | None]
+
+#: Every legal tag as the inline and column formats spell it ("PRE-S",
+#: "ADV-P", bare "UNC"), mapped to its (kind, pattern, form).
+TAGS: dict[str, TagEntry] = {
+    "UNC": (ElementType.UNC, None, None),
+    **{f"PRE-{p.value}": (ElementType.PRE, p, None) for p in PredicatePattern},
+    **{
+        f"{k.value}-{f.value}": (k, None, f)
+        for k in ElementType
+        if k in FORM_KINDS
+        for f in ElementForm
+    },
+}
+
+#: ``TAGS`` keyed as standoff records spell a tag: (kind, subtag or None).
+STANDOFF_TAGS: dict[tuple[str, str | None], TagEntry] = {
+    (tag.partition("-")[0], tag.partition("-")[2] or None): entry
+    for tag, entry in TAGS.items()
+}
+
 # Characters that cannot occur in unit text: the model is line-based and
 # exported to tab-separated columns, so line breaks and tabs are reserved.
 _FORBIDDEN_TEXT_CHARS = ("\n", "\r", "\t")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from phkit.cli import main
+from phkit.cli import main, sniff_format
 
 GOLDEN_PARAGRAPH = (
     "被告人陈某某因家庭矛盾迁怒岳父滕某某。"
@@ -64,6 +64,38 @@ def test_validate_golden(capsys, golden_path):
     assert "W020" in out
     assert out.count("\n") == 1
     assert str(golden_path) + ":2:" in out
+
+
+def test_validate_ignores_leading_bom(capsys, tmp_path):
+    source = "#id: d\n\n[SUB-W 王某][PRE-S 发生][PRE-S 厮打]\n[PRE-S 走]\n"
+    outputs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        path = tmp_path / name / "in.ann"
+        path.parent.mkdir()
+        path.write_text(bom + source, encoding="utf-8")
+        status, out, err = run_cli(capsys, "validate", str(path))
+        outputs.append((status, out.replace(str(path), "FILE"), err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1
+    assert "FILE:3:" in outputs[0][1]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", "inline"),
+        (" \n\t\n", "inline"),
+        ("[PRE-S 走]\n{x}\n", "inline"),
+        ("#id: d\n# doc\n", "inline"),
+        ('\n\n  {"id": ""}\n', "standoff"),
+        ('\u3000\r\n{"id": ""}', "standoff"),
+        ("# doc\n", "columns"),
+        ("\n# doc x \r\n甲\tO\tO\n", "columns"),
+        ("# docs\n", "inline"),
+    ],
+)
+def test_sniff_format_reads_first_non_blank_line(text, expected):
+    assert sniff_format(text) == expected
 
 
 def test_validate_strict_promotes_warnings(capsys, golden_path):

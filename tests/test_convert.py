@@ -15,7 +15,8 @@ from phkit.convert import (
     to_columns,
     to_standoff,
 )
-from phkit.model import Document, LabelingUnit
+from phkit.inline import emit_document, parse_document
+from phkit.model import Document, ElementType, LabelingUnit
 
 from .strategies import documents
 
@@ -71,6 +72,23 @@ def test_standoff_rejects_illegal_tag_combination():
     with pytest.raises(ConvertError) as err:
         from_standoff(json.dumps(rec))
     assert err.value.code == "C003"
+
+
+def test_standoff_rejects_non_string_kind_and_subtag():
+    def code_for(**fields):
+        element = {"kind": "PRE", "sub": "S", "start": 0, "end": 2, **fields}
+        rec = {"id": "", "units": [{"text": "abcd", "elements": [element]}]}
+        with pytest.raises(ConvertError) as err:
+            from_standoff(json.dumps(rec))
+        return err.value.code
+
+    assert code_for(kind=["PRE"]) == "C004"
+    assert code_for(kind={"PRE": "S"}) == "C004"
+    assert code_for(sub=["S"]) == "C003"
+    assert code_for(sub={"S": 1}) == "C003"
+    assert code_for(sub=1) == "C003"
+    assert code_for(kind="UNC", sub="") == "C003"
+    assert code_for(kind="PRE-S", sub=None) == "C003"
 
 
 def test_standoff_rejects_malformed_json():
@@ -148,16 +166,44 @@ def test_columns_rejects_role_on_outside_char():
 
 
 def test_columns_rejects_trigger_after_body():
-    text = "# doc\n甲\tB-ADV-P\tB\n乙\tI-ADV-P\tT\n"
-    with pytest.raises(ConvertError) as err:
-        from_columns(text)
-    assert err.value.code == "C011"
+    for roles in (["B", "T"], ["H", "B", "TH"], ["T", "B", "T", "B"]):
+        rows = [f"{c}\t{'B' if i == 0 else 'I'}-ADV-P\t{r}" for i, (c, r) in
+                enumerate(zip("甲乙丙丁", roles))]
+        with pytest.raises(ConvertError) as err:
+            from_columns("# doc\n" + "\n".join(rows) + "\n")
+        assert err.value.code == "C011", roles
+
+
+def test_columns_reads_empty_unc_subtag_as_unc():
+    doc = from_columns("# doc\n甲\tB-UNC-\tB\n乙\tI-UNC-\tB\n")
+    assert [e.kind for e in doc.units[0].elements] == [ElementType.UNC]
 
 
 def test_columns_rejects_malformed_row():
     with pytest.raises(ConvertError) as err:
         from_columns("# doc\nonly-one-field\n")
     assert err.value.code == "C013"
+
+
+def test_columns_malformed_row_names_its_line():
+    cases = [
+        ("# doc\n甲\tO\tO\n\n乙\tO\n", "line 4: expected 3 tab-separated fields"),
+        ("# doc\n甲\tO\tO\nab\tO\tO\n", "line 3: first field must be a single character"),
+        ("# doc x\n# docs\n", "line 2: expected 3 tab-separated fields"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ConvertError) as err:
+            read_columns(text)
+        assert (err.value.code, err.value.message) == ("C013", message)
+
+
+def test_columns_line_ends_and_meta_inside_a_unit():
+    plain = from_columns("# doc d\n# meta\t# m\n甲\tB-PRE-S\tB\n乙\tI-PRE-S\tH\n#\tO\tO\n")
+    assert plain.units[0].text == "甲乙#"
+    # CRLF line ends are read as LF, and a "# meta" line between two rows
+    # leaves them in one unit.
+    mixed = from_columns("# doc d\r\n甲\tB-PRE-S\tB\r\n# meta\t# m\n乙\tI-PRE-S\tH\n#\tO\tO\r")
+    assert mixed == plain
 
 
 def test_columns_multiple_documents():
@@ -221,5 +267,77 @@ def test_from_columns_never_crashes(text):
 def test_from_standoff_never_crashes(text):
     try:
         from_standoff(text)
+    except ConvertError:
+        pass
+
+
+@given(documents())
+def test_inline_columns_standoff_inline_round_trip(doc):
+    inline = emit_document(doc)
+    parsed = parse_document(inline)
+    assert parsed.ok
+    via_columns = from_columns(to_columns(parsed.document))
+    via_standoff = from_standoff(to_standoff(via_columns))
+    assert emit_document(via_standoff) == inline
+
+
+def _fields(value):
+    """Every (container, key) pair below ``value``, at any depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield value, key
+        if isinstance(child, (dict, list)):
+            yield from _fields(child)
+
+
+json_corruptions = st.one_of(
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "start", "x"]), st.integers(0, 3), max_size=2),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(alphabet="PRESWUNC-ab", max_size=4),
+    st.none(),
+    st.integers(max_value=-1),
+    st.integers(min_value=10**6),
+)
+
+
+@given(documents(), st.data())
+def test_standoff_corrupted_field_raises_only_convert_error(doc, data):
+    rec = json.loads(to_standoff(doc))
+    container, key = data.draw(st.sampled_from(list(_fields(rec))))
+    container[key] = data.draw(json_corruptions)
+    try:
+        from_standoff(json.dumps(rec))
+    except ConvertError:
+        pass
+
+
+@given(documents(), st.data())
+def test_columns_corrupted_row_raises_only_convert_error(doc, data):
+    lines = to_columns(doc).split("\n")
+    rows = [i for i, line in enumerate(lines) if line.count("\t") == 2]
+    if not rows:
+        return
+    index = data.draw(st.sampled_from(rows))
+    fields = lines[index].split("\t")
+    j = data.draw(st.integers(0, 2))
+    action = data.draw(st.sampled_from(["swap", "drop", "dup", "drop_tab", "dup_tab", "role"]))
+    if action == "swap":
+        k = (j + 1) % 3
+        fields[j], fields[k] = fields[k], fields[j]
+    elif action == "drop":
+        del fields[j]
+    elif action == "dup":
+        fields.insert(j, fields[j])
+    elif action == "drop_tab":
+        fields[j : j + 2] = ["".join(fields[j : j + 2])]
+    elif action == "dup_tab":
+        fields.insert(j, "")
+    else:
+        fields[2] = data.draw(st.sampled_from(["O", "T", "TH", "B", "H"]))
+    lines[index] = "\t".join(fields)
+    try:
+        read_columns("\n".join(lines))
     except ConvertError:
         pass
