@@ -45,7 +45,6 @@ from .model import (
     Segment,
     Span,
     element_surface,
-    unit_surface,
 )
 from .segmentation import (
     BoundaryCause,
@@ -102,7 +101,6 @@ __all__ = [
     "split",
     "to_columns",
     "to_standoff",
-    "unit_surface",
     "validate_document",
     "validate_unit",
 ]

@@ -209,10 +209,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
-        for piece in seg.split(line, config, policy):
+        boundaries = seg.propose_boundaries(line, config)
+        for piece in seg.split_at(line, boundaries, policy):
             print(piece)
         if args.boundaries:
-            for b in seg.propose_boundaries(line, config):
+            for b in boundaries:
                 sidecar.append(
                     json.dumps(
                         {

@@ -25,6 +25,7 @@ P007  stray closing bracket outside any element
 P008  invalid escape sequence
 P009  empty content (element, segment, or head group)
 P010  empty tag; also undecodable (non-UTF-8) input at file level
+P011  tab or carriage return, which unit text cannot contain
 ====  =========================================================
 """
 
@@ -104,9 +105,16 @@ def parse_unit(
     Returns ``(unit, [])`` on success or ``(None, diagnostics)`` when the
     markup is malformed. The unit's text is the line with all markup
     stripped and escapes resolved; element spans refer to that text.
+    A tab or a carriage return is reported as P011 at each occurrence.
     """
-    if "\n" in line or "\r" in line:
+    if "\n" in line:
         raise ValueError("parse_unit expects a single line without line breaks")
+    if "\t" in line or "\r" in line:
+        return None, [
+            ParseDiagnostic("P011", line_no, i + 1, f"unit text may not contain {ch!r}")
+            for i, ch in enumerate(line)
+            if ch == "\t" or ch == "\r"
+        ]
     diags: list[ParseDiagnostic] = []
     parts: list[str] = []
     elements: list[Element] = []

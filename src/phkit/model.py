@@ -14,7 +14,7 @@ usable as a dict key where hashable fields allow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ModelError(ValueError):
@@ -88,16 +88,26 @@ STANDOFF_TAGS: dict[tuple[str, str | None], TagEntry] = {
 _FORBIDDEN_TEXT_CHARS = ("\n", "\r", "\t")
 
 
-@dataclass(frozen=True, slots=True)
+# Span, Segment, Element and LabelingUnit are built once per element on
+# every read path, so each has one hand-written __init__ (init=False): the
+# generated frozen __init__ pays one object.__setattr__ per field plus a
+# separate __post_init__ call. Fields are stored through the slot
+# descriptors' setters, bound once below each class; they bypass the frozen
+# __setattr__ without weakening it for anyone else.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Span:
     """Half-open codepoint interval [start, end); always non-empty."""
 
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.start < self.end):
-            raise ModelError(f"invalid span [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int) -> None:
+        if not (0 <= start < end):
+            raise ModelError(f"invalid span [{start}, {end})")
+        _set_span_start(self, start)
+        _set_span_end(self, end)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -109,7 +119,11 @@ class Span:
         return self.start <= other.start and other.end <= self.end
 
 
-@dataclass(frozen=True, slots=True)
+_set_span_start = Span.start.__set__
+_set_span_end = Span.end.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Segment:
     """A contiguous stretch of element content with an optional head.
 
@@ -120,15 +134,22 @@ class Segment:
     span: Span
     head: Span | None = None
 
-    def __post_init__(self) -> None:
-        if self.head is not None:
-            if not self.span.contains(self.head) or len(self.head) >= len(self.span):
-                raise ModelError(
-                    f"head {self.head} is not strictly inside segment {self.span}"
-                )
+    def __init__(self, span: Span, head: Span | None = None) -> None:
+        if head is not None and not (
+            span.start <= head.start
+            and head.end <= span.end
+            and head.end - head.start < span.end - span.start
+        ):
+            raise ModelError(f"head {head} is not strictly inside segment {span}")
+        _set_segment_span(self, span)
+        _set_segment_head(self, head)
 
 
-@dataclass(frozen=True, slots=True)
+_set_segment_span = Segment.span.__set__
+_set_segment_head = Segment.head.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Element:
     """One annotated element of a labeling unit.
 
@@ -140,6 +161,9 @@ class Element:
 
     Tag compatibility: PRE carries a pattern and no form; UNC carries
     neither; every other kind carries a form and no pattern.
+
+    ``span`` is the whole element extent, trigger (if any) plus body. It is
+    derived from the segments, so it takes no part in eq, hash or repr.
     """
 
     kind: ElementType
@@ -147,25 +171,38 @@ class Element:
     trigger: Segment | None = None
     pattern: PredicatePattern | None = None
     form: ElementForm | None = None
+    span: Span = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.kind is ElementType.PRE:
-            if self.pattern is None or self.form is not None:
+    def __init__(
+        self,
+        kind: ElementType,
+        body: Segment,
+        trigger: Segment | None = None,
+        pattern: PredicatePattern | None = None,
+        form: ElementForm | None = None,
+    ) -> None:
+        if kind is _PRE:
+            if pattern is None or form is not None:
                 raise ModelError("PRE elements take a pattern and no form")
-        elif self.kind is ElementType.UNC:
-            if self.pattern is not None or self.form is not None:
+        elif kind is _UNC:
+            if pattern is not None or form is not None:
                 raise ModelError("UNC elements take neither pattern nor form")
         else:
-            if self.form is None or self.pattern is not None:
-                raise ModelError(f"{self.kind.value} elements take a form and no pattern")
-        if self.trigger is not None and self.trigger.span.end != self.body.span.start:
+            if form is None or pattern is not None:
+                raise ModelError(f"{kind.value} elements take a form and no pattern")
+        body_span = body.span
+        if trigger is None:
+            span = body_span
+        elif trigger.span.end == body_span.start:
+            span = Span(trigger.span.start, body_span.end)
+        else:
             raise ModelError("trigger segment must end exactly where the body begins")
-
-    @property
-    def span(self) -> Span:
-        """Whole element extent: trigger (if any) plus body."""
-        start = self.trigger.span.start if self.trigger else self.body.span.start
-        return Span(start, self.body.span.end)
+        _set_element_kind(self, kind)
+        _set_element_body(self, body)
+        _set_element_trigger(self, trigger)
+        _set_element_pattern(self, pattern)
+        _set_element_form(self, form)
+        _set_element_span(self, span)
 
     @property
     def separator_offset(self) -> int | None:
@@ -182,7 +219,20 @@ class Element:
         return self.kind.value
 
 
-@dataclass(frozen=True, slots=True)
+# Looking a member up on an Enum class goes through its metaclass and costs
+# several times a plain global read.
+_PRE = ElementType.PRE
+_UNC = ElementType.UNC
+
+_set_element_kind = Element.kind.__set__
+_set_element_body = Element.body.__set__
+_set_element_trigger = Element.trigger.__set__
+_set_element_pattern = Element.pattern.__set__
+_set_element_form = Element.form.__set__
+_set_element_span = Element.span.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LabelingUnit:
     """One segmented sentence or clause with its annotated elements.
 
@@ -194,17 +244,17 @@ class LabelingUnit:
     text: str
     elements: tuple[Element, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.elements, tuple):
-            object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, text: str, elements: tuple[Element, ...] = ()) -> None:
+        if not isinstance(elements, tuple):
+            elements = tuple(elements)
         for ch in _FORBIDDEN_TEXT_CHARS:
-            if ch in self.text:
+            if ch in text:
                 raise ModelError(f"unit text may not contain {ch!r}")
         prev_end = 0
-        text_len = len(self.text)
-        for el in self.elements:
-            start = (el.trigger or el.body).span.start
-            end = el.body.span.end
+        text_len = len(text)
+        for el in elements:
+            span = el.span
+            start, end = span.start, span.end
             if start < prev_end:
                 raise ModelError(
                     f"element spans overlap or are out of order at [{start}, {end})"
@@ -214,6 +264,12 @@ class LabelingUnit:
                     f"element span [{start}, {end}) exceeds text length {text_len}"
                 )
             prev_end = end
+        _set_unit_text(self, text)
+        _set_unit_elements(self, elements)
+
+
+_set_unit_text = LabelingUnit.text.__set__
+_set_unit_elements = LabelingUnit.elements.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,11 +307,6 @@ class Document:
                 # Such a unit would serialize to a line starting with "#",
                 # which the inline format reserves for metadata.
                 raise ModelError("unit text may not start with '#' outside an element")
-
-
-def unit_surface(unit: LabelingUnit) -> str:
-    """Return the unit's plain text (the anchor for reconstruction checks)."""
-    return unit.text
 
 
 def span_surface(unit: LabelingUnit, span: Span) -> str:

@@ -20,7 +20,9 @@ segmentation is attempted.
 from __future__ import annotations
 
 import enum
+import functools
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -123,19 +125,12 @@ def propose_boundaries(
             raw.append((i, comma_kind, BoundaryCause.COMMA))
         i += 1
 
-    lexicon = sorted(config.conjunctions, key=len, reverse=True)
-    i = 0
-    while i < n:
-        for entry in lexicon:
-            if text.startswith(entry, i):
-                if i > 0:
-                    raw.append(
-                        (i - 1, BoundaryKind.CANDIDATE, BoundaryCause.CONJUNCTION)
-                    )
-                i += len(entry)
-                break
-        else:
-            i += 1
+    conjunctions = _conjunction_pattern(config.conjunctions)
+    if conjunctions is not None:
+        for match in conjunctions.finditer(text):
+            i = match.start()
+            if i > 0:
+                raw.append((i - 1, BoundaryKind.CANDIDATE, BoundaryCause.CONJUNCTION))
 
     by_pos: dict[int, list[tuple[BoundaryKind, BoundaryCause]]] = {}
     for pos, kind, cause in raw:
@@ -161,6 +156,19 @@ def propose_boundaries(
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _conjunction_pattern(lexicon: tuple[str, ...]) -> re.Pattern[str] | None:
+    """One alternation over the lexicon, longest entry first.
+
+    Alternatives are tried in order at each position, so the longest entry
+    starting there wins and matching resumes after it. An empty lexicon
+    gets no pattern: an empty alternation would match everywhere.
+    """
+    if not lexicon:
+        return None
+    return re.compile("|".join(map(re.escape, sorted(lexicon, key=len, reverse=True))))
+
+
 def _is_temporal_leadin(piece: str) -> bool:
     return bool(piece) and all(c in TEMPORAL_CHARS for c in piece)
 
@@ -175,11 +183,19 @@ def split(
     the following piece. The concatenation of the returned pieces always
     equals the input.
     """
+    return split_at(text, propose_boundaries(text, config), policy)
+
+
+def split_at(text: str, boundaries: Iterable[SegmentBoundary], policy: str) -> list[str]:
+    """Cut ``text`` at ``boundaries`` as ``propose_boundaries`` returned them.
+
+    ``policy`` is as for ``split``.
+    """
     if policy not in ("all", "hard_only"):
         raise ValueError(f"unknown split policy {policy!r}")
     cuts = [
         b.position
-        for b in propose_boundaries(text, config)
+        for b in boundaries
         if policy == "all" or b.kind is BoundaryKind.HARD
     ]
     pieces: list[str] = []

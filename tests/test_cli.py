@@ -120,6 +120,18 @@ def test_validate_unparseable_file_is_exit_3(capsys, tmp_path):
     assert "P001" in err
 
 
+@pytest.mark.parametrize(
+    "line, column", [("[PRE-S a\tb]", 9), ("x\ry[PRE-S a]", 2)]
+)
+def test_validate_tab_or_lone_cr_is_p011(capsys, tmp_path, line, column):
+    bad = tmp_path / "bad.ann"
+    bad.write_bytes((line + "\n").encode("utf-8"))
+    status, out, err = run_cli(capsys, "validate", str(bad))
+    assert status == 3
+    assert f"bad.ann:1:{column}: P011 " in err
+    assert "Traceback" not in err
+
+
 def test_stats_reads_standoff_input(capsys, golden_path, tmp_path):
     status, standoff, _ = run_cli(capsys, "convert", "--to", "standoff", str(golden_path))
     stream = tmp_path / "golden.jsonl"

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -12,7 +16,6 @@ from phkit.model import (
     Segment,
     Span,
     element_surface,
-    unit_surface,
 )
 from phkit.inline import parse_unit
 
@@ -83,14 +86,6 @@ def test_unit_rejects_control_characters():
             LabelingUnit(bad)
 
 
-def test_unit_surface_examples():
-    unit, diags = parse_unit("并[PRE-M 互相(厮打)]。")
-    assert not diags
-    assert unit_surface(unit) == "并互相厮打。"
-    assert unit_surface(LabelingUnit("请开门")) == "请开门"
-    assert unit_surface(LabelingUnit("")) == ""
-
-
 def test_element_surface_examples():
     unit, _ = parse_unit("[SUB-W 被告人(陈某某)][ADV-P 因-家庭(矛盾)][PRE-S 迁怒]")
     sub, adv, pre = unit.elements
@@ -134,6 +129,15 @@ def test_document_invariants():
         Document("", (), (LabelingUnit("#no"),))
 
 
+def _adv_element():
+    return Element(
+        ElementType.ADV,
+        Segment(Span(1, 4), Span(2, 3)),
+        Segment(Span(0, 1)),
+        form=ElementForm.PHRASE,
+    )
+
+
 def test_model_values_are_immutable():
     span = Span(0, 1)
     with pytest.raises(AttributeError):
@@ -141,6 +145,31 @@ def test_model_values_are_immutable():
     unit = LabelingUnit("ab")
     with pytest.raises(AttributeError):
         unit.text = "cd"
+
+    element = _adv_element()
+    assert element == _adv_element()
+    assert hash(element) == hash(_adv_element())
+    assert repr(element) == (
+        f"Element(kind={element.kind!r}, body={element.body!r}, "
+        f"trigger={element.trigger!r}, pattern=None, form={element.form!r})"
+    )
+    unit = LabelingUnit("甲乙丙丁", [element])
+    assert unit.elements == (element,)
+    for value in (span, element.body, element, unit):
+        for f in dataclasses.fields(value):
+            with pytest.raises(AttributeError):
+                setattr(value, f.name, getattr(value, f.name))
+        assert dataclasses.replace(value) == value
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value
+            assert hash(twin) == hash(value)
+    for twin in (copy.deepcopy(element), pickle.loads(pickle.dumps(element))):
+        assert twin.span == Span(0, 4)
+    moved = dataclasses.replace(element, trigger=None, form=ElementForm.WORD)
+    assert moved.span == Span(1, 4)
+    assert dataclasses.replace(element.body, head=None).head is None
+    with pytest.raises(ModelError):
+        dataclasses.replace(unit, text="甲")
 
 
 @given(labeling_units())
@@ -154,6 +183,7 @@ def test_trigger_separator_body_tile_the_element(unit):
             assert el.body.span.start == el.span.start
             assert el.separator_offset is None
         assert el.body.span.end == el.span.end
+        assert el.span == Span((el.trigger or el.body).span.start, el.body.span.end)
         for seg in (el.trigger, el.body):
             if seg is not None and seg.head is not None:
                 assert seg.span.contains(seg.head)

@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from phkit.model import ModelError
@@ -164,6 +164,40 @@ def test_every_end_mark_coincides_with_hard_boundary(text):
             while j + 1 < len(text) and text[j + 1] in CLOSING_QUOTES:
                 j += 1
             assert j == len(text) - 1 or j in hard
+
+
+def _reference_conjunction_cuts(text, lexicon):
+    """The per-character lexicon scan the alternation regex replaced."""
+    entries = sorted(lexicon, key=len, reverse=True)
+    cuts = []
+    i = 0
+    while i < len(text):
+        for entry in entries:
+            if text.startswith(entry, i):
+                if i > 0:
+                    cuts.append(i - 1)
+                i += len(entry)
+                break
+        else:
+            i += 1
+    return cuts
+
+
+@given(
+    st.text(alphabet="并且和甲", max_size=30),
+    st.one_of(
+        st.lists(st.text(alphabet="并且和", min_size=1, max_size=3), max_size=5),
+        st.sampled_from([("并", "并且", "且"), ("且", "并且", "并"), ("并且", "且和", "和")]),
+    ),
+)
+@example("甲并且和乙", ("并", "并且", "且和"))
+def test_conjunction_matches_equal_per_character_scan(text, lexicon):
+    config = SegmenterConfig(conjunctions=tuple(lexicon), comma_policy=CommaPolicy.IGNORE)
+    bounds = propose_boundaries(text, config)
+    assert all(b.cause is BoundaryCause.CONJUNCTION for b in bounds)
+    assert [b.position for b in bounds] == _reference_conjunction_cuts(
+        text, config.conjunctions
+    )
 
 
 @given(raw_texts)
