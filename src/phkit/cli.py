@@ -12,6 +12,14 @@ rows) and can be forced with ``--from``. ``-`` reads stdin. A JSON config
 file may supply defaults for flags; explicit flags always win. The
 ``PHK_CONJ_LEXICON`` environment variable points at a default conjunction
 lexicon file (one entry per line, UTF-8).
+
+Files are read one at a time, and each file's documents are released
+before the next file is read, so memory follows the largest document, not
+the whole batch. ``convert --to standoff|columns`` writes each document as
+soon as it is read, one unit at a time. So when a later file cannot be read
+(an I/O error or a C-coded read error), the complete output of the earlier
+files is already on stdout; the exit status and the stderr message are the
+same as for any fatal read error.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import convert as conv
 from . import metrics
@@ -70,19 +79,39 @@ def _print_parse_diags(path: str, result: ParseResult) -> None:
 
 
 # From the first non-whitespace character to the end of its line.
-_FIRST_LINE = re.compile(r"\S[^\n]*")
+_NEXT_LINE = re.compile(r"\S[^\n]*")
+# A line that opens a JSON object: "{", then a key or the closing brace.
+_JSON_OBJECT = re.compile(r'\{[^\S\n]*["}]')
+
+
+def _is_doc_header(line: str) -> bool:
+    line = line.rstrip()
+    return line == "# doc" or line.startswith("# doc ")
 
 
 def sniff_format(text: str) -> str:
     """Guess the storage format of ``text`` (inline, standoff, or columns)
-    from its first non-blank line."""
-    match = _FIRST_LINE.search(text)
-    line = match.group().rstrip() if match else ""
-    if line.startswith("{"):
+    from its first non-blank lines.
+
+    Standoff when the first line opens a JSON object. Columns when it is a
+    ``# doc`` header followed only by further headers, or when the first
+    other line holds a tab (a row or a ``# meta`` line; inline text cannot
+    hold one). Anything else is inline, where a line may start with ``{``
+    and ``# doc …`` is a metadata line. The first line is never parsed: in
+    standoff input it can be a whole document.
+    """
+    match = _NEXT_LINE.search(text)
+    if match is None:
+        return "inline"
+    if _JSON_OBJECT.match(text, match.start()):
         return "standoff"
-    if line == "# doc" or line.startswith("# doc "):
-        return "columns"
-    return "inline"
+    if not _is_doc_header(match.group()):
+        return "inline"
+    for match in _NEXT_LINE.finditer(text, match.end()):
+        line = match.group()
+        if not _is_doc_header(line):
+            return "columns" if "\t" in line else "inline"
+    return "columns"
 
 
 def _load_documents(
@@ -110,8 +139,42 @@ def _load_documents(
         raise CliError(EXIT_PARSE, f"{path}: {exc.code} {exc.message}") from None
 
 
+class _Inputs:
+    """The documents of several files, read one file at a time.
+
+    Iterating yields each document once and keeps no reference to it, so a
+    caller that drops its own (including its loop variable) holds at most
+    one document while the next file is read. ``path`` and ``unit_lines``
+    describe the file of the document last yielded; ``status`` is the worst
+    load status so far (EXIT_OK or EXIT_PARSE).
+    """
+
+    def __init__(self, paths: Iterable[str], forced_format: str | None):
+        self.paths = paths
+        self.forced_format = forced_format
+        self.path = ""
+        self.unit_lines: list[int] | None = None
+        self.status = EXIT_OK
+
+    def __iter__(self) -> Iterator[Document]:
+        for path in self.paths:
+            docs, status, self.unit_lines = _load_documents(path, self.forced_format)
+            self.path = path
+            self.status = max(self.status, status)
+            docs.reverse()
+            while docs:
+                yield docs.pop()
+
+
 def _is_empty(doc: Document) -> bool:
     return not doc.id and not doc.metadata and not doc.units
+
+
+def _write(pieces: Iterable[str]) -> None:
+    # One write per piece: the output of a document is never built whole.
+    write = sys.stdout.write
+    for piece in pieces:
+        write(piece)
 
 
 def _config_value(args: argparse.Namespace, section: str, key: str):
@@ -155,38 +218,37 @@ def cmd_parse(args: argparse.Namespace) -> int:
         if result.diagnostics:
             status = EXIT_PARSE
         if not args.check and not _is_empty(result.document):
-            print(conv.to_standoff(result.document))
+            _write(conv.standoff_pieces(result.document))
+            sys.stdout.write("\n")
     return status
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    parse_failed = False
+    inputs = _Inputs(args.files, args.from_format)
     errors = False
-    for path in args.files:
-        docs, status, unit_lines = _load_documents(path, args.from_format)
-        parse_failed = parse_failed or status == EXIT_PARSE
-        for doc in docs:
-            findings = validation.validate_document(doc)
-            if args.strict:
-                findings = [
-                    validation.Diagnostic(
-                        d.code,
-                        Severity.ERROR if d.severity is Severity.WARNING else d.severity,
-                        d.unit_index,
-                        d.span,
-                        d.message,
-                    )
-                    for d in findings
-                ]
-            if any(d.severity is Severity.ERROR for d in findings):
-                errors = True
-            if args.format == "records":
-                lines = validation.render_records(findings, path, unit_lines)
-            else:
-                lines = validation.render_text(findings, path, unit_lines)
-            for line in lines:
-                print(line)
-    if parse_failed:
+    for doc in inputs:
+        findings = validation.validate_document(doc)
+        del doc  # not kept alive while the next file is read
+        if args.strict:
+            findings = [
+                validation.Diagnostic(
+                    d.code,
+                    Severity.ERROR if d.severity is Severity.WARNING else d.severity,
+                    d.unit_index,
+                    d.span,
+                    d.message,
+                )
+                for d in findings
+            ]
+        if any(d.severity is Severity.ERROR for d in findings):
+            errors = True
+        if args.format == "records":
+            lines = validation.render_records(findings, inputs.path, inputs.unit_lines)
+        else:
+            lines = validation.render_text(findings, inputs.path, inputs.unit_lines)
+        for line in lines:
+            print(line)
+    if inputs.status == EXIT_PARSE:
         return EXIT_PARSE
     return EXIT_VALIDATION if errors else EXIT_OK
 
@@ -198,6 +260,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
         or seg.CommaPolicy.CANDIDATE.value
     )
     policy = args.policy or _config_value(args, "segment", "policy") or "all"
+    if policy not in ("all", "hard_only"):
+        raise CliError(EXIT_USAGE, f"unknown segment policy {policy!r}")
     try:
         config = seg.SegmenterConfig(
             _conjunctions(args), seg.CommaPolicy(comma_policy)
@@ -233,40 +297,46 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    docs: list[Document] = []
-    status = EXIT_OK
-    for path in args.files:
-        loaded, file_status, _ = _load_documents(path, args.from_format)
-        status = max(status, file_status)
-        docs.extend(d for d in loaded if not _is_empty(d))
+    inputs = _Inputs(args.files, args.from_format)
     if args.to == "inline":
-        if len(docs) > 1:
+        # Every file is still read (and its diagnostics reported) before a
+        # second document is refused, so nothing reaches stdout then.
+        first: Document | None = None
+        extra = False
+        for doc in inputs:
+            if not _is_empty(doc):
+                if first is None:
+                    first = doc
+                else:
+                    extra = True
+            del doc  # not kept alive while the next file is read
+        if extra:
             raise CliError(
                 EXIT_USAGE, "inline output holds a single document per stream"
             )
-        if docs:
-            sys.stdout.write(emit_document(docs[0]))
-    elif args.to == "standoff":
-        sys.stdout.write(conv.standoff_stream(docs))
-    else:
-        sys.stdout.write(conv.columns_stream(docs))
-    return status
+        if first is not None:
+            sys.stdout.write(emit_document(first))
+        return inputs.status
+    for doc in inputs:
+        if not _is_empty(doc):
+            if args.to == "standoff":
+                _write(conv.standoff_pieces(doc))
+                sys.stdout.write("\n")
+            else:
+                _write(conv.columns_pieces(doc))
+        del doc  # not kept alive while the next file is read
+    return inputs.status
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    docs: list[Document] = []
-    status = EXIT_OK
-    for path in args.files:
-        loaded, file_status, _ = _load_documents(path, args.from_format)
-        status = max(status, file_status)
-        docs.extend(loaded)
-    report = metrics.corpus_stats(docs)
+    inputs = _Inputs(args.files, args.from_format)
+    report = metrics.corpus_stats(inputs)
     if args.format == "records":
         print(metrics.stats_records(report))
     else:
         for row in metrics.stats_table(report):
             print(row)
-    return status
+    return inputs.status
 
 
 _MATCH_BY_FLAG = {

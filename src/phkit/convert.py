@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .model import (
     STANDOFF_TAGS,
@@ -74,16 +74,32 @@ def _element_record(el: Element) -> dict[str, Any]:
     return rec
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def standoff_pieces(doc: Document) -> Iterator[str]:
+    """Yield the standoff record of ``doc`` (no newline) in pieces: the
+    header up to ``"units":[``, then one piece per unit, then ``]}``.
+
+    The pieces join to what ``json.dumps`` gives for the whole record.
+    """
+    header: dict[str, Any] = {"id": doc.id}
+    if doc.metadata:
+        header["meta"] = list(doc.metadata)
+    yield _dumps(header)[:-1] + ',"units":['
+    separator = ""
+    for u in doc.units:
+        yield separator + _dumps(
+            {"text": u.text, "elements": [_element_record(e) for e in u.elements]}
+        )
+        separator = ","
+    yield "]}"
+
+
 def to_standoff(doc: Document) -> str:
     """Serialize one document as a single standoff JSON line (no newline)."""
-    rec: dict[str, Any] = {"id": doc.id}
-    if doc.metadata:
-        rec["meta"] = list(doc.metadata)
-    rec["units"] = [
-        {"text": u.text, "elements": [_element_record(e) for e in u.elements]}
-        for u in doc.units
-    ]
-    return json.dumps(rec, ensure_ascii=False, separators=(",", ":"))
+    return "".join(standoff_pieces(doc))
 
 
 def _offset_type_error(rec: dict[str, Any], *keys: str) -> ConvertError | None:
@@ -214,7 +230,8 @@ def read_standoff(text: str) -> list[Document]:
     return [from_standoff(line) for line in text.split("\n") if line.strip()]
 
 
-def _unit_rows(unit: LabelingUnit) -> list[str]:
+def _unit_rows(unit: LabelingUnit) -> str:
+    """The unit's rows, each with its newline."""
     n = len(unit.text)
     btags = ["O"] * n
     roles = ["O"] * n
@@ -236,19 +253,24 @@ def _unit_rows(unit: LabelingUnit) -> list[str]:
         if el.body.head is not None:
             for i in range(el.body.head.start, el.body.head.end):
                 roles[i] = "H"
-    return [f"{unit.text[i]}\t{btags[i]}\t{roles[i]}" for i in range(n)]
+    return "".join([f"{ch}\t{b}\t{r}\n" for ch, b, r in zip(unit.text, btags, roles)])
+
+
+def columns_pieces(doc: Document) -> Iterator[str]:
+    """Yield the column block of ``doc`` in pieces: the ``# doc`` and
+    ``# meta`` rows, then one piece per unit (its rows, after a blank line
+    from the second unit on). Every piece ends with a newline."""
+    header = "# doc " + doc.id if doc.id else "# doc"
+    yield header + "\n" + "".join([f"# meta\t{meta}\n" for meta in doc.metadata])
+    separator = ""
+    for unit in doc.units:
+        yield separator + _unit_rows(unit)
+        separator = "\n"
 
 
 def to_columns(doc: Document) -> str:
     """Serialize one document in the per-character column format."""
-    lines: list[str] = ["# doc " + doc.id if doc.id else "# doc"]
-    for meta in doc.metadata:
-        lines.append("# meta\t" + meta)
-    for index, unit in enumerate(doc.units):
-        if index:
-            lines.append("")
-        lines.extend(_unit_rows(unit))
-    return "\n".join(lines) + "\n"
+    return "".join(columns_pieces(doc))
 
 
 # One token of a column stream. Each starts at a line start and takes

@@ -19,6 +19,8 @@ import enum
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .model import Document, Element, ElementType
@@ -82,20 +84,21 @@ def corpus_stats(docs: Iterable[Document]) -> StatsReport:
     by_tag: Counter[str] = Counter()
     length_hist: Counter[int] = Counter()
     per_unit_hist: Counter[int] = Counter()
-    for doc in docs:
-        for unit in doc.units:
-            unit_count += 1
-            length_hist[len(unit.text)] += 1
-            per_unit_hist[len(unit.elements)] += 1
-            if any(e.kind is ElementType.UNC for e in unit.elements):
-                unc_units += 1
-            for el in unit.elements:
-                by_kind[el.kind.value] += 1
-                by_tag[el.tag] += 1
-                if el.pattern is not None:
-                    by_pattern[el.pattern.value] += 1
-                if el.form is not None:
-                    by_form[el.form.value] += 1
+    # No name here holds a document while ``docs`` produces the next one,
+    # so a lazy ``docs`` keeps memory at one document.
+    for unit in chain.from_iterable(map(attrgetter("units"), docs)):
+        unit_count += 1
+        length_hist[len(unit.text)] += 1
+        per_unit_hist[len(unit.elements)] += 1
+        if any(e.kind is ElementType.UNC for e in unit.elements):
+            unc_units += 1
+        for el in unit.elements:
+            by_kind[el.kind.value] += 1
+            by_tag[el.tag] += 1
+            if el.pattern is not None:
+                by_pattern[el.pattern.value] += 1
+            if el.form is not None:
+                by_form[el.form.value] += 1
     return StatsReport(
         unit_count,
         unc_units,

@@ -83,6 +83,9 @@ STANDOFF_TAGS: dict[tuple[str, str | None], TagEntry] = {
     for tag, entry in TAGS.items()
 }
 
+#: ``TAGS`` reversed: (kind, pattern, form) to the tag's spelling.
+TAG_NAMES: dict[TagEntry, str] = {entry: tag for tag, entry in TAGS.items()}
+
 # Characters that cannot occur in unit text: the model is line-based and
 # exported to tab-separated columns, so line breaks and tabs are reserved.
 _FORBIDDEN_TEXT_CHARS = ("\n", "\r", "\t")
@@ -212,11 +215,8 @@ class Element:
     @property
     def tag(self) -> str:
         """Serialized tag, e.g. "PRE-S", "ADV-P", or bare "UNC"."""
-        if self.pattern is not None:
-            return f"{self.kind.value}-{self.pattern.value}"
-        if self.form is not None:
-            return f"{self.kind.value}-{self.form.value}"
-        return self.kind.value
+        # The constructor admits only combinations that TAGS lists.
+        return TAG_NAMES[(self.kind, self.pattern, self.form)]
 
 
 # Looking a member up on an Enum class goes through its metaclass and costs

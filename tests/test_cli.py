@@ -1,10 +1,16 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from phkit import metrics
 from phkit.cli import main, sniff_format
+from phkit.convert import read_columns, read_standoff, to_columns, to_standoff
+from phkit.inline import parse_document
+from phkit.model import Document, LabelingUnit
 
 GOLDEN_PARAGRAPH = (
     "被告人陈某某因家庭矛盾迁怒岳父滕某某。"
@@ -92,10 +98,25 @@ def test_validate_ignores_leading_bom(capsys, tmp_path):
         ("# doc\n", "columns"),
         ("\n# doc x \r\n甲\tO\tO\n", "columns"),
         ("# docs\n", "inline"),
+        # Inline text may start with "{" and carry a "# doc" metadata line.
+        ("{a} [PRE-S 来]\n", "inline"),
+        ("# doc note\n[PRE-S 来]了\n", "inline"),
+        ("# doc a\n\n# doc b\n", "columns"),
     ],
 )
 def test_sniff_format_reads_first_non_blank_line(text, expected):
     assert sniff_format(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["{a} [PRE-S 来]\n", "# doc note\n[PRE-S 来]了\n"]
+)
+def test_validate_inline_that_looks_like_another_format(capsys, tmp_path, text):
+    path = tmp_path / "in.ann"
+    path.write_text(text, encoding="utf-8")
+    status, _, err = run_cli(capsys, "validate", str(path))
+    assert status in (0, 1)
+    assert err == ""
 
 
 def test_validate_strict_promotes_warnings(capsys, golden_path):
@@ -218,14 +239,110 @@ def test_convert_round_trip_through_all_formats(capsys, golden_path, tmp_path, g
     assert inline == golden_text
 
 
-def test_convert_inline_rejects_multiple_documents(capsys, tmp_path):
+def test_convert_inline_rejects_multiple_documents(capsys, tmp_path, golden_path):
     stream = tmp_path / "two.jsonl"
     stream.write_text(
         '{"id":"a","units":[]}\n{"id":"b","units":[]}\n', encoding="utf-8"
     )
     status, out, err = run_cli(capsys, "convert", "--to", "inline", str(stream))
-    assert status == 2
+    assert (status, out) == (2, "")
     assert "single document" in err
+    # Two files of one document each: still nothing on stdout.
+    status, out, err = run_cli(
+        capsys, "convert", "--to", "inline", str(golden_path), str(golden_path)
+    )
+    assert (status, out) == (2, "")
+    assert "single document" in err
+
+
+def _three_files(tmp_path, golden_doc):
+    """An inline file, a standoff stream of two documents and a column file."""
+    other = Document("other", ("# note",), (LabelingUnit("甲乙"),))
+    paths = [tmp_path / "a.ann", tmp_path / "b.jsonl", tmp_path / "c.cols"]
+    paths[0].write_text("[SUB-W 王某][PRE-S 走]了\n", encoding="utf-8")
+    paths[1].write_text(
+        to_standoff(golden_doc) + "\n" + to_standoff(other) + "\n", encoding="utf-8"
+    )
+    paths[2].write_text(to_columns(golden_doc), encoding="utf-8")
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("to", ["standoff", "columns"])
+def test_convert_many_files_is_concatenation_of_single_files(
+    capsys, tmp_path, golden_doc, to
+):
+    paths = _three_files(tmp_path, golden_doc)
+    singles = []
+    for path in paths:
+        status, out, _ = run_cli(capsys, "convert", "--to", to, path)
+        assert status == 0
+        singles.append(out)
+    status, out, err = run_cli(capsys, "convert", "--to", to, *paths)
+    assert (status, out, err) == (0, "".join(singles), "")
+
+
+def test_stats_many_files_counts_every_document(capsys, tmp_path, golden_doc):
+    paths = _three_files(tmp_path, golden_doc)
+    texts = [Path(p).read_text(encoding="utf-8") for p in paths]
+    docs = [
+        parse_document(texts[0]).document,
+        *read_standoff(texts[1]),
+        *read_columns(texts[2]),
+    ]
+    status, out, err = run_cli(capsys, "stats", "--format", "records", *paths)
+    expected = metrics.stats_records(metrics.corpus_stats(docs))
+    assert (status, out, err) == (0, expected + "\n", "")
+
+
+def test_convert_keeps_earlier_output_when_a_later_file_fails(
+    capsys, tmp_path, golden_path
+):
+    _, single, _ = run_cli(capsys, "convert", "--to", "standoff", str(golden_path))
+    missing = tmp_path / "missing.ann"
+    status, out, err = run_cli(
+        capsys, "convert", "--to", "standoff", str(golden_path), str(missing)
+    )
+    assert status == 2
+    assert out == single
+    assert err.startswith(f"phk: cannot read {missing}")
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text('{"id": 1}\n', encoding="utf-8")
+    status, out, err = run_cli(
+        capsys, "convert", "--to", "standoff", str(golden_path), str(broken)
+    )
+    assert status == 3
+    assert out == single
+    assert err.startswith(f"phk: {broken}: C004 ")
+
+
+class _Discard:
+    """A stdout that keeps nothing of what it is given."""
+
+    def write(self, s: str) -> int:
+        return len(s)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_convert_memory_does_not_grow_with_file_count(
+    monkeypatch, tmp_path, golden_lines
+):
+    path = tmp_path / "big.ann"
+    path.write_text("\n".join(golden_lines * 300) + "\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", _Discard())
+
+    def peak(files: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["convert", "--to", "standoff", *[str(path)] * files]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    main(["convert", "--to", "standoff", str(path)])  # warm-up
+    one, four = peak(1), peak(4)
+    assert four < 1.3 * one, (one, four)
 
 
 def test_stats_table_and_records(capsys, golden_path):
@@ -272,6 +389,16 @@ def test_agree_match_and_normalize_flags(capsys, tmp_path):
         capsys, "agree", str(a), str(b), "--match", "type", "--normalize-rai"
     )
     assert "f1: 1.0000" in out.splitlines()
+
+
+def test_segment_unknown_policy_in_config_is_exit_2(capsys, tmp_path):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲。乙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({"segment": {"policy": "both"}}), encoding="utf-8")
+    status, out, err = run_cli(capsys, "--config", str(config), "segment", str(raw))
+    assert (status, out) == (2, "")
+    assert err == "phk: unknown segment policy 'both'\n"
 
 
 def test_config_file_defaults_flags_win(capsys, tmp_path):

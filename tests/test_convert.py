@@ -240,6 +240,82 @@ def test_columns_round_trip(doc):
     assert from_columns(to_columns(doc)) == doc
 
 
+def _reference_standoff(doc):
+    """The standoff writer as it was before it wrote one unit at a time."""
+
+    def element_record(el):
+        rec = {"kind": el.kind.value}
+        if el.pattern is not None:
+            rec["sub"] = el.pattern.value
+        elif el.form is not None:
+            rec["sub"] = el.form.value
+        rec["start"] = el.span.start
+        rec["end"] = el.span.end
+        if el.trigger is not None:
+            rec["trig_start"] = el.trigger.span.start
+            rec["trig_end"] = el.trigger.span.end
+            if el.trigger.head is not None:
+                rec["trig_head_start"] = el.trigger.head.start
+                rec["trig_head_end"] = el.trigger.head.end
+        if el.body.head is not None:
+            rec["head_start"] = el.body.head.start
+            rec["head_end"] = el.body.head.end
+        return rec
+
+    rec = {"id": doc.id}
+    if doc.metadata:
+        rec["meta"] = list(doc.metadata)
+    rec["units"] = [
+        {"text": u.text, "elements": [element_record(e) for e in u.elements]}
+        for u in doc.units
+    ]
+    return json.dumps(rec, ensure_ascii=False, separators=(",", ":"))
+
+
+def _reference_columns(doc):
+    """The column writer as it was before it wrote one unit at a time."""
+
+    def unit_rows(unit):
+        n = len(unit.text)
+        btags = ["O"] * n
+        roles = ["O"] * n
+        for el in unit.elements:
+            tag = el.kind.value
+            sub = el.pattern or el.form
+            if sub is not None:
+                tag += "-" + sub.value
+            btags[el.span.start] = "B-" + tag
+            for i in range(el.span.start + 1, el.span.end):
+                btags[i] = "I-" + tag
+            if el.trigger is not None:
+                for i in range(el.trigger.span.start, el.trigger.span.end):
+                    roles[i] = "T"
+                if el.trigger.head is not None:
+                    for i in range(el.trigger.head.start, el.trigger.head.end):
+                        roles[i] = "TH"
+            for i in range(el.body.span.start, el.body.span.end):
+                roles[i] = "B"
+            if el.body.head is not None:
+                for i in range(el.body.head.start, el.body.head.end):
+                    roles[i] = "H"
+        return [f"{unit.text[i]}\t{btags[i]}\t{roles[i]}" for i in range(n)]
+
+    lines = ["# doc " + doc.id if doc.id else "# doc"]
+    for meta in doc.metadata:
+        lines.append("# meta\t" + meta)
+    for index, unit in enumerate(doc.units):
+        if index:
+            lines.append("")
+        lines.extend(unit_rows(unit))
+    return "\n".join(lines) + "\n"
+
+
+@given(documents())
+def test_piecewise_writers_equal_whole_document_writers(doc):
+    assert to_standoff(doc) == _reference_standoff(doc)
+    assert to_columns(doc) == _reference_columns(doc)
+
+
 @given(documents())
 def test_column_row_count_equals_codepoint_count(doc):
     block = to_columns(doc)

@@ -12,6 +12,7 @@ from phkit.model import (
     ElementType,
     LabelingUnit,
     ModelError,
+    TAGS,
     PredicatePattern,
     Segment,
     Span,
@@ -53,6 +54,12 @@ def test_element_tag_compatibility():
         Element(ElementType.UNC, body, form=ElementForm.WORD)
     with pytest.raises(ModelError):
         Element(ElementType.SUB, body)
+
+
+def test_element_tag_spells_its_tags_entry():
+    body = Segment(Span(0, 2))
+    for tag, (kind, pattern, form) in TAGS.items():
+        assert Element(kind, body, pattern=pattern, form=form).tag == tag
 
 
 def test_trigger_must_abut_body():
