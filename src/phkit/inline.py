@@ -12,6 +12,16 @@ Parsing is strict: malformed markup produces coded diagnostics and the
 offending line is rejected, never repaired by guessing. Emission produces
 the canonical serialization, so ``emit(parse(x))`` is a fixed point.
 
+A line is read in two steps. One compiled regex takes the line element by
+element (gap text, then one whole ``[TAG seg(-seg)?]``), and the unit is
+built straight from the lengths of the matched pieces; escapes are
+resolved only in lines that hold a backslash. A line the regex does not
+take, or whose pieces break a rule it cannot express (unknown tag, empty
+segment, head covering its segment), goes to a character-by-character
+diagnoser that builds nothing and reports every fault with its code and
+column. The diagnoser runs only on broken lines, so its cost is off the
+path of valid input.
+
 Diagnostic codes:
 
 ====  =========================================================
@@ -25,7 +35,9 @@ P007  stray closing bracket outside any element
 P008  invalid escape sequence
 P009  empty content (element, segment, or head group)
 P010  empty tag; also undecodable (non-UTF-8) input at file level
-P011  tab or carriage return, which unit text cannot contain
+P011  tab or carriage return, which unit text cannot contain; also a lone
+      carriage return in a metadata or ``#id:`` line
+P012  ``#id:`` line after an ``#id:`` line with an empty id
 ====  =========================================================
 """
 
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .model import TAGS, Document, Element, ElementType, LabelingUnit, Segment, Span
 
@@ -40,8 +53,25 @@ RESERVED_CHARS = "[]()-\\"
 _ESCAPABLE = frozenset(RESERVED_CHARS)
 _ESCAPE_MAP = {ord(c): "\\" + c for c in RESERVED_CHARS}
 
-# Jump tables for the scanner: everything up to the next special character
-# is literal text and is copied in one slice.
+
+def _element_regex(escape: str) -> re.Pattern[str]:
+    # Gap text, then either one whole element or the end of the line. Groups:
+    # gap, tag, then pre/head/post of the first segment and of the segment
+    # after a "-". Gap text may hold unescaped "()-"; element text may not.
+    # Tabs and carriage returns match nowhere, so such lines are diagnosed.
+    gap = rf"(?:[^][\\\t\r]{escape})*"
+    char = rf"[^][()\\\t\r-]{escape}"
+    seg = rf"((?:{char})*)(?:\(((?:{char})+)\)((?:{char})*))?"
+    return re.compile(rf"({gap})(?:\[([-A-Z]+) {seg}(?:-{seg})?\]|\Z)")
+
+
+# Lines without a backslash (nearly all) take the variant without escapes.
+_PLAIN_ELEMENT = _element_regex("")
+_ESCAPED_ELEMENT = _element_regex(r"|\\[][()\\-]")
+_unescape = partial(re.compile(r"\\(.)").sub, r"\1")
+
+# Jump tables for the diagnoser: everything up to the next special
+# character is literal text and is skipped in one step.
 _GAP_SPECIAL = re.compile(r"[][\\]")
 _CONTENT_SPECIAL = re.compile(r"[][()\\-]")
 
@@ -97,6 +127,33 @@ def _skip_element(line: str, i: int) -> int:
     return n
 
 
+def _p011(line: str, line_no: int, chars: str) -> list[ParseDiagnostic]:
+    return [
+        ParseDiagnostic("P011", line_no, i + 1, f"unit text may not contain {ch!r}")
+        for i, ch in enumerate(line)
+        if ch in chars
+    ]
+
+
+def _segment(
+    parts: list[str], start: int, pre: str, head: str | None, post: str | None
+) -> Segment | None:
+    """The segment ``pre(head)post`` (just ``pre`` when ``head`` is None)
+    at text offset ``start``, its pieces appended to ``parts``; None when
+    the segment is empty or its head covers all of it."""
+    if head is None:
+        if not pre:
+            return None
+        parts.append(pre)
+        return Segment(Span(start, start + len(pre)))
+    if not pre and not post:
+        return None
+    head_start = start + len(pre)
+    head_end = head_start + len(head)
+    parts += (pre, head, post)
+    return Segment(Span(start, head_end + len(post)), Span(head_start, head_end))
+
+
 def parse_unit(
     line: str, line_no: int = 1
 ) -> tuple[LabelingUnit | None, list[ParseDiagnostic]]:
@@ -109,34 +166,70 @@ def parse_unit(
     """
     if "\n" in line:
         raise ValueError("parse_unit expects a single line without line breaks")
-    if "\t" in line or "\r" in line:
-        return None, [
-            ParseDiagnostic("P011", line_no, i + 1, f"unit text may not contain {ch!r}")
-            for i, ch in enumerate(line)
-            if ch == "\t" or ch == "\r"
-        ]
-    diags: list[ParseDiagnostic] = []
+    escaped = "\\" in line
+    match = (_ESCAPED_ELEMENT if escaped else _PLAIN_ELEMENT).match
     parts: list[str] = []
     elements: list[Element] = []
-    tlen = 0
+    pos = tlen = 0
+    while (m := match(line, pos)) is not None:
+        gap, tag, pre, head, post, pre2, head2, post2 = m.groups()
+        if escaped:
+            gap, pre, head, post, pre2, head2, post2 = [
+                piece and _unescape(piece)
+                for piece in (gap, pre, head, post, pre2, head2, post2)
+            ]
+        parts.append(gap)
+        if tag is None:
+            return LabelingUnit("".join(parts), tuple(elements)), []
+        entry = TAGS.get(tag)
+        if entry is None:
+            break
+        tlen += len(gap)
+        first = _segment(parts, tlen, pre, head, post)
+        if first is None:
+            break
+        if pre2 is None:
+            body, trigger = first, None
+        else:
+            body = _segment(parts, first.span.end, pre2, head2, post2)
+            if body is None:
+                break
+            trigger = first
+        kind, pattern, form = entry
+        elements.append(Element(kind, body, trigger, pattern, form))
+        tlen = body.span.end
+        pos = m.end()
+    return None, _diagnose(line, line_no)
+
+
+def _diagnose(line: str, line_no: int) -> list[ParseDiagnostic]:
+    """Every diagnostic of a line that ``parse_unit`` does not accept.
+
+    A character-by-character scan that reports each fault where it is found
+    and resynchronises after a broken element, so one line can yield
+    several diagnostics.
+    """
+    if "\t" in line or "\r" in line:
+        return _p011(line, line_no, "\t\r")
+    diags: list[ParseDiagnostic] = []
     i, n = 0, len(line)
 
     def report(code: str, column: int, message: str) -> None:
         diags.append(ParseDiagnostic(code, line_no, column, message))
 
-    def escape_at(i: int) -> tuple[str, int]:
-        # Resolve a backslash escape at index i; returns (literal, advance).
+    def escape_at(i: int) -> int:
+        # Check a backslash escape at index i; returns the text length it
+        # stands for (0 or 1). A valid escape is always two characters.
         if i + 1 >= n:
             report("P008", i + 1, "dangling '\\' at end of line")
-            return "", 1
+            return 0
         nxt = line[i + 1]
         if nxt not in _ESCAPABLE:
             report("P008", i + 1, f"invalid escape '\\{nxt}'")
-            return "", 2
-        return nxt, 2
+            return 0
+        return 1
 
-    def parse_element(i: int, tlen: int) -> tuple[int, int]:
-        nonlocal parts, elements
+    def diagnose_element(i: int) -> int:
         open_col = i + 1
         i += 1
         j = i
@@ -145,7 +238,7 @@ def parse_unit(
         tag = line[i:j]
         if j >= n:
             report("P001", open_col, "element is never closed")
-            return n, tlen
+            return n
         if line[j] == "]":
             if not tag:
                 report("P010", open_col, "empty tag")
@@ -153,19 +246,18 @@ def parse_unit(
                 report("P003", j + 1, "expected one space between tag and content")
             else:
                 report("P002", i + 1, _tag_message(tag))
-            return j + 1, tlen
+            return j + 1
         if not tag:
             report("P010", open_col, "empty tag")
-            return _skip_element(line, j), tlen
-        entry = TAGS.get(tag)
-        if entry is None:
+            return _skip_element(line, j)
+        if tag not in TAGS:
             report("P002", i + 1, _tag_message(tag))
-            return _skip_element(line, j), tlen
-        kind, pattern, form = entry
+            return _skip_element(line, j)
 
+        # Text lengths from the start of the current segment.
         i = j + 1
-        seg_start = tlen
-        trigger: Segment | None = None
+        tlen = 0
+        separated = False
         head: tuple[int, int] | None = None
         head_open: int | None = None
         while i < n:
@@ -173,56 +265,50 @@ def parse_unit(
             if ch == "]":
                 break
             if ch == "\\":
-                lit, adv = escape_at(i)
-                if lit:
-                    parts.append(lit)
-                    tlen += 1
-                i += adv
+                tlen += escape_at(i)
+                i += 2
             elif ch == "(":
                 if head_open is not None:
                     report("P006", i + 1, "'(' nested inside another '('")
-                    return _skip_element(line, i), tlen
+                    return _skip_element(line, i)
                 if head is not None:
                     report("P005", i + 1, "more than one head group in one segment")
-                    return _skip_element(line, i), tlen
+                    return _skip_element(line, i)
                 head_open = tlen
                 i += 1
             elif ch == ")":
                 if head_open is None:
                     report("P006", i + 1, "')' without a matching '('")
-                    return _skip_element(line, i), tlen
+                    return _skip_element(line, i)
                 if tlen == head_open:
                     report("P009", i + 1, "empty head group")
-                    return _skip_element(line, i), tlen
+                    return _skip_element(line, i)
                 head = (head_open, tlen)
                 head_open = None
                 i += 1
             elif ch == "-":
                 if head_open is not None:
                     report("P004", i + 1, "separator inside a head group")
-                    return _skip_element(line, i), tlen
-                if trigger is not None:
+                    return _skip_element(line, i)
+                if separated:
                     report("P004", i + 1, "more than one separator in an element")
-                    return _skip_element(line, i), tlen
-                if tlen == seg_start:
+                    return _skip_element(line, i)
+                if tlen == 0:
                     report("P009", i + 1, "empty trigger segment before separator")
-                    return _skip_element(line, i), tlen
-                if head == (seg_start, tlen):
+                    return _skip_element(line, i)
+                if head == (0, tlen):
                     report("P009", i + 1, "head group must not cover its whole segment")
-                    return _skip_element(line, i), tlen
-                trigger = Segment(
-                    Span(seg_start, tlen), Span(*head) if head else None
-                )
-                seg_start = tlen
+                    return _skip_element(line, i)
+                separated = True
+                tlen = 0
                 head = None
                 i += 1
             elif ch == "[":
                 report("P001", i + 1, "'[' inside an element: elements cannot nest")
-                return _skip_element(line, i), tlen
+                return _skip_element(line, i)
             else:
                 m = _CONTENT_SPECIAL.search(line, i)
                 j2 = m.start() if m else n
-                parts.append(line[i:j2])
                 tlen += j2 - i
                 i = j2
         if i >= n:
@@ -230,46 +316,32 @@ def parse_unit(
                 report("P006", n, "'(' is never closed")
             else:
                 report("P001", open_col, "element is never closed")
-            return n, tlen
+            return n
         if head_open is not None:
             report("P006", i + 1, "'(' is never closed")
-            return i + 1, tlen
-        if tlen == seg_start:
-            if trigger is None:
-                report("P009", i + 1, "empty element content")
-            else:
+        elif tlen == 0:
+            if separated:
                 report("P009", i + 1, "empty body segment after separator")
-            return i + 1, tlen
-        if head == (seg_start, tlen):
+            else:
+                report("P009", i + 1, "empty element content")
+        elif head == (0, tlen):
             report("P009", i + 1, "head group must not cover its whole segment")
-            return i + 1, tlen
-        body = Segment(Span(seg_start, tlen), Span(*head) if head else None)
-        elements.append(Element(kind, body, trigger, pattern, form))
-        return i + 1, tlen
+        return i + 1
 
     while i < n:
         ch = line[i]
         if ch == "[":
-            i, tlen = parse_element(i, tlen)
+            i = diagnose_element(i)
         elif ch == "]":
             report("P007", i + 1, "']' without a matching '['")
             i += 1
         elif ch == "\\":
-            lit, adv = escape_at(i)
-            if lit:
-                parts.append(lit)
-                tlen += 1
-            i += adv
+            escape_at(i)
+            i += 2
         else:
             m = _GAP_SPECIAL.search(line, i)
-            j = m.start() if m else n
-            parts.append(line[i:j])
-            tlen += j - i
-            i = j
-
-    if diags:
-        return None, diags
-    return LabelingUnit("".join(parts), tuple(elements)), []
+            i = m.start() if m else n
+    return diags
 
 
 def parse_document(source: str) -> ParseResult:
@@ -277,7 +349,10 @@ def parse_document(source: str) -> ParseResult:
 
     Lines starting with "#" are metadata; the first "#id:" line sets the
     document id (default: empty). Blank lines are separators. Lines with
-    parse errors are reported and omitted from the document.
+    parse errors are reported and omitted from the document: a lone
+    carriage return in a metadata line (P011), a further "#id:" line after
+    an empty id (P012; it could not be told apart from the id on output),
+    and any unit line that ``parse_unit`` rejects.
     """
     diags: list[ParseDiagnostic] = []
     units: list[LabelingUnit] = []
@@ -290,11 +365,21 @@ def parse_document(source: str) -> ParseResult:
         if not line:
             continue
         if line.startswith("#"):
-            if not id_seen and line.startswith("#id:"):
+            if "\r" in line:
+                diags += _p011(line, line_no, "\r")
+            elif not line.startswith("#id:"):
+                metadata.append(line)
+            elif not id_seen:
                 doc_id = line[4:].strip()
                 id_seen = True
-            else:
+            elif doc_id:
                 metadata.append(line)
+            else:
+                diags.append(
+                    ParseDiagnostic(
+                        "P012", line_no, 1, "'#id:' line after an empty document id"
+                    )
+                )
             continue
         unit, unit_diags = parse_unit(line, line_no)
         if unit_diags:

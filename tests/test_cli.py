@@ -1,16 +1,24 @@
+import gc
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from phkit import metrics
+from phkit import cli, metrics
 from phkit.cli import main, sniff_format
 from phkit.convert import read_columns, read_standoff, to_columns, to_standoff
-from phkit.inline import parse_document
+from phkit.inline import emit_document, parse_document
 from phkit.model import Document, LabelingUnit
+
+from .conftest import GOLDEN_PATH
 
 GOLDEN_PARAGRAPH = (
     "被告人陈某某因家庭矛盾迁怒岳父滕某某。"
@@ -142,7 +150,13 @@ def test_validate_unparseable_file_is_exit_3(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line, column", [("[PRE-S a\tb]", 9), ("x\ry[PRE-S a]", 2)]
+    "line, column",
+    [
+        ("[PRE-S a\tb]", 9),
+        ("x\ry[PRE-S a]", 2),
+        ("# a\rb\n[PRE-S 来]", 4),
+        ("#id: a\rb\n[PRE-S 来]", 7),
+    ],
 )
 def test_validate_tab_or_lone_cr_is_p011(capsys, tmp_path, line, column):
     bad = tmp_path / "bad.ann"
@@ -150,6 +164,15 @@ def test_validate_tab_or_lone_cr_is_p011(capsys, tmp_path, line, column):
     status, out, err = run_cli(capsys, "validate", str(bad))
     assert status == 3
     assert f"bad.ann:1:{column}: P011 " in err
+    assert "Traceback" not in err
+
+
+def test_validate_second_id_after_empty_id_is_p012(capsys, tmp_path):
+    bad = tmp_path / "bad.ann"
+    bad.write_text("#id:\n#id: x\n[PRE-S 来]\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "validate", str(bad))
+    assert status == 3
+    assert "bad.ann:2:1: P012 " in err
     assert "Traceback" not in err
 
 
@@ -447,3 +470,161 @@ def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["parse"])  # missing files argument
     assert err.value.code == 2
+
+
+# --- the collector pause ----------------------------------------------------
+
+
+@contextmanager
+def _gc_state(enabled: bool):
+    """Run the block with the collector on or off, then restore it."""
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["ok", "parse failure", "CliError"])
+def test_main_leaves_the_gc_state_as_it_found_it(
+    capsys, tmp_path, golden_path, enabled, case
+):
+    broken = tmp_path / "broken.ann"
+    broken.write_text("[SUB-W 王某\n", encoding="utf-8")
+    path, expected = {
+        "ok": (golden_path, 0),
+        "parse failure": (broken, 3),
+        "CliError": (tmp_path / "missing.ann", 2),
+    }[case]
+    with _gc_state(enabled):
+        status, _, _ = run_cli(capsys, "validate", str(path))
+        after = gc.isenabled()
+    assert status == expected
+    assert after is enabled
+
+
+def test_main_pauses_the_gc_while_the_subcommand_runs(monkeypatch, golden_path):
+    seen = []
+
+    def cmd_validate(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_validate", cmd_validate)
+    with _gc_state(True):
+        assert main(["validate", str(golden_path)]) == 0
+        assert gc.isenabled()
+    assert seen == [False]
+
+
+def _corpus(tmp_path, golden_doc, units: int, fmt: str) -> str:
+    doc = Document("corpus", golden_doc.metadata, golden_doc.units * (units // 10))
+    write = {"inline": emit_document, "standoff": to_standoff, "columns": to_columns}
+    path = tmp_path / f"{units}.{fmt}"
+    path.write_text(write[fmt](doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["inline", "standoff", "columns"])
+def test_no_reference_cycles_grow_with_the_input(capsys, tmp_path, golden_doc, fmt):
+    # The collector pause is safe only if whatever cycles a command leaves
+    # do not grow with its input: reference counting frees everything else.
+    small, big = (_corpus(tmp_path, golden_doc, n, fmt) for n in (20, 2000))
+    commands = [
+        ["validate", "{}"],
+        ["stats", "{}"],
+        ["convert", "--to", "inline", "{}"],
+        ["convert", "--to", "standoff", "{}"],
+        ["convert", "--to", "columns", "{}"],
+        ["agree", "{}", "{}"],
+    ]
+    if fmt == "inline":
+        commands += [["parse", "{}"], ["segment", "{}"]]
+    with _gc_state(False):
+        for command in commands:
+            found = []
+            for path in (small, small, big):  # the first run fills caches
+                main([arg.format(path) for arg in command])
+                capsys.readouterr()
+                found.append(gc.collect())
+            assert found[1] == found[2], (command, found)
+
+
+# --- fuzzing the command line ------------------------------------------------
+
+_FUZZ_COMMANDS = [
+    ["parse", "{}"],
+    ["parse", "--check", "{}"],
+    ["validate", "{}"],
+    ["validate", "--strict", "--format", "records", "{}"],
+    ["stats", "{}"],
+    ["stats", "--format", "records", "{}"],
+    ["convert", "--to", "inline", "{}"],
+    ["convert", "--to", "standoff", "{}"],
+    ["convert", "--to", "columns", "{}"],
+    ["agree", "{}", "{}"],
+    ["agree", "--match", "head", "--format", "records", "{}", str(GOLDEN_PATH)],
+    ["segment", "--commas", "hard", "{}"],
+] + [
+    [command, "--from", fmt, *rest, "{}"]
+    for fmt in ("inline", "standoff", "columns")
+    for command, *rest in (["validate"], ["stats"], ["convert", "--to", "inline"])
+]
+
+_FUZZ_TOKENS = [
+    b"\n", b"\r", b"\t", b" ", b"\x00", b"\xff", b"\xe6\x9d", "\ufeff".encode(),
+    b"#", b"#id:", b"#id: x", b"# doc", b"# meta\t", b"[", b"]", b"(", b")", b"-",
+    b"\\", b"[PRE-S ", b"[ADV-P ", b"[UNC ", "来".encode(), b"{", b"}", b"[]",
+    b'"', b":", b",", b"0", b"-1", b"7", b"null", b"true", b"1e999", b"1.5",
+    b'"id"', b'"units"', b'"text"', b'"elements"', b'"kind"', b'"sub"',
+    b'"start"', b'"end"', b'"trig_end"', b'"head_start"', b'"PRE"', b'"S"',
+    b"B-PRE-S", b"I-PRE-S", b"O", b"H", b"TH", b"T",
+]
+
+
+@cache
+def _fuzz_seeds() -> tuple[bytes, ...]:
+    doc = parse_document(GOLDEN_PATH.read_text(encoding="utf-8")).document
+    return tuple(
+        text.encode("utf-8")
+        for text in (emit_document(doc), to_standoff(doc) + "\n", to_columns(doc))
+    )
+
+
+@st.composite
+def _edited_seeds(draw):
+    """A valid inline, standoff or column file with a few bytes edited."""
+    data = bytearray(draw(st.sampled_from(_fuzz_seeds())))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        span = draw(st.integers(0, 8))
+        edit = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if edit == "delete":
+            del data[at : at + span]
+        else:
+            token = draw(st.sampled_from(_FUZZ_TOKENS))
+            data[at : at + (span if edit == "replace" else 0)] = token
+    return bytes(data)
+
+
+_fuzz_inputs = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map(b"".join),
+    _edited_seeds(),
+)
+
+
+@given(data=_fuzz_inputs, command=st.sampled_from(_FUZZ_COMMANDS))
+@settings(
+    max_examples=600,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_bytes_to_any_subcommand_end_with_an_exit_status(tmp_path, data, command):
+    path = tmp_path / "fuzz.in"
+    path.write_bytes(data)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        status = main([arg.format(path) for arg in command])
+    assert status in (0, 1, 2, 3)

@@ -1,15 +1,19 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phkit.inline import (
+    ParseDiagnostic,
+    _tag_message,
     emit_document,
     emit_unit,
     parse_bytes,
     parse_document,
     parse_unit,
 )
-from phkit.model import Document, LabelingUnit, Span
+from phkit.model import TAGS, Document, Element, LabelingUnit, Segment, Span
 
 from .strategies import TEXT_ALPHABET, documents, labeling_units
 
@@ -270,6 +274,253 @@ def test_diagnostic_positions_point_inside_the_line(line):
     for d in diags:
         assert d.line == 7
         assert 1 <= d.column <= max(len(line), 1)
+
+
+# --- the regex parser against the scanner it replaced --------------------
+
+_REFERENCE_ESCAPABLE = frozenset("[]()-\\")
+_REFERENCE_GAP_SPECIAL = re.compile(r"[][\\]")
+_REFERENCE_CONTENT_SPECIAL = re.compile(r"[][()\\-]")
+
+
+def _reference_skip_element(line: str, i: int) -> int:
+    """Advance past the current element's closing bracket for resync."""
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c == "\\":
+            i += 2
+        elif c == "]":
+            return i + 1
+        else:
+            i += 1
+    return n
+
+
+def reference_parse_unit(
+    line: str, line_no: int = 1
+) -> tuple[LabelingUnit | None, list[ParseDiagnostic]]:
+    """The character scanner that built units before the element regex;
+    the reference for ``parse_unit``'s units and diagnostics."""
+    if "\n" in line:
+        raise ValueError("parse_unit expects a single line without line breaks")
+    if "\t" in line or "\r" in line:
+        return None, [
+            ParseDiagnostic("P011", line_no, i + 1, f"unit text may not contain {ch!r}")
+            for i, ch in enumerate(line)
+            if ch == "\t" or ch == "\r"
+        ]
+    diags: list[ParseDiagnostic] = []
+    parts: list[str] = []
+    elements: list[Element] = []
+    tlen = 0
+    i, n = 0, len(line)
+
+    def report(code: str, column: int, message: str) -> None:
+        diags.append(ParseDiagnostic(code, line_no, column, message))
+
+    def escape_at(i: int) -> tuple[str, int]:
+        # Resolve a backslash escape at index i; returns (literal, advance).
+        if i + 1 >= n:
+            report("P008", i + 1, "dangling '\\' at end of line")
+            return "", 1
+        nxt = line[i + 1]
+        if nxt not in _REFERENCE_ESCAPABLE:
+            report("P008", i + 1, f"invalid escape '\\{nxt}'")
+            return "", 2
+        return nxt, 2
+
+    def parse_element(i: int, tlen: int) -> tuple[int, int]:
+        nonlocal parts, elements
+        open_col = i + 1
+        i += 1
+        j = i
+        while j < n and line[j] != " " and line[j] != "]":
+            j += 1
+        tag = line[i:j]
+        if j >= n:
+            report("P001", open_col, "element is never closed")
+            return n, tlen
+        if line[j] == "]":
+            if not tag:
+                report("P010", open_col, "empty tag")
+            elif tag in TAGS:
+                report("P003", j + 1, "expected one space between tag and content")
+            else:
+                report("P002", i + 1, _tag_message(tag))
+            return j + 1, tlen
+        if not tag:
+            report("P010", open_col, "empty tag")
+            return _reference_skip_element(line, j), tlen
+        entry = TAGS.get(tag)
+        if entry is None:
+            report("P002", i + 1, _tag_message(tag))
+            return _reference_skip_element(line, j), tlen
+        kind, pattern, form = entry
+
+        i = j + 1
+        seg_start = tlen
+        trigger: Segment | None = None
+        head: tuple[int, int] | None = None
+        head_open: int | None = None
+        while i < n:
+            ch = line[i]
+            if ch == "]":
+                break
+            if ch == "\\":
+                lit, adv = escape_at(i)
+                if lit:
+                    parts.append(lit)
+                    tlen += 1
+                i += adv
+            elif ch == "(":
+                if head_open is not None:
+                    report("P006", i + 1, "'(' nested inside another '('")
+                    return _reference_skip_element(line, i), tlen
+                if head is not None:
+                    report("P005", i + 1, "more than one head group in one segment")
+                    return _reference_skip_element(line, i), tlen
+                head_open = tlen
+                i += 1
+            elif ch == ")":
+                if head_open is None:
+                    report("P006", i + 1, "')' without a matching '('")
+                    return _reference_skip_element(line, i), tlen
+                if tlen == head_open:
+                    report("P009", i + 1, "empty head group")
+                    return _reference_skip_element(line, i), tlen
+                head = (head_open, tlen)
+                head_open = None
+                i += 1
+            elif ch == "-":
+                if head_open is not None:
+                    report("P004", i + 1, "separator inside a head group")
+                    return _reference_skip_element(line, i), tlen
+                if trigger is not None:
+                    report("P004", i + 1, "more than one separator in an element")
+                    return _reference_skip_element(line, i), tlen
+                if tlen == seg_start:
+                    report("P009", i + 1, "empty trigger segment before separator")
+                    return _reference_skip_element(line, i), tlen
+                if head == (seg_start, tlen):
+                    report("P009", i + 1, "head group must not cover its whole segment")
+                    return _reference_skip_element(line, i), tlen
+                trigger = Segment(
+                    Span(seg_start, tlen), Span(*head) if head else None
+                )
+                seg_start = tlen
+                head = None
+                i += 1
+            elif ch == "[":
+                report("P001", i + 1, "'[' inside an element: elements cannot nest")
+                return _reference_skip_element(line, i), tlen
+            else:
+                m = _REFERENCE_CONTENT_SPECIAL.search(line, i)
+                j2 = m.start() if m else n
+                parts.append(line[i:j2])
+                tlen += j2 - i
+                i = j2
+        if i >= n:
+            if head_open is not None:
+                report("P006", n, "'(' is never closed")
+            else:
+                report("P001", open_col, "element is never closed")
+            return n, tlen
+        if head_open is not None:
+            report("P006", i + 1, "'(' is never closed")
+            return i + 1, tlen
+        if tlen == seg_start:
+            if trigger is None:
+                report("P009", i + 1, "empty element content")
+            else:
+                report("P009", i + 1, "empty body segment after separator")
+            return i + 1, tlen
+        if head == (seg_start, tlen):
+            report("P009", i + 1, "head group must not cover its whole segment")
+            return i + 1, tlen
+        body = Segment(Span(seg_start, tlen), Span(*head) if head else None)
+        elements.append(Element(kind, body, trigger, pattern, form))
+        return i + 1, tlen
+
+    while i < n:
+        ch = line[i]
+        if ch == "[":
+            i, tlen = parse_element(i, tlen)
+        elif ch == "]":
+            report("P007", i + 1, "']' without a matching '['")
+            i += 1
+        elif ch == "\\":
+            lit, adv = escape_at(i)
+            if lit:
+                parts.append(lit)
+                tlen += 1
+            i += adv
+        else:
+            m = _REFERENCE_GAP_SPECIAL.search(line, i)
+            j = m.start() if m else n
+            parts.append(line[i:j])
+            tlen += j - i
+            i = j
+
+    if diags:
+        return None, diags
+    return LabelingUnit("".join(parts), tuple(elements)), []
+
+
+_LINE_TOKENS = [
+    "[", "]", "(", ")", "-", "\\", " ", "\t", "\r", "#",
+    "\\[", "\\]", "\\(", "\\)", "\\-", "\\\\", "\\x",
+    "[PRE-S ", "[ADV-P ", "[UNC ", "[COM-C ", "[PRE ", "[XYZ ", "[PRE-W ", "[ ",
+    "来", "被告人", "。", "，", "a", "Z",
+]
+_PLAIN = ["来", "被告", "a", " ", "。", ""]
+_PIECES = [
+    st.lists(st.sampled_from(chars), min_size=1, max_size=3).map("".join)
+    for chars in (_PLAIN, _PLAIN + ["\\-", "\\(", "\\\\", "\\]"])
+]
+
+
+@st.composite
+def _near_lines(draw):
+    """Lines of gap text and elements that are well-formed or nearly so:
+    segments with zero to two head groups, one to three segments, real and
+    unknown tags, escapes everywhere, and now and then a stray token."""
+    pieces = draw(st.sampled_from(_PIECES))
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        gap = st.sampled_from(["x", "-", "(", ")", "被", " "])
+        out.append(draw(st.lists(gap, max_size=3).map("".join)))
+        segments = []
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2, 2, 3]))):
+            seg = draw(pieces)
+            for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2]))):
+                seg += "(" + draw(pieces) + ")" + draw(pieces)
+            segments.append(seg)
+        tag = draw(st.sampled_from([*TAGS, "PRE", "XYZ", ""]))
+        out.append("[" + tag + " " + "-".join(segments) + "]")
+        if draw(st.integers(0, 9)) == 0:
+            out.append(draw(st.sampled_from(_LINE_TOKENS)))
+    out.append(draw(st.sampled_from(["", "x", "。", "-", "\\)"])))
+    return "".join(out)
+
+
+_token_lines = st.lists(st.sampled_from(_LINE_TOKENS), max_size=14).map("".join)
+
+
+@given(st.one_of(_token_lines, _near_lines(), _near_lines()))
+@settings(max_examples=800, deadline=None)
+@example("\\[a\\-[ADV-P 因\\(-家\\\\(庭)\\)]\\]")  # escapes in gap, trigger and head
+@example("a-b(c)-)[PRE-S 走]()-")  # -() in gap text
+@example("[SUB-W 王()某]")  # empty head
+@example("[SUB-W (王某)]")  # head covering its segment
+@example("[ADV-P (因)-王某]")
+@example("[ADV-P 因-(王某)]")
+@example("[ADV-P 因-家-庭]")  # two separators
+@example("[XYZ 王某][PRE-S 走]")  # unknown tag
+@example("[SUB-W 王(某)人(们)]")  # two head groups
+@example("")
+def test_parse_unit_equals_reference_scanner(line):
+    assert parse_unit(line, 3) == reference_parse_unit(line, 3)
 
 
 def test_golden_corpus_parse_and_reemit(golden_text):
