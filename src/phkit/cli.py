@@ -122,39 +122,15 @@ def sniff_format(text: str) -> str:
     return "columns"
 
 
-def _load_documents(
-    path: str, forced_format: str | None
-) -> tuple[list[Document], int, list[int] | None]:
-    """Read one file in any supported format.
-
-    Returns the documents, a status (0, or EXIT_PARSE when inline lines
-    failed to parse; failed lines are omitted from the result), and the
-    source line of each unit when the input was inline.
-    """
-    data = _read_bytes(path)
-    text = _decode(path, data)
-    fmt = forced_format or sniff_format(text)
-    if fmt == "inline":
-        result = parse_document(text)
-        _print_parse_diags(path, result)
-        status = EXIT_PARSE if result.diagnostics else EXIT_OK
-        return [result.document], status, result.unit_lines
-    try:
-        if fmt == "standoff":
-            return conv.read_standoff(text), EXIT_OK, None
-        return conv.read_columns(text), EXIT_OK, None
-    except conv.ConvertError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc.code} {exc.message}") from None
-
-
 class _Inputs:
     """The documents of several files, read one file at a time.
 
     Iterating yields each document once and keeps no reference to it, so a
     caller that drops its own (including its loop variable) holds at most
     one document while the next file is read. ``path`` and ``unit_lines``
-    describe the file of the document last yielded; ``status`` is the worst
-    load status so far (EXIT_OK or EXIT_PARSE).
+    (each unit's source line, for inline input) describe the file of the
+    document last yielded; ``status`` is the worst load status so far
+    (EXIT_PARSE once inline lines failed to parse and were left out).
     """
 
     def __init__(self, paths: Iterable[str], forced_format: str | None):
@@ -166,9 +142,25 @@ class _Inputs:
 
     def __iter__(self) -> Iterator[Document]:
         for path in self.paths:
-            docs, status, self.unit_lines = _load_documents(path, self.forced_format)
+            text = _decode(path, _read_bytes(path))
+            fmt = self.forced_format or sniff_format(text)
             self.path = path
-            self.status = max(self.status, status)
+            self.unit_lines = None
+            if fmt == "inline":
+                result = parse_document(text)
+                _print_parse_diags(path, result)
+                if result.diagnostics:
+                    self.status = EXIT_PARSE
+                self.unit_lines = result.unit_lines
+                docs = [result.document]
+                del result
+            else:
+                read = conv.read_standoff if fmt == "standoff" else conv.read_columns
+                try:
+                    docs = read(text)
+                except conv.ConvertError as exc:
+                    raise CliError(EXIT_PARSE, f"{path}: {exc.code} {exc.message}") from None
+            del text  # not kept alive while the documents are used
             docs.reverse()
             while docs:
                 yield docs.pop()
@@ -363,8 +355,9 @@ def cmd_agree(args: argparse.Namespace) -> int:
         normalize = bool(_config_value(args, "agree", "normalize_rai"))
     docs = []
     for path in (args.file_a, args.file_b):
-        loaded, status, _ = _load_documents(path, args.from_format)
-        if status != EXIT_OK:
+        inputs = _Inputs([path], args.from_format)
+        loaded = list(inputs)
+        if inputs.status != EXIT_OK:
             return EXIT_PARSE
         if len(loaded) != 1:
             raise CliError(EXIT_USAGE, f"{path}: expected exactly one document")

@@ -23,6 +23,9 @@ Error codes: C001 bad span geometry, C002 overlapping elements, C003
 illegal kind/subtag combination, C004 malformed standoff record, C010
 I-tag without a matching B, C011 role flag inconsistent with the
 boundary tag, C012 bad document structure, C013 malformed column row.
+The geometry codes (C001 standoff, C011 columns) report the model's
+rules: the readers check only their format's own structure, and map a
+``ModelError`` from the model constructors to the code.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 import re
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .model import (
     STANDOFF_TAGS,
@@ -111,9 +114,9 @@ def _offset_type_error(rec: dict[str, Any], *keys: str) -> ConvertError | None:
     return None
 
 
-def _head_span(
-    rec: dict[str, Any], start_key: str, end_key: str, lo: int, hi: int
-) -> Span | None:
+def _span_keys(rec: dict[str, Any], start_key: str, end_key: str) -> Span | None:
+    """The span under a pair of offset keys, or None when both are absent.
+    Only the keys' types and pairing are checked here."""
     s = rec.get(start_key)
     e = rec.get(end_key)
     if s is None and e is None:
@@ -122,14 +125,10 @@ def _head_span(
         raise _offset_type_error(rec, start_key, end_key) or ConvertError(
             "C001", f"{start_key}/{end_key} must be given together"
         )
-    if not (lo <= s < e <= hi and e - s < hi - lo):
-        raise ConvertError(
-            "C001", f"head [{s}, {e}) is not strictly inside its segment [{lo}, {hi})"
-        )
     return Span(s, e)
 
 
-def _element_from_record(rec: Any, text_len: int) -> tuple[int, int, Element]:
+def _element_from_record(rec: Any) -> tuple[int, int, Element]:
     """Decode one element record into (start, end, element). ``type(v) is int``
     excludes bools: on ``json.loads`` output no other int subclass occurs."""
     if type(rec) is not dict:
@@ -149,32 +148,18 @@ def _element_from_record(rec: Any, text_len: int) -> tuple[int, int, Element]:
         raise _offset_type_error(rec, "start", "end") or ConvertError(
             "C004", "element record needs 'start' and 'end'"
         )
-    if not 0 <= start < end <= text_len:
-        raise ConvertError(
-            "C001",
-            f"element span [{start}, {end}) out of bounds for text of length {text_len}",
-        )
-
-    trig_start = rec.get("trig_start")
-    trig_end = rec.get("trig_end")
-    if trig_start is None and trig_end is None:
+    trig = _span_keys(rec, "trig_start", "trig_end")
+    if trig is None:
         if "trig_head_start" in rec or "trig_head_end" in rec:
             raise ConvertError("C001", "trigger head offsets without a trigger span")
         trigger = None
-        body_start = start
+    elif trig.start != start:
+        raise ConvertError("C001", "trigger must start at the element start")
     else:
-        if type(trig_start) is not int or type(trig_end) is not int or trig_start != start:
-            raise _offset_type_error(rec, "trig_start", "trig_end") or ConvertError(
-                "C001", "trigger must start at the element start and end inside it"
-            )
-        if not trig_start < trig_end < end:
-            raise ConvertError("C001", "trigger must end strictly inside the element")
-        trig_head = _head_span(rec, "trig_head_start", "trig_head_end", start, trig_end)
-        trigger = Segment(Span(start, trig_end), trig_head)
-        body_start = trig_end
-    body_head = _head_span(rec, "head_start", "head_end", body_start, end)
+        trigger = Segment(trig, _span_keys(rec, "trig_head_start", "trig_head_end"))
+    body_start = start if trig is None else trig.end
+    body = Segment(Span(body_start, end), _span_keys(rec, "head_start", "head_end"))
     kind, pattern, form = entry
-    body = Segment(Span(body_start, end), body_head)
     return start, end, Element(kind, body, trigger, pattern, form)
 
 
@@ -187,17 +172,17 @@ def _unit_from_record(rec: Any) -> LabelingUnit:
     element_recs = rec.get("elements", [])
     if type(element_recs) is not list:
         raise ConvertError("C004", "'elements' must be a list")
-    text_len = len(text)
-    decoded = [_element_from_record(erec, text_len) for erec in element_recs]
-    decoded.sort(key=itemgetter(0))
-    prev_end = 0
-    for start, end, _ in decoded:
-        if start < prev_end:
-            raise ConvertError("C002", f"element spans overlap at [{start}, {end})")
-        prev_end = end
     try:
+        decoded = [_element_from_record(erec) for erec in element_recs]
+        decoded.sort(key=itemgetter(0))
+        prev_end = 0
+        for start, end, _ in decoded:
+            if start < prev_end:
+                raise ConvertError("C002", f"element spans overlap at [{start}, {end})")
+            prev_end = end
         return LabelingUnit(text, tuple([el for _, _, el in decoded]))
     except ModelError as exc:
+        # Span geometry, or text the model forbids.
         raise ConvertError("C001", str(exc)) from None
 
 
@@ -327,11 +312,11 @@ def _unit_from_rows(block: str) -> LabelingUnit:
             if i < n and btags[i].startswith("I-"):
                 raise ConvertError("C010", f"{btags[i]!r} without a preceding matching B tag")
             match = _ELEMENT_ROLES.fullmatch(codes, start, i)
-            if match is None or match.end(1) == i:
+            if match is None:
                 raise ConvertError(
                     "C011",
                     f"roles {roles[start:i]} are not T/TH flags then B/H flags,"
-                    " each head one run, with a nonempty body",
+                    " each head one run",
                 )
             body_start = match.end(1)
             trigger = None
@@ -344,7 +329,8 @@ def _unit_from_rows(block: str) -> LabelingUnit:
             elements.append(Element(kind, body, trigger, pattern, form))
         return LabelingUnit("".join(fields[0::3]), tuple(elements))
     except ModelError as exc:
-        # A head run as long as its whole segment, or text the model forbids.
+        # Span geometry (an empty body, a head run as long as its whole
+        # segment), or text the model forbids.
         raise ConvertError("C011", str(exc)) from None
 
 
@@ -410,14 +396,3 @@ def from_columns(text: str) -> Document:
     if len(docs) != 1:
         raise ConvertError("C012", f"expected one document, found {len(docs)} '# doc' headers")
     return docs[0]
-
-
-def standoff_stream(docs: Iterable[Document]) -> str:
-    """Standoff lines for a sequence of documents (with trailing newline)."""
-    lines = [to_standoff(d) for d in docs]
-    return "".join(line + "\n" for line in lines)
-
-
-def columns_stream(docs: Iterable[Document]) -> str:
-    """Column blocks for a sequence of documents."""
-    return "".join(to_columns(d) for d in docs)

@@ -16,11 +16,11 @@ A line is read in two steps. One compiled regex takes the line element by
 element (gap text, then one whole ``[TAG seg(-seg)?]``), and the unit is
 built straight from the lengths of the matched pieces; escapes are
 resolved only in lines that hold a backslash. A line the regex does not
-take, or whose pieces break a rule it cannot express (unknown tag, empty
-segment, head covering its segment), goes to a character-by-character
-diagnoser that builds nothing and reports every fault with its code and
-column. The diagnoser runs only on broken lines, so its cost is off the
-path of valid input.
+take, whose tag is unknown, or whose pieces the model constructors reject
+(an empty segment, a head covering its segment), goes to a
+character-by-character diagnoser that builds nothing and reports every
+fault with its code and column. The diagnoser runs only on broken lines,
+so its cost is off the path of valid input.
 
 Diagnostic codes:
 
@@ -47,7 +47,16 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
-from .model import TAGS, Document, Element, ElementType, LabelingUnit, Segment, Span
+from .model import (
+    TAGS,
+    Document,
+    Element,
+    ElementType,
+    LabelingUnit,
+    ModelError,
+    Segment,
+    Span,
+)
 
 RESERVED_CHARS = "[]()-\\"
 _ESCAPABLE = frozenset(RESERVED_CHARS)
@@ -137,17 +146,13 @@ def _p011(line: str, line_no: int, chars: str) -> list[ParseDiagnostic]:
 
 def _segment(
     parts: list[str], start: int, pre: str, head: str | None, post: str | None
-) -> Segment | None:
+) -> Segment:
     """The segment ``pre(head)post`` (just ``pre`` when ``head`` is None)
-    at text offset ``start``, its pieces appended to ``parts``; None when
-    the segment is empty or its head covers all of it."""
+    at text offset ``start``, its pieces appended to ``parts``. The model
+    rejects an empty segment and a head that covers all of it."""
     if head is None:
-        if not pre:
-            return None
         parts.append(pre)
         return Segment(Span(start, start + len(pre)))
-    if not pre and not post:
-        return None
     head_start = start + len(pre)
     head_end = head_start + len(head)
     parts += (pre, head, post)
@@ -185,16 +190,15 @@ def parse_unit(
         if entry is None:
             break
         tlen += len(gap)
-        first = _segment(parts, tlen, pre, head, post)
-        if first is None:
-            break
-        if pre2 is None:
-            body, trigger = first, None
-        else:
-            body = _segment(parts, first.span.end, pre2, head2, post2)
-            if body is None:
-                break
-            trigger = first
+        try:
+            first = _segment(parts, tlen, pre, head, post)
+            if pre2 is None:
+                body, trigger = first, None
+            else:
+                body = _segment(parts, first.span.end, pre2, head2, post2)
+                trigger = first
+        except ModelError:
+            break  # an empty segment, or a head covering one: diagnosed below
         kind, pattern, form = entry
         elements.append(Element(kind, body, trigger, pattern, form))
         tlen = body.span.end

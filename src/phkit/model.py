@@ -163,7 +163,8 @@ class Element:
     not text, so it occupies no codepoints.
 
     Tag compatibility: PRE carries a pattern and no form; UNC carries
-    neither; every other kind carries a form and no pattern.
+    neither; every other kind carries a form and no pattern. ``TAGS``
+    lists exactly these combinations, and the constructor checks against it.
 
     ``span`` is the whole element extent, trigger (if any) plus body. It is
     derived from the segments, so it takes no part in eq, hash or repr.
@@ -184,15 +185,8 @@ class Element:
         pattern: PredicatePattern | None = None,
         form: ElementForm | None = None,
     ) -> None:
-        if kind is _PRE:
-            if pattern is None or form is not None:
-                raise ModelError("PRE elements take a pattern and no form")
-        elif kind is _UNC:
-            if pattern is not None or form is not None:
-                raise ModelError("UNC elements take neither pattern nor form")
-        else:
-            if form is None or pattern is not None:
-                raise ModelError(f"{kind.value} elements take a form and no pattern")
+        if (kind, pattern, form) not in TAG_NAMES:
+            raise ModelError(f"no tag for {kind!r} with pattern {pattern!r}, form {form!r}")
         body_span = body.span
         if trigger is None:
             span = body_span
@@ -218,11 +212,6 @@ class Element:
         # The constructor admits only combinations that TAGS lists.
         return TAG_NAMES[(self.kind, self.pattern, self.form)]
 
-
-# Looking a member up on an Enum class goes through its metaclass and costs
-# several times a plain global read.
-_PRE = ElementType.PRE
-_UNC = ElementType.UNC
 
 _set_element_kind = Element.kind.__set__
 _set_element_body = Element.body.__set__

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -206,14 +205,3 @@ def split_at(text: str, boundaries: Iterable[SegmentBoundary], policy: str) -> l
     if prev < len(text):
         pieces.append(text[prev:])
     return [p for p in pieces if p]
-
-
-def boundary_records(boundaries: Iterable[SegmentBoundary]) -> list[str]:
-    """Serialize boundaries as JSON records for the sidecar stream."""
-    return [
-        json.dumps(
-            {"position": b.position, "kind": b.kind.value, "cause": b.cause.value},
-            separators=(",", ":"),
-        )
-        for b in boundaries
-    ]

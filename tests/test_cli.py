@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -437,10 +438,17 @@ def test_config_file_defaults_flags_win(capsys, tmp_path):
     assert out.splitlines() == ["甲，", "乙。", "丙"]
 
 
+def _child_env() -> dict[str, str]:
+    """The environment for a ``python -m phkit`` child that imports the same
+    phkit as these tests, whether or not it is installed."""
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_repeated_invocations_are_byte_identical(golden_path):
     cmd = [sys.executable, "-m", "phkit", "parse", str(golden_path)]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=_child_env())
+    second = subprocess.run(cmd, capture_output=True, env=_child_env())
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
 
@@ -450,17 +458,20 @@ def test_pipeline_parse_convert_equals_direct(golden_path):
         [sys.executable, "-m", "phkit", "parse", str(golden_path)],
         capture_output=True,
         check=True,
+        env=_child_env(),
     )
     piped = subprocess.run(
         [sys.executable, "-m", "phkit", "convert", "--to", "columns", "-"],
         input=parse.stdout,
         capture_output=True,
         check=True,
+        env=_child_env(),
     )
     direct = subprocess.run(
         [sys.executable, "-m", "phkit", "convert", "--to", "columns", str(golden_path)],
         capture_output=True,
         check=True,
+        env=_child_env(),
     )
     assert piped.stdout == direct.stdout
     assert piped.stdout

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from phkit.convert import (
     ConvertError,
-    columns_stream,
     from_columns,
     from_standoff,
     read_columns,
     read_standoff,
-    standoff_stream,
     to_columns,
     to_standoff,
 )
@@ -51,6 +49,81 @@ def test_standoff_rejects_empty_span():
     with pytest.raises(ConvertError) as err:
         from_standoff(json.dumps(rec))
     assert err.value.code == "C001"
+
+
+_SUB = {"kind": "SUB", "sub": "W"}
+_ADV = {"kind": "ADV", "sub": "P"}
+
+
+def _rows(*specs: tuple[str, str]) -> str:
+    return "".join(f"{c}\t{tag}\t{role}\n" for c, (tag, role) in zip("abcd", specs))
+
+
+# One span-geometry fault per case over the text "abcd": a standoff element
+# record, the same fault in column rows, and an inline line with the code
+# the parser gives it (None where that format cannot express the fault).
+GEOMETRY_FAULTS = {
+    "empty span": ({**_SUB, "start": 1, "end": 1}, None, ("[SUB-W ]abcd", "P009")),
+    "negative start": ({**_SUB, "start": -1, "end": 2}, None, None),
+    "empty trigger": (
+        {**_ADV, "start": 0, "end": 3, "trig_start": 0, "trig_end": 0},
+        None,
+        ("[ADV-P -abc]d", "P009"),
+    ),
+    "empty body": (
+        {**_ADV, "start": 0, "end": 3, "trig_start": 0, "trig_end": 3},
+        _rows(("B-ADV-P", "T"), ("I-ADV-P", "T"), ("I-ADV-P", "T"), ("O", "O")),
+        ("[ADV-P abc-]d", "P009"),
+    ),
+    "trigger not at the element start": (
+        {**_ADV, "start": 0, "end": 3, "trig_start": 1, "trig_end": 2},
+        None,
+        None,
+    ),
+    "head equal to its segment": (
+        {**_SUB, "start": 0, "end": 2, "head_start": 0, "head_end": 2},
+        _rows(("B-SUB-W", "H"), ("I-SUB-W", "H"), ("O", "O"), ("O", "O")),
+        ("[SUB-W (ab)]cd", "P009"),
+    ),
+    "trigger head equal to its trigger": (
+        {**_ADV, "start": 0, "end": 3, "trig_start": 0, "trig_end": 1,
+         "trig_head_start": 0, "trig_head_end": 1},
+        _rows(("B-ADV-P", "TH"), ("I-ADV-P", "B"), ("I-ADV-P", "B"), ("O", "O")),
+        ("[ADV-P (a)-bc]d", "P009"),
+    ),
+    "head outside its segment": (
+        {**_SUB, "start": 0, "end": 2, "head_start": 2, "head_end": 3},
+        _rows(("B-SUB-W", "B"), ("I-SUB-W", "B"), ("O", "H"), ("O", "O")),
+        None,
+    ),
+    "trigger head without a trigger": (
+        {**_ADV, "start": 0, "end": 3, "trig_head_start": 0, "trig_head_end": 1},
+        _rows(("B-ADV-P", "B"), ("I-ADV-P", "TH"), ("I-ADV-P", "B"), ("O", "O")),
+        None,
+    ),
+    "end past the text": ({**_SUB, "start": 2, "end": 5}, None, None),
+}
+
+
+@pytest.mark.parametrize(
+    "record, rows, inline", GEOMETRY_FAULTS.values(), ids=list(GEOMETRY_FAULTS)
+)
+def test_single_geometry_fault_codes(record, rows, inline):
+    from phkit.inline import parse_unit
+
+    rec = {"id": "d", "units": [{"text": "abcd", "elements": [record]}]}
+    with pytest.raises(ConvertError) as err:
+        from_standoff(json.dumps(rec))
+    assert err.value.code == "C001"
+    if rows is not None:
+        with pytest.raises(ConvertError) as err:
+            from_columns("# doc d\n" + rows)
+        assert err.value.code == "C011"
+    if inline is not None:
+        line, code = inline
+        unit, diags = parse_unit(line)
+        assert unit is None
+        assert [d.code for d in diags] == [code]
 
 
 def test_standoff_rejects_overlap():
@@ -209,7 +282,7 @@ def test_columns_line_ends_and_meta_inside_a_unit():
 def test_columns_multiple_documents():
     doc_a = Document("a", (), (LabelingUnit("甲"),))
     doc_b = Document("b", (), (LabelingUnit("乙"),))
-    stream = columns_stream([doc_a, doc_b])
+    stream = "".join(to_columns(d) for d in (doc_a, doc_b))
     assert read_columns(stream) == [doc_a, doc_b]
     with pytest.raises(ConvertError) as err:
         from_columns(stream)
@@ -219,7 +292,7 @@ def test_columns_multiple_documents():
 def test_standoff_stream_multiple_documents():
     doc_a = Document("a", (), (LabelingUnit("甲"),))
     doc_b = Document("b", ("# x",), (LabelingUnit("乙"),))
-    stream = standoff_stream([doc_a, doc_b])
+    stream = "".join(to_standoff(d) + "\n" for d in (doc_a, doc_b))
     assert stream.count("\n") == 2
     assert read_standoff(stream) == [doc_a, doc_b]
 

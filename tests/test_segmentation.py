@@ -9,7 +9,6 @@ from phkit.segmentation import (
     BoundaryKind,
     CommaPolicy,
     SegmenterConfig,
-    boundary_records,
     propose_boundaries,
     split,
 )
@@ -125,17 +124,6 @@ def test_split_policies():
 
 def test_split_empty_text():
     assert split("") == []
-
-
-def test_boundary_records_shape():
-    recs = boundary_records(propose_boundaries("甲，乙。丙"))
-    import json
-
-    parsed = [json.loads(r) for r in recs]
-    assert parsed == [
-        {"position": 1, "kind": "candidate", "cause": "comma"},
-        {"position": 3, "kind": "hard", "cause": "end_mark"},
-    ]
 
 
 @given(raw_texts, st.sampled_from(["all", "hard_only"]))
