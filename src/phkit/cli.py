@@ -21,6 +21,11 @@ soon as it is read, one unit at a time. So when a later file cannot be read
 files is already on stdout; the exit status and the stderr message are the
 same as for any fatal read error.
 
+Each subcommand imports the library modules it runs when it runs, so that
+start-up stays small: ``phk parse`` never imports the metrics,
+segmentation or validation code. Library functions are looked up through
+their module at call time.
+
 ``main`` pauses Python's cyclic garbage collector while the subcommand
 runs and restores the caller's setting afterwards. The values phkit builds
 are trees without reference cycles, which reference counting frees as soon
@@ -40,13 +45,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import convert as conv
-from . import metrics
-from . import segmentation as seg
-from . import validation
 from .inline import ParseResult, emit_document, parse_bytes, parse_document
 from .model import Document
-from .validation import Severity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -155,6 +155,8 @@ class _Inputs:
                 docs = [result.document]
                 del result
             else:
+                from . import convert as conv
+
                 read = conv.read_standoff if fmt == "standoff" else conv.read_columns
                 try:
                     docs = read(text)
@@ -186,7 +188,7 @@ def _config_value(args: argparse.Namespace, section: str, key: str):
     return None
 
 
-def _conjunctions(args: argparse.Namespace) -> tuple[str, ...]:
+def _conjunctions(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
     # Precedence: --conj flag, PHK_CONJ_LEXICON, config file, built-in default.
     if args.conj:
         return _load_lexicon(args.conj)
@@ -196,7 +198,7 @@ def _conjunctions(args: argparse.Namespace) -> tuple[str, ...]:
     from_config = _config_value(args, "segment", "conjunctions")
     if isinstance(from_config, list) and from_config:
         return tuple(str(c) for c in from_config)
-    return seg.DEFAULT_CONJUNCTIONS
+    return default
 
 
 def _load_lexicon(path: str) -> tuple[str, ...]:
@@ -211,6 +213,8 @@ def _load_lexicon(path: str) -> tuple[str, ...]:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    from . import convert as conv
+
     status = EXIT_OK
     for path in args.files:
         result = parse_bytes(_read_bytes(path))
@@ -224,6 +228,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import validation
+    from .validation import Severity
+
     inputs = _Inputs(args.files, args.from_format)
     errors = False
     for doc in inputs:
@@ -254,6 +261,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    from . import segmentation as seg
+
     comma_policy = (
         args.commas
         or _config_value(args, "segment", "commas")
@@ -264,7 +273,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, f"unknown segment policy {policy!r}")
     try:
         config = seg.SegmenterConfig(
-            _conjunctions(args), seg.CommaPolicy(comma_policy)
+            _conjunctions(args, seg.DEFAULT_CONJUNCTIONS), seg.CommaPolicy(comma_policy)
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
@@ -277,22 +286,19 @@ def cmd_segment(args: argparse.Namespace) -> int:
         for piece in seg.split_at(line, boundaries, policy):
             print(piece)
         if args.boundaries:
-            for b in boundaries:
-                sidecar.append(
-                    json.dumps(
-                        {
-                            "line": line_no,
-                            "position": b.position,
-                            "kind": b.kind.value,
-                            "cause": b.cause.value,
-                        },
-                        separators=(",", ":"),
-                    )
-                )
+            # The kind and cause values are ASCII words: no JSON escaping.
+            sidecar += [
+                f'{{"line":{line_no},"position":{b.position},'
+                f'"kind":"{b.kind.value}","cause":"{b.cause.value}"}}\n'
+                for b in boundaries
+            ]
     if args.boundaries:
-        Path(args.boundaries).write_text(
-            "".join(rec + "\n" for rec in sidecar), encoding="utf-8"
-        )
+        try:
+            Path(args.boundaries).write_text("".join(sidecar), encoding="utf-8")
+        except OSError as exc:
+            raise CliError(
+                EXIT_USAGE, f"cannot write {args.boundaries}: {exc.strerror or exc}"
+            ) from None
     return EXIT_OK
 
 
@@ -317,6 +323,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if first is not None:
             sys.stdout.write(emit_document(first))
         return inputs.status
+    from . import convert as conv
+
     for doc in inputs:
         if not _is_empty(doc):
             if args.to == "standoff":
@@ -329,6 +337,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import metrics
+
     inputs = _Inputs(args.files, args.from_format)
     report = metrics.corpus_stats(inputs)
     if args.format == "records":
@@ -339,16 +349,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return inputs.status
 
 
-_MATCH_BY_FLAG = {
-    "exact": metrics.MatchCriterion.EXACT,
-    "type": metrics.MatchCriterion.TYPE_ONLY,
-    "head": metrics.MatchCriterion.HEAD_OVERLAP,
-}
+# ``--match`` values to ``metrics.MatchCriterion`` values.
+_MATCH_BY_FLAG = {"exact": "exact", "type": "type_only", "head": "head_overlap"}
 
 
 def cmd_agree(args: argparse.Namespace) -> int:
+    from . import metrics
+
     match = args.match or _config_value(args, "agree", "match") or "exact"
-    if match not in _MATCH_BY_FLAG:
+    # A config file can give any JSON value, and a list is not a dict key.
+    if not isinstance(match, str) or match not in _MATCH_BY_FLAG:
         raise CliError(EXIT_USAGE, f"unknown match criterion {match!r}")
     normalize = args.normalize_rai
     if normalize is None:
@@ -363,7 +373,9 @@ def cmd_agree(args: argparse.Namespace) -> int:
             raise CliError(EXIT_USAGE, f"{path}: expected exactly one document")
         docs.append(loaded[0])
     try:
-        report = metrics.agree(docs[0], docs[1], _MATCH_BY_FLAG[match], normalize)
+        report = metrics.agree(
+            docs[0], docs[1], metrics.MatchCriterion(_MATCH_BY_FLAG[match]), normalize
+        )
     except metrics.AgreementError as exc:
         raise CliError(EXIT_USAGE, f"{exc.code} {exc.message}") from None
     if args.format == "records":

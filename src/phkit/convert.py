@@ -6,6 +6,10 @@ fixed: ``id``, optional ``meta`` (raw comment lines), ``units`` with
 ``sub`` (pattern or form letter), ``start``/``end``, and the optional
 trigger, trigger-head and body-head offsets. Absent optionals are
 omitted entirely. All offsets are codepoint offsets into the unit text.
+The writer formats each record directly, without building a dict: the
+keys in that order, the offsets as decimal integers, and every string
+through ``model.compact_json``. The bytes are those of ``compact_json``
+applied to the record as a dict.
 
 Column format: one row per codepoint, tab-separated into character,
 boundary tag (``B-PRE-S`` / ``I-PRE-S`` / ``O``), and role flag
@@ -44,6 +48,7 @@ from .model import (
     ModelError,
     Segment,
     Span,
+    compact_json,
 )
 
 
@@ -56,47 +61,50 @@ class ConvertError(ValueError):
         self.message = message
 
 
-def _element_record(el: Element) -> dict[str, Any]:
-    rec: dict[str, Any] = {"kind": el.kind.value}
-    if el.pattern is not None:
-        rec["sub"] = el.pattern.value
-    elif el.form is not None:
-        rec["sub"] = el.form.value
-    sp = el.span
-    rec["start"] = sp.start
-    rec["end"] = sp.end
-    if el.trigger is not None:
-        rec["trig_start"] = el.trigger.span.start
-        rec["trig_end"] = el.trigger.span.end
-        if el.trigger.head is not None:
-            rec["trig_head_start"] = el.trigger.head.start
-            rec["trig_head_end"] = el.trigger.head.end
-    if el.body.head is not None:
-        rec["head_start"] = el.body.head.start
-        rec["head_end"] = el.body.head.end
-    return rec
+# Each element record up to its first offset, by (kind, pattern, form),
+# e.g. '{"kind":"PRE","sub":"S","start":'.
+_RECORD_HEADS = {
+    entry: compact_json({"kind": kind} if sub is None else {"kind": kind, "sub": sub})[:-1]
+    + ',"start":'
+    for (kind, sub), entry in STANDOFF_TAGS.items()
+}
 
 
-def _dumps(value: Any) -> str:
-    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+def _element_json(el: Element) -> str:
+    span = el.span
+    rec = f'{_RECORD_HEADS[el.kind, el.pattern, el.form]}{span.start},"end":{span.end}'
+    trigger = el.trigger
+    if trigger is not None:
+        rec += f',"trig_start":{trigger.span.start},"trig_end":{trigger.span.end}'
+        if trigger.head is not None:
+            rec += f',"trig_head_start":{trigger.head.start},"trig_head_end":{trigger.head.end}'
+    head = el.body.head
+    if head is not None:
+        rec += f',"head_start":{head.start},"head_end":{head.end}'
+    return rec + "}"
 
 
 def standoff_pieces(doc: Document) -> Iterator[str]:
     """Yield the standoff record of ``doc`` (no newline) in pieces: the
     header up to ``"units":[``, then one piece per unit, then ``]}``.
 
-    The pieces join to what ``json.dumps`` gives for the whole record.
+    The pieces join to ``compact_json`` of the whole record as a dict, with
+    the keys in the order the module docstring gives.
     """
-    header: dict[str, Any] = {"id": doc.id}
+    header = '{"id":' + compact_json(doc.id)
     if doc.metadata:
-        header["meta"] = list(doc.metadata)
-    yield _dumps(header)[:-1] + ',"units":['
-    separator = ""
+        header += ',"meta":' + compact_json(doc.metadata)
+    yield header + ',"units":['
+    separator = '{"text":'
     for u in doc.units:
-        yield separator + _dumps(
-            {"text": u.text, "elements": [_element_record(e) for e in u.elements]}
+        yield (
+            separator
+            + compact_json(u.text)
+            + ',"elements":['
+            + ",".join([_element_json(e) for e in u.elements])
+            + "]}"
         )
-        separator = ","
+        separator = ',{"text":'
     yield "]}"
 
 

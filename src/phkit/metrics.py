@@ -16,14 +16,13 @@ annotations) kappa is undefined and reported as None.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .model import Document, Element, ElementType
+from .model import Document, Element, ElementType, compact_json
 
 KIND_ORDER = [k.value for k in ElementType]
 
@@ -311,7 +310,7 @@ def stats_records(report: StatsReport) -> str:
             str(k): v for k, v in sorted(report.elements_per_unit_hist.items())
         },
     }
-    return json.dumps(rec, ensure_ascii=False, separators=(",", ":"))
+    return compact_json(rec)
 
 
 def _fmt(x: float | None) -> str:
@@ -366,4 +365,4 @@ def agreement_records(report: AgreementReport) -> str:
             for kind, k in sorted(s.per_kind.items())
         },
     }
-    return json.dumps(rec, ensure_ascii=False, separators=(",", ":"))
+    return compact_json(rec)

@@ -15,6 +15,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from json import JSONEncoder
+
+
+#: The one JSON encoder of every phkit writer: compact separators, non-ASCII
+#: characters written as themselves. Built once, because ``json.dumps`` with
+#: options builds a new encoder on every call. For a ``str`` it is exactly
+#: ``json.encoder.encode_basestring``.
+compact_json = JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 class ModelError(ValueError):

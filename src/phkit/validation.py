@@ -24,7 +24,6 @@ I041   info     SUB element positioned after the PRE element
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,6 +34,7 @@ from .model import (
     LabelingUnit,
     PredicatePattern,
     Span,
+    compact_json,
     span_surface,
 )
 
@@ -219,7 +219,7 @@ def render_records(
             record["start"] = d.span.start
             record["end"] = d.span.end
         record["message"] = d.message
-        out.append(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
+        out.append(compact_json(record))
     return out
 
 

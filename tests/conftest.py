@@ -1,11 +1,20 @@
+import os
 from pathlib import Path
 
 import pytest
 
+import phkit
 from phkit import parse_document
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_PATH = DATA_DIR / "golden.ann"
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a ``python -m phkit`` child that imports the same
+    phkit as these tests, whether or not it is installed."""
+    paths = [str(Path(phkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 import gc
 import io
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +18,7 @@ from phkit.convert import read_columns, read_standoff, to_columns, to_standoff
 from phkit.inline import emit_document, parse_document
 from phkit.model import Document, LabelingUnit
 
-from .conftest import GOLDEN_PATH
+from .conftest import GOLDEN_PATH, child_env
 
 GOLDEN_PARAGRAPH = (
     "被告人陈某某因家庭矛盾迁怒岳父滕某某。"
@@ -213,17 +212,32 @@ def test_segment_empty_file(capsys, tmp_path):
 
 def test_segment_boundary_sidecar(capsys, tmp_path):
     raw = tmp_path / "raw.txt"
-    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    raw.write_text("甲，乙。丙\n\n甲并乙\n", encoding="utf-8")
     sidecar = tmp_path / "bounds.jsonl"
     status, out, _ = run_cli(
         capsys, "segment", str(raw), "--boundaries", str(sidecar)
     )
     assert status == 0
-    records = [json.loads(l) for l in sidecar.read_text("utf-8").splitlines()]
+    lines = sidecar.read_text("utf-8").splitlines()
+    records = [json.loads(l) for l in lines]
     assert records == [
         {"line": 1, "position": 1, "kind": "candidate", "cause": "comma"},
         {"line": 1, "position": 3, "kind": "hard", "cause": "end_mark"},
+        {"line": 3, "position": 0, "kind": "candidate", "cause": "conjunction"},
     ]
+    # The records are formatted directly, as json.dumps would write them.
+    assert lines == [json.dumps(rec, separators=(",", ":")) for rec in records]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_segment_unwritable_sidecar_is_exit_2(capsys, tmp_path, where):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    target = tmp_path / "no" / "b.jsonl" if where == "missing directory" else tmp_path
+    status, _, err = run_cli(capsys, "segment", str(raw), "--boundaries", str(target))
+    assert status == 2
+    assert err.startswith(f"phk: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def test_segment_policy_and_commas_flags(capsys, tmp_path):
@@ -438,17 +452,52 @@ def test_config_file_defaults_flags_win(capsys, tmp_path):
     assert out.splitlines() == ["甲，", "乙。", "丙"]
 
 
-def _child_env() -> dict[str, str]:
-    """The environment for a ``python -m phkit`` child that imports the same
-    phkit as these tests, whether or not it is installed."""
-    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+def test_unknown_match_criterion_in_config_is_exit_2(capsys, tmp_path, golden_path):
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({"agree": {"match": ["x"]}}), encoding="utf-8")
+    status, out, err = run_cli(
+        capsys, "--config", str(config), "agree", str(golden_path), str(golden_path)
+    )
+    assert (status, out) == (2, "")
+    assert err == "phk: unknown match criterion ['x']\n"
+
+
+@pytest.mark.parametrize(
+    "value", [["x"], {"x": 1}, 1, None, True], ids=["list", "object", "number", "null", "bool"]
+)
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("segment", "commas"),
+        ("segment", "policy"),
+        ("segment", "conjunctions"),
+        ("agree", "match"),
+        ("agree", "normalize_rai"),
+    ],
+)
+def test_any_json_value_under_a_config_key_is_exit_0_or_2(
+    capsys, tmp_path, golden_path, section, key, value
+):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    command = (
+        ["segment", str(raw)]
+        if section == "segment"
+        else ["agree", str(golden_path), str(golden_path)]
+    )
+    # An uncaught exception would fail the test here, before any status.
+    status, _, err = run_cli(capsys, "--config", str(config), *command)
+    assert status in (0, 2)
+    assert "Traceback" not in err
+    assert (err == "") == (status == 0)
 
 
 def test_repeated_invocations_are_byte_identical(golden_path):
     cmd = [sys.executable, "-m", "phkit", "parse", str(golden_path)]
-    first = subprocess.run(cmd, capture_output=True, env=_child_env())
-    second = subprocess.run(cmd, capture_output=True, env=_child_env())
+    first = subprocess.run(cmd, capture_output=True, env=child_env())
+    second = subprocess.run(cmd, capture_output=True, env=child_env())
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
 
@@ -458,20 +507,20 @@ def test_pipeline_parse_convert_equals_direct(golden_path):
         [sys.executable, "-m", "phkit", "parse", str(golden_path)],
         capture_output=True,
         check=True,
-        env=_child_env(),
+        env=child_env(),
     )
     piped = subprocess.run(
         [sys.executable, "-m", "phkit", "convert", "--to", "columns", "-"],
         input=parse.stdout,
         capture_output=True,
         check=True,
-        env=_child_env(),
+        env=child_env(),
     )
     direct = subprocess.run(
         [sys.executable, "-m", "phkit", "convert", "--to", "columns", str(golden_path)],
         capture_output=True,
         check=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert piped.stdout == direct.stdout
     assert piped.stdout

@@ -16,7 +16,7 @@ from phkit.convert import (
 from phkit.inline import emit_document, parse_document
 from phkit.model import Document, ElementType, LabelingUnit
 
-from .strategies import documents
+from .strategies import JSON_ESCAPE_ALPHABET, documents, json_escape_ids
 
 
 def test_standoff_golden_record_fields(golden_doc):
@@ -387,6 +387,16 @@ def _reference_columns(doc):
 def test_piecewise_writers_equal_whole_document_writers(doc):
     assert to_standoff(doc) == _reference_standoff(doc)
     assert to_columns(doc) == _reference_columns(doc)
+
+
+@given(documents(JSON_ESCAPE_ALPHABET, json_escape_ids()))
+def test_standoff_writer_escapes_text_as_json_dumps_does(doc):
+    # Texts, ids and metadata full of characters JSON must escape (quote,
+    # backslash, control characters) or may pass through raw (U+2028/U+2029,
+    # characters outside the BMP).
+    line = to_standoff(doc)
+    assert line == _reference_standoff(doc)
+    assert from_standoff(line) == doc
 
 
 @given(documents())

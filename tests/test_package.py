@@ -1,0 +1,114 @@
+"""The package as a whole: its public names, what a command imports, and
+where the JSON writer options are stated."""
+
+import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phkit
+
+from .conftest import child_env
+
+# The public names of ``phkit`` by the submodule that defines them.
+PUBLIC_NAMES = {
+    "convert": [
+        "ConvertError",
+        "from_columns",
+        "from_standoff",
+        "read_columns",
+        "read_standoff",
+        "to_columns",
+        "to_standoff",
+    ],
+    "inline": [
+        "ParseDiagnostic",
+        "ParseResult",
+        "emit_document",
+        "emit_unit",
+        "parse_bytes",
+        "parse_document",
+        "parse_unit",
+    ],
+    "metrics": [
+        "AgreementError",
+        "AgreementReport",
+        "MatchCriterion",
+        "StatsReport",
+        "agree",
+        "char_kappa",
+        "corpus_stats",
+        "span_agreement",
+    ],
+    "model": [
+        "Document",
+        "Element",
+        "ElementForm",
+        "ElementType",
+        "LabelingUnit",
+        "ModelError",
+        "PredicatePattern",
+        "Segment",
+        "Span",
+        "element_surface",
+    ],
+    "segmentation": [
+        "BoundaryCause",
+        "BoundaryKind",
+        "CommaPolicy",
+        "SegmentBoundary",
+        "SegmenterConfig",
+        "propose_boundaries",
+        "split",
+    ],
+    "validation": ["Diagnostic", "Severity", "validate_document", "validate_unit"],
+}
+
+
+def test_public_import_surface():
+    assert phkit.__all__ == sorted(n for names in PUBLIC_NAMES.values() for n in names)
+    assert phkit.__version__ == "0.1.0"
+    star: dict = {}
+    exec("from phkit import *", star)
+    for module_name, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"phkit.{module_name}")
+        for name in names:
+            assert getattr(phkit, name) is getattr(module, name)
+            assert star[name] is getattr(module, name)
+            assert name in dir(phkit)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        phkit.nonexistent
+
+
+def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(golden_path):
+    # Runs ``python -m phkit parse`` through runpy, then lists what it imported.
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['phkit', 'parse', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('phkit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "sys.stderr.write(f'{status} ' + ' '.join(sorted(sys.modules)))\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(golden_path)], capture_output=True, env=child_env()
+    )
+    status, *modules = child.stderr.decode().split()
+    assert status == "0"
+    assert child.stdout.startswith(b'{"id":"golden"')
+    assert {"phkit.cli", "phkit.inline", "phkit.convert"} <= set(modules)
+    assert not {"phkit.metrics", "phkit.segmentation", "phkit.validation"} & set(modules)
+
+
+def test_json_writer_options_are_stated_in_one_module():
+    source = Path(phkit.__file__).parent
+    stating = sorted(
+        path.name
+        for path in source.glob("*.py")
+        if re.search(r"\b(separators|ensure_ascii)\s*=", path.read_text(encoding="utf-8"))
+    )
+    assert len(stating) <= 1, f"JSON writer options stated in {stating}"
