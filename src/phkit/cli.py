@@ -8,18 +8,21 @@ Exit status: 0 success, 1 validation errors present, 2 usage or I/O
 error, 3 parse failure.
 
 Input format is sniffed per file (inline, standoff JSON lines, or column
-rows) and can be forced with ``--from``. ``-`` reads stdin. A JSON config
+rows) and can be forced with ``--from``. ``-`` reads stdin. Input that is
+not UTF-8 is a fatal P010 (exit 3) for every subcommand. A JSON config
 file may supply defaults for flags; explicit flags always win. The
 ``PHK_CONJ_LEXICON`` environment variable points at a default conjunction
 lexicon file (one entry per line, UTF-8).
 
-Files are read one at a time, and each file's documents are released
-before the next file is read, so memory follows the largest document, not
-the whole batch. ``convert --to standoff|columns`` writes each document as
-soon as it is read, one unit at a time. So when a later file cannot be read
-(an I/O error or a C-coded read error), the complete output of the earlier
-files is already on stdout; the exit status and the stderr message are the
-same as for any fatal read error.
+Every subcommand reads its files through one loader, one file at a time,
+and each file's documents are released before the next file is read, so
+memory follows the largest document, not the whole batch. ``parse`` is
+``convert --from inline --to standoff``; it and ``convert --to
+standoff|columns`` write each document as soon as it is read, one unit at
+a time. So when a later file cannot be read (an I/O error or a coded read
+error), the complete output of the earlier files is already on stdout.
+``segment`` opens its ``--boundaries`` sidecar before any output and
+writes each line's boundary records as the line is cut.
 
 Each subcommand imports the library modules it runs when it runs, so that
 start-up stays small: ``phk parse`` never imports the metrics,
@@ -42,10 +45,12 @@ import json
 import os
 import re
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .inline import ParseResult, emit_document, parse_bytes, parse_document
+# parse_bytes is unused here; the bench tracer wraps it as phkit.cli.parse_bytes.
+from .inline import emit_document, parse_bytes, parse_document
 from .model import Document
 
 EXIT_OK = 0
@@ -62,28 +67,19 @@ class CliError(Exception):
         self.status = status
 
 
-def _read_bytes(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
+def _read_text(path: str) -> str:
+    """The text of ``path`` (``-`` is stdin) without a leading BOM."""
     try:
-        return Path(path).read_bytes()
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _decode(path: str, data: bytes) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CliError(
             EXIT_PARSE, f"{path}: P010 input is not valid UTF-8 at byte {exc.start}"
         ) from None
-    return text[1:] if text.startswith("﻿") else text
-
-
-def _print_parse_diags(path: str, result: ParseResult) -> None:
-    for d in result.diagnostics:
-        print(f"{path}:{d.line}:{d.column}: {d.code} {d.message}", file=sys.stderr)
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 # From the first non-whitespace character to the end of its line.
@@ -142,13 +138,14 @@ class _Inputs:
 
     def __iter__(self) -> Iterator[Document]:
         for path in self.paths:
-            text = _decode(path, _read_bytes(path))
+            text = _read_text(path)
             fmt = self.forced_format or sniff_format(text)
             self.path = path
             self.unit_lines = None
             if fmt == "inline":
                 result = parse_document(text)
-                _print_parse_diags(path, result)
+                for d in result.diagnostics:
+                    print(f"{path}:{d.line}:{d.column}: {d.code} {d.message}", file=sys.stderr)
                 if result.diagnostics:
                     self.status = EXIT_PARSE
                 self.unit_lines = result.unit_lines
@@ -172,11 +169,29 @@ def _is_empty(doc: Document) -> bool:
     return not doc.id and not doc.metadata and not doc.units
 
 
-def _write(pieces: Iterable[str]) -> None:
-    # One write per piece: the output of a document is never built whole.
+def _write_documents(inputs: _Inputs, to: str) -> int:
+    """Write each nonempty document as standoff or columns once it is read."""
+    from . import convert as conv
+
+    pieces = conv.standoff_pieces if to == "standoff" else conv.columns_pieces
     write = sys.stdout.write
-    for piece in pieces:
-        write(piece)
+    for doc in inputs:
+        if not _is_empty(doc):
+            # One write per piece: the output of a document is never built whole.
+            for piece in pieces(doc):
+                write(piece)
+            if to == "standoff":
+                write("\n")
+        del doc  # not kept alive while the next file is read
+    return inputs.status
+
+
+def _write_to(path: str, call, *args):
+    """``call(*args)`` on the output file ``path``, with an OSError as exit 2."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _config_value(args: argparse.Namespace, section: str, key: str):
@@ -197,13 +212,15 @@ def _conjunctions(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[s
         return _load_lexicon(env_path)
     from_config = _config_value(args, "segment", "conjunctions")
     if isinstance(from_config, list) and from_config:
-        return tuple(str(c) for c in from_config)
+        if not all(isinstance(c, str) for c in from_config):
+            raise CliError(EXIT_USAGE, "segment.conjunctions entries must be strings")
+        return tuple(from_config)
     return default
 
 
 def _load_lexicon(path: str) -> tuple[str, ...]:
     entries = []
-    for line in _decode(path, _read_bytes(path)).split("\n"):
+    for line in _read_text(path).split("\n"):
         line = line.strip()
         if line and not line.startswith("#"):
             entries.append(line)
@@ -213,18 +230,11 @@ def _load_lexicon(path: str) -> tuple[str, ...]:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    from . import convert as conv
-
-    status = EXIT_OK
-    for path in args.files:
-        result = parse_bytes(_read_bytes(path))
-        _print_parse_diags(path, result)
-        if result.diagnostics:
-            status = EXIT_PARSE
-        if not args.check and not _is_empty(result.document):
-            _write(conv.standoff_pieces(result.document))
-            sys.stdout.write("\n")
-    return status
+    inputs = _Inputs(args.files, "inline")
+    if args.check:
+        deque(inputs, maxlen=0)  # reads every file for its diagnostics only
+        return inputs.status
+    return _write_documents(inputs, "standoff")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -277,28 +287,28 @@ def cmd_segment(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
-    text = _decode(args.rawfile, _read_bytes(args.rawfile))
-    sidecar: list[str] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line:
-            continue
-        boundaries = seg.propose_boundaries(line, config)
-        for piece in seg.split_at(line, boundaries, policy):
-            print(piece)
-        if args.boundaries:
-            # The kind and cause values are ASCII words: no JSON escaping.
-            sidecar += [
-                f'{{"line":{line_no},"position":{b.position},'
-                f'"kind":"{b.kind.value}","cause":"{b.cause.value}"}}\n'
-                for b in boundaries
-            ]
-    if args.boundaries:
-        try:
-            Path(args.boundaries).write_text("".join(sidecar), encoding="utf-8")
-        except OSError as exc:
-            raise CliError(
-                EXIT_USAGE, f"cannot write {args.boundaries}: {exc.strerror or exc}"
-            ) from None
+    text = _read_text(args.rawfile)
+    path = args.boundaries
+    # Opened before the first line, so an unwritable path fails before any output.
+    sidecar = _write_to(path, open, path, "wb") if path else None
+    try:
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            if not line:
+                continue
+            boundaries = seg.propose_boundaries(line, config)
+            for piece in seg.split_at(line, boundaries, policy):
+                print(piece)
+            if sidecar:
+                # The kind and cause values are ASCII words: no JSON escaping.
+                records = "".join(
+                    f'{{"line":{line_no},"position":{b.position},'
+                    f'"kind":"{b.kind.value}","cause":"{b.cause.value}"}}\n'
+                    for b in boundaries
+                )
+                _write_to(path, sidecar.write, records.encode())
+    finally:
+        if sidecar:
+            _write_to(path, sidecar.close)
     return EXIT_OK
 
 
@@ -323,17 +333,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if first is not None:
             sys.stdout.write(emit_document(first))
         return inputs.status
-    from . import convert as conv
-
-    for doc in inputs:
-        if not _is_empty(doc):
-            if args.to == "standoff":
-                _write(conv.standoff_pieces(doc))
-                sys.stdout.write("\n")
-            else:
-                _write(conv.columns_pieces(doc))
-        del doc  # not kept alive while the next file is read
-    return inputs.status
+    return _write_documents(inputs, args.to)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

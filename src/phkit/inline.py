@@ -61,28 +61,31 @@ from .model import (
 RESERVED_CHARS = "[]()-\\"
 _ESCAPABLE = frozenset(RESERVED_CHARS)
 _ESCAPE_MAP = {ord(c): "\\" + c for c in RESERVED_CHARS}
+# Escaped for a character class: the reserved characters, and those that
+# are markup in gap text too (outside an element "()-" are literal).
+_RESERVED = re.escape(RESERVED_CHARS)
+_GAP_RESERVED = re.escape("[]\\")
 
 
 def _element_regex(escape: str) -> re.Pattern[str]:
     # Gap text, then either one whole element or the end of the line. Groups:
     # gap, tag, then pre/head/post of the first segment and of the segment
-    # after a "-". Gap text may hold unescaped "()-"; element text may not.
-    # Tabs and carriage returns match nowhere, so such lines are diagnosed.
-    gap = rf"(?:[^][\\\t\r]{escape})*"
-    char = rf"[^][()\\\t\r-]{escape}"
+    # after a "-". Tabs and carriage returns match nowhere: such lines are diagnosed.
+    gap = rf"(?:[^{_GAP_RESERVED}\t\r]{escape})*"
+    char = rf"[^{_RESERVED}\t\r]{escape}"
     seg = rf"((?:{char})*)(?:\(((?:{char})+)\)((?:{char})*))?"
     return re.compile(rf"({gap})(?:\[([-A-Z]+) {seg}(?:-{seg})?\]|\Z)")
 
 
 # Lines without a backslash (nearly all) take the variant without escapes.
 _PLAIN_ELEMENT = _element_regex("")
-_ESCAPED_ELEMENT = _element_regex(r"|\\[][()\\-]")
+_ESCAPED_ELEMENT = _element_regex(rf"|\\[{_RESERVED}]")
 _unescape = partial(re.compile(r"\\(.)").sub, r"\1")
 
 # Jump tables for the diagnoser: everything up to the next special
 # character is literal text and is skipped in one step.
-_GAP_SPECIAL = re.compile(r"[][\\]")
-_CONTENT_SPECIAL = re.compile(r"[][()\\-]")
+_GAP_SPECIAL = re.compile(f"[{_GAP_RESERVED}]")
+_CONTENT_SPECIAL = re.compile(f"[{_RESERVED}]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -84,13 +84,6 @@ class SegmenterConfig:
         object.__setattr__(self, "comma_policy", CommaPolicy(self.comma_policy))
 
 
-_CAUSE_PRIORITY = {
-    BoundaryCause.END_MARK: 0,
-    BoundaryCause.COMMA: 1,
-    BoundaryCause.CONJUNCTION: 2,
-}
-
-
 def propose_boundaries(
     text: str, config: SegmenterConfig | None = None
 ) -> list[SegmentBoundary]:
@@ -102,8 +95,10 @@ def propose_boundaries(
     if config is None:
         config = SegmenterConfig()
     n = len(text)
-    raw: list[tuple[int, BoundaryKind, BoundaryCause]] = []
-
+    # End marks, closing quotes and commas are different characters, so a
+    # position holds at most one punctuation boundary (and may also precede
+    # a conjunction, which the punctuation boundary then stands for).
+    marks: dict[int, tuple[BoundaryKind, BoundaryCause]] = {}
     comma_kind = (
         BoundaryKind.HARD
         if config.comma_policy is CommaPolicy.HARD
@@ -117,54 +112,42 @@ def propose_boundaries(
             while p + 1 < n and text[p + 1] in CLOSING_QUOTES:
                 p += 1
             if p < n - 1:
-                raw.append((p, BoundaryKind.HARD, BoundaryCause.END_MARK))
+                marks[p] = (BoundaryKind.HARD, BoundaryCause.END_MARK)
             i = p + 1
             continue
         if ch in COMMAS and config.comma_policy is not CommaPolicy.IGNORE and i < n - 1:
-            raw.append((i, comma_kind, BoundaryCause.COMMA))
+            marks[i] = (comma_kind, BoundaryCause.COMMA)
         i += 1
 
-    conjunctions = _conjunction_pattern(config.conjunctions)
-    if conjunctions is not None:
-        for match in conjunctions.finditer(text):
-            i = match.start()
-            if i > 0:
-                raw.append((i - 1, BoundaryKind.CANDIDATE, BoundaryCause.CONJUNCTION))
-
-    by_pos: dict[int, list[tuple[BoundaryKind, BoundaryCause]]] = {}
-    for pos, kind, cause in raw:
-        by_pos.setdefault(pos, []).append((kind, cause))
+    finditer = _conjunction_pattern(config.conjunctions).finditer
+    conjunctions = {m.start() - 1 for m in finditer(text) if m.start()}
 
     out: list[SegmentBoundary] = []
     piece_start = 0
-    for pos in sorted(by_pos):
-        entries = by_pos[pos]
-        if any(cause is BoundaryCause.COMMA for _, cause in entries):
+    for pos in sorted(marks.keys() | conjunctions):
+        mark = marks.get(pos)
+        if mark and mark[1] is BoundaryCause.COMMA:
             if _is_temporal_leadin(text[piece_start:pos]):
-                entries = [e for e in entries if e[1] is not BoundaryCause.COMMA]
-        if not entries:
-            continue
-        kind = (
-            BoundaryKind.HARD
-            if any(k is BoundaryKind.HARD for k, _ in entries)
-            else BoundaryKind.CANDIDATE
-        )
-        cause = min((c for _, c in entries), key=_CAUSE_PRIORITY.get)
-        out.append(SegmentBoundary(pos, kind, cause))
-        piece_start = pos + 1
+                mark = None
+        if mark is None and pos in conjunctions:
+            mark = (BoundaryKind.CANDIDATE, BoundaryCause.CONJUNCTION)
+        if mark is not None:
+            out.append(SegmentBoundary(pos, *mark))
+            piece_start = pos + 1
     return out
 
 
 @functools.lru_cache(maxsize=32)
-def _conjunction_pattern(lexicon: tuple[str, ...]) -> re.Pattern[str] | None:
+def _conjunction_pattern(lexicon: tuple[str, ...]) -> re.Pattern[str]:
     """One alternation over the lexicon, longest entry first.
 
     Alternatives are tried in order at each position, so the longest entry
     starting there wins and matching resumes after it. An empty lexicon
-    gets no pattern: an empty alternation would match everywhere.
+    gets a pattern that matches nowhere: an empty alternation would match
+    everywhere.
     """
     if not lexicon:
-        return None
+        return re.compile("(?!)")
     return re.compile("|".join(map(re.escape, sorted(lexicon, key=len, reverse=True))))
 
 

@@ -72,6 +72,55 @@ def test_parse_unreadable_file_is_exit_2(capsys, tmp_path):
     assert "missing.ann" in err
 
 
+def _stdin(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+@pytest.mark.parametrize("case", ["golden", "broken", "empty", "two files", "stdin"])
+def test_parse_equals_convert_inline_to_standoff(
+    capsys, monkeypatch, tmp_path, golden_path, golden_text, case
+):
+    broken = tmp_path / "broken.ann"
+    broken.write_text("#id: b\n[PRE-S 走]\n[SUB-W 王某\n", encoding="utf-8")
+    empty = tmp_path / "empty.ann"
+    empty.write_text("", encoding="utf-8")
+    files = {
+        "golden": [golden_path],
+        "broken": [broken],
+        "empty": [empty],
+        "two files": [golden_path, broken],
+        "stdin": ["-"],
+    }[case]
+    results = []
+    for command in (["parse"], ["convert", "--from", "inline", "--to", "standoff"]):
+        _stdin(monkeypatch, ("\ufeff" + golden_text.replace("\n", "\r\n")).encode())
+        results.append(run_cli(capsys, *command, *map(str, files)))
+    assert results[0] == results[1]
+    assert results[0][0] == (3 if broken in files else 0)
+    assert (results[0][1] == "") == (case == "empty")
+
+
+@pytest.mark.parametrize("name, status", [("golden", 0), ("broken", 3)])
+def test_parse_check_prints_nothing_and_keeps_the_status(
+    capsys, tmp_path, golden_path, name, status
+):
+    broken = tmp_path / "broken.ann"
+    broken.write_text("[SUB-W 王某\n", encoding="utf-8")
+    path = str(golden_path if name == "golden" else broken)
+    _, _, err = run_cli(capsys, "parse", path)
+    assert run_cli(capsys, "parse", "--check", path) == (status, "", err)
+
+
+@pytest.mark.parametrize("command", [["parse"], ["validate"], ["convert", "--to", "standoff"]])
+def test_invalid_utf8_is_a_fatal_p010(capsys, tmp_path, golden_path, command):
+    bad = tmp_path / "bad.ann"
+    bad.write_bytes("[PRE-S 走]\n".encode() + b"[SUB-W \xff]\n")
+    # The file after the bad one is not read.
+    status, out, err = run_cli(capsys, *command, str(bad), str(golden_path))
+    assert (status, out) == (3, "")
+    assert err == f"phk: {bad}: P010 input is not valid UTF-8 at byte 19\n"
+
+
 def test_validate_golden(capsys, golden_path):
     status, out, err = run_cli(capsys, "validate", str(golden_path))
     assert status == 0
@@ -234,10 +283,20 @@ def test_segment_unwritable_sidecar_is_exit_2(capsys, tmp_path, where):
     raw = tmp_path / "raw.txt"
     raw.write_text("甲，乙。丙\n", encoding="utf-8")
     target = tmp_path / "no" / "b.jsonl" if where == "missing directory" else tmp_path
-    status, _, err = run_cli(capsys, "segment", str(raw), "--boundaries", str(target))
-    assert status == 2
+    status, out, err = run_cli(capsys, "segment", str(raw), "--boundaries", str(target))
+    assert (status, out) == (2, "")
     assert err.startswith(f"phk: cannot write {target}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_segment_sidecar_write_error_is_exit_2(capsys, tmp_path):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "segment", str(raw), "--boundaries", "/dev/full")
+    assert status == 2
+    assert out == "甲，\n乙。\n丙\n"
+    assert err == "phk: cannot write /dev/full: No space left on device\n"
 
 
 def test_segment_policy_and_commas_flags(capsys, tmp_path):
@@ -460,6 +519,19 @@ def test_unknown_match_criterion_in_config_is_exit_2(capsys, tmp_path, golden_pa
     )
     assert (status, out) == (2, "")
     assert err == "phk: unknown match criterion ['x']\n"
+
+
+@pytest.mark.parametrize("entry", [None, 1])
+def test_non_string_conjunction_in_config_is_exit_2(capsys, tmp_path, entry):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲None乙1丙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(
+        json.dumps({"segment": {"conjunctions": ["和", entry]}}), encoding="utf-8"
+    )
+    status, out, err = run_cli(capsys, "--config", str(config), "segment", str(raw))
+    assert (status, out) == (2, "")
+    assert err == "phk: segment.conjunctions entries must be strings\n"
 
 
 @pytest.mark.parametrize(

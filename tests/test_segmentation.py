@@ -4,10 +4,14 @@ from hypothesis import strategies as st
 from phkit.model import ModelError
 from phkit.segmentation import (
     CLOSING_QUOTES,
+    COMMAS,
+    DEFAULT_CONJUNCTIONS,
     END_MARKS,
+    TEMPORAL_CHARS,
     BoundaryCause,
     BoundaryKind,
     CommaPolicy,
+    SegmentBoundary,
     SegmenterConfig,
     propose_boundaries,
     split,
@@ -196,3 +200,77 @@ def test_propose_is_pure_and_positions_increase(text):
     positions = [b.position for b in first]
     assert positions == sorted(set(positions))
     assert all(0 <= p < len(text) for p in positions)
+
+
+_CAUSE_PRIORITY = {
+    BoundaryCause.END_MARK: 0,
+    BoundaryCause.COMMA: 1,
+    BoundaryCause.CONJUNCTION: 2,
+}
+
+
+def _reference_propose_boundaries(text, config):
+    """The per-position merge of every cut's (kind, cause) list that
+    ``propose_boundaries`` replaced with one punctuation mark per position."""
+    n = len(text)
+    raw = []
+    comma_kind = (
+        BoundaryKind.HARD
+        if config.comma_policy is CommaPolicy.HARD
+        else BoundaryKind.CANDIDATE
+    )
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch in END_MARKS:
+            p = i
+            while p + 1 < n and text[p + 1] in CLOSING_QUOTES:
+                p += 1
+            if p < n - 1:
+                raw.append((p, BoundaryKind.HARD, BoundaryCause.END_MARK))
+            i = p + 1
+            continue
+        if ch in COMMAS and config.comma_policy is not CommaPolicy.IGNORE and i < n - 1:
+            raw.append((i, comma_kind, BoundaryCause.COMMA))
+        i += 1
+    for i in _reference_conjunction_cuts(text, config.conjunctions):
+        raw.append((i, BoundaryKind.CANDIDATE, BoundaryCause.CONJUNCTION))
+
+    by_pos = {}
+    for pos, kind, cause in raw:
+        by_pos.setdefault(pos, []).append((kind, cause))
+    out = []
+    piece_start = 0
+    for pos in sorted(by_pos):
+        entries = by_pos[pos]
+        if any(cause is BoundaryCause.COMMA for _, cause in entries):
+            piece = text[piece_start:pos]
+            if piece and all(c in TEMPORAL_CHARS for c in piece):
+                entries = [e for e in entries if e[1] is not BoundaryCause.COMMA]
+        if not entries:
+            continue
+        kind = (
+            BoundaryKind.HARD
+            if any(k is BoundaryKind.HARD for k, _ in entries)
+            else BoundaryKind.CANDIDATE
+        )
+        cause = min((c for _, c in entries), key=_CAUSE_PRIORITY.get)
+        out.append(SegmentBoundary(pos, kind, cause))
+        piece_start = pos + 1
+    return out
+
+
+@given(
+    st.text(alphabet="。；！？”』」，、并且和而但是然后年月日时0１2点晨甲乙丙 ", max_size=40),
+    st.sampled_from(list(CommaPolicy)),
+    st.one_of(
+        st.just(DEFAULT_CONJUNCTIONS),
+        st.lists(st.text(alphabet="并且和，。年甲", min_size=1, max_size=3), max_size=4),
+    ),
+)
+@example("甲，并乙。”并丙", CommaPolicy.HARD, DEFAULT_CONJUNCTIONS)
+@example("2015年，并且甲", CommaPolicy.CANDIDATE, DEFAULT_CONJUNCTIONS)
+@example("甲，乙", CommaPolicy.CANDIDATE, ["，乙"])
+def test_propose_boundaries_equals_reference_merge(text, comma_policy, lexicon):
+    config = SegmenterConfig(conjunctions=tuple(lexicon), comma_policy=comma_policy)
+    assert propose_boundaries(text, config) == _reference_propose_boundaries(text, config)
