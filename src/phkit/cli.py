@@ -4,8 +4,8 @@ Subcommands: ``parse``, ``validate``, ``segment``, ``convert``, ``stats``,
 ``agree``. Data goes to stdout, diagnostics to stderr, output is UTF-8
 with LF endings and is byte-identical across runs on identical input.
 
-Exit status: 0 success, 1 validation errors present, 2 usage or I/O
-error, 3 parse failure.
+Exit status: 0 success (also when a reader closes the stdout pipe), 1
+validation errors present, 2 usage or I/O error (stdout too), 3 parse failure.
 
 Input format is sniffed per file (inline, standoff JSON lines, or column
 rows) and can be forced with ``--from``. ``-`` reads stdin. Input that is
@@ -46,6 +46,7 @@ import os
 import re
 import sys
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -241,6 +242,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import validation
     from .validation import Severity
 
+    render = validation.render_records if args.format == "records" else validation.render_text
     inputs = _Inputs(args.files, args.from_format)
     errors = False
     for doc in inputs:
@@ -248,22 +250,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
         del doc  # not kept alive while the next file is read
         if args.strict:
             findings = [
-                validation.Diagnostic(
-                    d.code,
-                    Severity.ERROR if d.severity is Severity.WARNING else d.severity,
-                    d.unit_index,
-                    d.span,
-                    d.message,
-                )
+                replace(d, severity=Severity.ERROR) if d.severity is Severity.WARNING else d
                 for d in findings
             ]
         if any(d.severity is Severity.ERROR for d in findings):
             errors = True
-        if args.format == "records":
-            lines = validation.render_records(findings, inputs.path, inputs.unit_lines)
-        else:
-            lines = validation.render_text(findings, inputs.path, inputs.unit_lines)
-        for line in lines:
+        for line in render(findings, inputs.path, inputs.unit_lines):
             print(line)
     if inputs.status == EXIT_PARSE:
         return EXIT_PARSE
@@ -293,6 +285,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     sidecar = _write_to(path, open, path, "wb") if path else None
     try:
         for line_no, line in enumerate(text.split("\n"), start=1):
+            line = line.removesuffix("\r")  # a CRLF line end is an LF one
             if not line:
                 continue
             boundaries = seg.propose_boundaries(line, config)
@@ -443,6 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Flush what stdout holds after a failed write into the null device, so
+    that the flush at interpreter exit cannot fail again."""
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    sys.stdout.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8", newline="\n")
@@ -461,12 +462,21 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a write error shows here, not at interpreter exit
+        return status
     except CliError as exc:
         print(f"phk: {exc}", file=sys.stderr)
         return exc.status
     except BrokenPipeError:
+        _drop_stdout()
         return EXIT_OK
+    except OSError as exc:
+        # Every other file is read and written under a CliError: this is stdout.
+        print(f"phk: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        _drop_stdout()
+        return EXIT_USAGE
     finally:
         if gc_was_enabled:
             gc.enable()

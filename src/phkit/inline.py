@@ -17,10 +17,10 @@ element (gap text, then one whole ``[TAG seg(-seg)?]``), and the unit is
 built straight from the lengths of the matched pieces; escapes are
 resolved only in lines that hold a backslash. A line the regex does not
 take, whose tag is unknown, or whose pieces the model constructors reject
-(an empty segment, a head covering its segment), goes to a
-character-by-character diagnoser that builds nothing and reports every
-fault with its code and column. The diagnoser runs only on broken lines,
-so its cost is off the path of valid input.
+(an empty segment, a head covering its segment), goes to a diagnoser
+that makes one token pass, builds nothing and reports every fault with
+its code and column. The diagnoser runs only on broken lines, so its
+cost is off the path of valid input.
 
 Diagnostic codes:
 
@@ -59,7 +59,6 @@ from .model import (
 )
 
 RESERVED_CHARS = "[]()-\\"
-_ESCAPABLE = frozenset(RESERVED_CHARS)
 _ESCAPE_MAP = {ord(c): "\\" + c for c in RESERVED_CHARS}
 # Escaped for a character class: the reserved characters, and those that
 # are markup in gap text too (outside an element "()-" are literal).
@@ -82,10 +81,12 @@ _PLAIN_ELEMENT = _element_regex("")
 _ESCAPED_ELEMENT = _element_regex(rf"|\\[{_RESERVED}]")
 _unescape = partial(re.compile(r"\\(.)").sub, r"\1")
 
-# Jump tables for the diagnoser: everything up to the next special
-# character is literal text and is skipped in one step.
-_GAP_SPECIAL = re.compile(f"[{_GAP_RESERVED}]")
-_CONTENT_SPECIAL = re.compile(f"[{_RESERVED}]")
+# The diagnoser's pieces: a token is an escape with its character (empty
+# when dangling), one markup character, or a run of text; a tag ends at a
+# space, a "]" or the end; a broken element is skipped past its "]".
+_TOKEN = re.compile(rf"\\(.?)|[{_RESERVED}]|[^{_RESERVED}]+")
+_TAG_END = re.compile(r"[ \]]|\Z")
+_SKIP_ELEMENT = re.compile(r"(?:\\.?|[^\]\\])*\]?")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,20 +124,6 @@ def _tag_message(tag: str) -> str:
     if tag in kinds and tag != "UNC":
         return f"tag '{tag}' requires a form subtag (W, P, or C)"
     return f"unknown tag '{tag}'"
-
-
-def _skip_element(line: str, i: int) -> int:
-    """Advance past the current element's closing bracket for resync."""
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c == "\\":
-            i += 2
-        elif c == "]":
-            return i + 1
-        else:
-            i += 1
-    return n
 
 
 def _p011(line: str, line_no: int, chars: str) -> list[ParseDiagnostic]:
@@ -212,142 +199,104 @@ def parse_unit(
 def _diagnose(line: str, line_no: int) -> list[ParseDiagnostic]:
     """Every diagnostic of a line that ``parse_unit`` does not accept.
 
-    A character-by-character scan that reports each fault where it is found
-    and resynchronises after a broken element, so one line can yield
-    several diagnostics.
+    One pass over the line's tokens reports each fault where it is found
+    and resumes after a broken element's ``]``. ``opened`` is the index of
+    the open ``[`` (-1 in gap text); inside an element, ``tlen`` is the text
+    length of the current segment and ``head``/``head_open`` its head group.
     """
     if "\t" in line or "\r" in line:
         return _p011(line, line_no, "\t\r")
     diags: list[ParseDiagnostic] = []
-    i, n = 0, len(line)
+    at, n = 0, len(line)
+    opened = tlen = -1
 
     def report(code: str, column: int, message: str) -> None:
         diags.append(ParseDiagnostic(code, line_no, column, message))
 
-    def escape_at(i: int) -> int:
-        # Check a backslash escape at index i; returns the text length it
-        # stands for (0 or 1). A valid escape is always two characters.
-        if i + 1 >= n:
-            report("P008", i + 1, "dangling '\\' at end of line")
-            return 0
-        nxt = line[i + 1]
-        if nxt not in _ESCAPABLE:
-            report("P008", i + 1, f"invalid escape '\\{nxt}'")
-            return 0
-        return 1
-
-    def diagnose_element(i: int) -> int:
-        open_col = i + 1
-        i += 1
-        j = i
-        while j < n and line[j] != " " and line[j] != "]":
-            j += 1
-        tag = line[i:j]
-        if j >= n:
-            report("P001", open_col, "element is never closed")
-            return n
-        if line[j] == "]":
-            if not tag:
-                report("P010", open_col, "empty tag")
-            elif tag in TAGS:
-                report("P003", j + 1, "expected one space between tag and content")
+    while at < n:
+        token = _TOKEN.match(line, at)
+        i, at = at, token.end()
+        tok, escaped = token.group(), token.group(1)
+        fault = None
+        if escaped is not None:
+            if not escaped:
+                report("P008", i + 1, "dangling '\\' at end of line")
+            elif escaped in RESERVED_CHARS:
+                tlen += 1
             else:
-                report("P002", i + 1, _tag_message(tag))
-            return j + 1
-        if not tag:
-            report("P010", open_col, "empty tag")
-            return _skip_element(line, j)
-        if tag not in TAGS:
-            report("P002", i + 1, _tag_message(tag))
-            return _skip_element(line, j)
-
-        # Text lengths from the start of the current segment.
-        i = j + 1
-        tlen = 0
-        separated = False
-        head: tuple[int, int] | None = None
-        head_open: int | None = None
-        while i < n:
-            ch = line[i]
-            if ch == "]":
-                break
-            if ch == "\\":
-                tlen += escape_at(i)
-                i += 2
-            elif ch == "(":
-                if head_open is not None:
-                    report("P006", i + 1, "'(' nested inside another '('")
-                    return _skip_element(line, i)
-                if head is not None:
-                    report("P005", i + 1, "more than one head group in one segment")
-                    return _skip_element(line, i)
-                head_open = tlen
-                i += 1
-            elif ch == ")":
-                if head_open is None:
-                    report("P006", i + 1, "')' without a matching '('")
-                    return _skip_element(line, i)
-                if tlen == head_open:
-                    report("P009", i + 1, "empty head group")
-                    return _skip_element(line, i)
-                head = (head_open, tlen)
-                head_open = None
-                i += 1
-            elif ch == "-":
-                if head_open is not None:
-                    report("P004", i + 1, "separator inside a head group")
-                    return _skip_element(line, i)
-                if separated:
-                    report("P004", i + 1, "more than one separator in an element")
-                    return _skip_element(line, i)
-                if tlen == 0:
-                    report("P009", i + 1, "empty trigger segment before separator")
-                    return _skip_element(line, i)
-                if head == (0, tlen):
-                    report("P009", i + 1, "head group must not cover its whole segment")
-                    return _skip_element(line, i)
-                separated = True
-                tlen = 0
-                head = None
-                i += 1
-            elif ch == "[":
-                report("P001", i + 1, "'[' inside an element: elements cannot nest")
-                return _skip_element(line, i)
-            else:
-                m = _CONTENT_SPECIAL.search(line, i)
-                j2 = m.start() if m else n
-                tlen += j2 - i
-                i = j2
-        if i >= n:
+                report("P008", i + 1, f"invalid escape '\\{escaped}'")
+        elif opened < 0:
+            if tok == "]":
+                report("P007", i + 1, "']' without a matching '['")
+            elif tok == "[":
+                end = _TAG_END.search(line, at).start()
+                tag = line[at:end]
+                if end == n:
+                    report("P001", i + 1, "element is never closed")
+                    at = n
+                elif line[end] == "]":
+                    if not tag:
+                        report("P010", i + 1, "empty tag")
+                    elif tag in TAGS:
+                        report("P003", end + 1, "expected one space between tag and content")
+                    else:
+                        report("P002", at + 1, _tag_message(tag))
+                    at = end + 1
+                elif not tag:
+                    report("P010", i + 1, "empty tag")
+                    at = _SKIP_ELEMENT.match(line, end).end()
+                elif tag not in TAGS:
+                    report("P002", at + 1, _tag_message(tag))
+                    at = _SKIP_ELEMENT.match(line, end).end()
+                else:
+                    opened, at, tlen = i, end + 1, 0
+                    separated, head, head_open = False, None, None
+        elif tok == "]":
+            opened = -1
             if head_open is not None:
-                report("P006", n, "'(' is never closed")
+                report("P006", i + 1, "'(' is never closed")
+            elif tlen == 0:
+                what = "body segment after separator" if separated else "element content"
+                report("P009", i + 1, f"empty {what}")
+            elif head == (0, tlen):
+                report("P009", i + 1, "head group must not cover its whole segment")
+        elif tok == "[":
+            fault = "P001", "'[' inside an element: elements cannot nest"
+        elif tok == "(":
+            if head_open is not None:
+                fault = "P006", "'(' nested inside another '('"
+            elif head is not None:
+                fault = "P005", "more than one head group in one segment"
             else:
-                report("P001", open_col, "element is never closed")
-            return n
-        if head_open is not None:
-            report("P006", i + 1, "'(' is never closed")
-        elif tlen == 0:
-            if separated:
-                report("P009", i + 1, "empty body segment after separator")
+                head_open = tlen
+        elif tok == ")":
+            if head_open is None:
+                fault = "P006", "')' without a matching '('"
+            elif tlen == head_open:
+                fault = "P009", "empty head group"
             else:
-                report("P009", i + 1, "empty element content")
-        elif head == (0, tlen):
-            report("P009", i + 1, "head group must not cover its whole segment")
-        return i + 1
-
-    while i < n:
-        ch = line[i]
-        if ch == "[":
-            i = diagnose_element(i)
-        elif ch == "]":
-            report("P007", i + 1, "']' without a matching '['")
-            i += 1
-        elif ch == "\\":
-            escape_at(i)
-            i += 2
+                head, head_open = (head_open, tlen), None
+        elif tok == "-":
+            if head_open is not None:
+                fault = "P004", "separator inside a head group"
+            elif separated:
+                fault = "P004", "more than one separator in an element"
+            elif tlen == 0:
+                fault = "P009", "empty trigger segment before separator"
+            elif head == (0, tlen):
+                fault = "P009", "head group must not cover its whole segment"
+            else:
+                separated, tlen, head = True, 0, None
         else:
-            m = _GAP_SPECIAL.search(line, i)
-            i = m.start() if m else n
+            tlen += len(tok)
+        if fault:
+            report(fault[0], i + 1, fault[1])
+            opened, at = -1, _SKIP_ELEMENT.match(line, i).end()
+    if opened >= 0:
+        if head_open is not None:
+            report("P006", n, "'(' is never closed")
+        else:
+            report("P001", opened + 1, "element is never closed")
     return diags
 
 

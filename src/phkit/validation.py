@@ -35,7 +35,6 @@ from .model import (
     PredicatePattern,
     Span,
     compact_json,
-    span_surface,
 )
 
 
@@ -80,10 +79,7 @@ def validate_unit(unit: LabelingUnit, unit_index: int = 0) -> list[Diagnostic]:
     if uncs:
         for e in uncs:
             sole = len(els) == 1
-            whole = (
-                (e.trigger or e.body).span.start == 0
-                and e.body.span.end == len(unit.text)
-            )
+            whole = e.span.start == 0 and e.span.end == len(unit.text)
             if not (sole and whole):
                 out.append(
                     _finding(
@@ -147,7 +143,7 @@ def validate_unit(unit: LabelingUnit, unit_index: int = 0) -> list[Diagnostic]:
         if (
             e.kind is not ElementType.ADV
             and e.trigger is not None
-            and span_surface(unit, e.trigger.span).startswith(("把", "被"))
+            and unit.text.startswith(("把", "被"), e.trigger.span.start)
         ):
             out.append(
                 _finding(
@@ -161,7 +157,7 @@ def validate_unit(unit: LabelingUnit, unit_index: int = 0) -> list[Diagnostic]:
     if pres:
         first_pre_end = min(p.body.span.end for p in pres)
         for e in els:
-            if e.kind is ElementType.SUB and (e.trigger or e.body).span.start >= first_pre_end:
+            if e.kind is ElementType.SUB and e.span.start >= first_pre_end:
                 out.append(
                     _finding(
                         "I041",

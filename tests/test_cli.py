@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -287,6 +288,21 @@ def test_segment_unwritable_sidecar_is_exit_2(capsys, tmp_path, where):
     assert (status, out) == (2, "")
     assert err.startswith(f"phk: cannot write {target}: ")
     assert err.count("\n") == 1
+
+
+def test_segment_crlf_file_equals_its_lf_twin(capsys, tmp_path):
+    # The last line has no line end; a CR before it is still a line end.
+    lf = "今天下雨。\n甲，乙。丙\n\n甲并乙"
+    outputs = []
+    for name, text in (("lf", lf), ("crlf", lf.replace("\n", "\r\n") + "\r")):
+        raw = tmp_path / f"{name}.txt"
+        raw.write_bytes(text.encode("utf-8"))
+        sidecar = tmp_path / f"{name}.jsonl"
+        status, out, err = run_cli(capsys, "segment", str(raw), "--boundaries", str(sidecar))
+        assert (status, err) == (0, "")
+        outputs.append((out.encode("utf-8"), sidecar.read_bytes()))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] == "今天下雨。\n甲，\n乙。\n丙\n甲\n并乙\n".encode("utf-8")
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
@@ -596,6 +612,55 @@ def test_pipeline_parse_convert_equals_direct(golden_path):
     )
     assert piped.stdout == direct.stdout
     assert piped.stdout
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["parse", "{golden}"],
+        ["validate", "{golden}"],
+        ["stats", "{golden}"],
+        ["agree", "{golden}", "{golden}"],
+        ["segment", "{golden}"],
+        ["convert", "--to", "inline", "{golden}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_stdout_write_error_is_exit_2(golden_path, command, buffered):
+    # Buffered, the output of a small run is only written when the
+    # interpreter exits, where a failure would be reported outside phk.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [arg.format(golden=golden_path) for arg in command]
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "phkit", *argv], stdout=full, stderr=subprocess.PIPE, env=env
+        )
+    err = child.stderr.decode("utf-8")
+    assert child.returncode == 2, err
+    assert err == "phk: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "stats"])
+def test_closed_stdout_pipe_is_exit_0(golden_path, command):
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as in a shell pipeline
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before phk writes
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "phkit", command, str(golden_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (0, b"")
 
 
 def test_usage_error_is_exit_2():

@@ -518,6 +518,27 @@ _token_lines = st.lists(st.sampled_from(_LINE_TOKENS), max_size=14).map("".join)
 @example("[ADV-P 因-家-庭]")  # two separators
 @example("[XYZ 王某][PRE-S 走]")  # unknown tag
 @example("[SUB-W 王(某)人(们)]")  # two head groups
+@example("[")  # open bracket at the end of the line
+@example("[]")  # empty tag before ']'
+@example("[ 王]")  # empty tag before the space
+@example("[PRE-S]")  # known tag without its space
+@example("[XYZ]")  # unknown tag before ']'
+@example("]")  # stray ']'
+@example("a\\")  # dangling backslash in gap text
+@example("\\x[PRE-S 走]")  # invalid escape in gap text
+@example("[SUB-W 王\\")  # dangling backslash in an open element
+@example("[SUB-W \\x]")  # invalid escape in content
+@example("[SUB-W 王(某]")  # head group closed by ']'
+@example("[SUB-W 王(某")  # head group open at the end of the line
+@example("[SUB-W 王((某)]")  # nested '('
+@example("[SUB-W 王)某]")  # ')' without '('
+@example("[ADV-P 因(家-庭)]")  # separator in a head group
+@example("[ADV-P -王]")  # empty trigger
+@example("[ADV-P 因-]")  # empty body
+@example("[SUB-W ]")  # empty content
+@example("[SUB-W 王[某]]")  # nested element, then a stray ']'
+@example("[SUB-W 王]]")  # stray ']' after an element
+@example("[ADV-P 因-家(庭)(院)]")  # two head groups after the separator
 @example("")
 def test_parse_unit_equals_reference_scanner(line):
     assert parse_unit(line, 3) == reference_parse_unit(line, 3)
