@@ -40,6 +40,7 @@ nothing to free.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -450,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.reconfigure(encoding="utf-8", newline="\n")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # started with descriptor 1 closed
+        print(f"phk: cannot write stdout: {os.strerror(errno.EBADF)}", file=sys.stderr)
+        return EXIT_USAGE
     config = None
     if args.config:
         try:
@@ -463,8 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         status = args.func(args)
-        if sys.stdout is not None:  # None when started with stdout closed
-            sys.stdout.flush()  # a write error shows here, not at interpreter exit
+        sys.stdout.flush()  # a write error shows here, not at interpreter exit
         return status
     except CliError as exc:
         print(f"phk: {exc}", file=sys.stderr)

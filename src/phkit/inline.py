@@ -51,9 +51,11 @@ from .model import (
     TAGS,
     Document,
     Element,
+    ElementForm,
     ElementType,
     LabelingUnit,
     ModelError,
+    PredicatePattern,
     Segment,
     Span,
 )
@@ -119,11 +121,11 @@ def _tag_message(tag: str) -> str:
     kinds = {k.value for k in ElementType}
     if kind in kinds and sub:
         return f"illegal subtag '{sub}' for element type '{kind}'"
-    if tag == "PRE":
-        return "tag 'PRE' requires a pattern subtag (S, R, L, M, or V)"
-    if tag in kinds and tag != "UNC":
-        return f"tag '{tag}' requires a form subtag (W, P, or C)"
-    return f"unknown tag '{tag}'"
+    if tag not in kinds:
+        return f"unknown tag '{tag}'"
+    what, subtags = ("pattern", PredicatePattern) if tag == "PRE" else ("form", ElementForm)
+    *rest, last = (s.value for s in subtags)
+    return f"tag '{tag}' requires a {what} subtag ({', '.join(rest)}, or {last})"
 
 
 def _p011(line: str, line_no: int, chars: str) -> list[ParseDiagnostic]:

@@ -22,7 +22,14 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .model import Document, Element, ElementType, compact_json
+from .model import (
+    Document,
+    Element,
+    ElementForm,
+    ElementType,
+    PredicatePattern,
+    compact_json,
+)
 
 KIND_ORDER = [k.value for k in ElementType]
 
@@ -280,12 +287,12 @@ def stats_table(report: StatsReport) -> list[str]:
     for kind in KIND_ORDER:
         if kind in report.by_kind:
             rows.append(f"kind {kind}: {report.by_kind[kind]}")
-    for p in "SRLMV":
-        if p in report.by_pattern:
-            rows.append(f"pattern {p}: {report.by_pattern[p]}")
-    for f in "WPC":
-        if f in report.by_form:
-            rows.append(f"form {f}: {report.by_form[f]}")
+    for p in PredicatePattern:
+        if p.value in report.by_pattern:
+            rows.append(f"pattern {p.value}: {report.by_pattern[p.value]}")
+    for f in ElementForm:
+        if f.value in report.by_form:
+            rows.append(f"form {f.value}: {report.by_form[f.value]}")
     for tag in sorted(report.by_tag):
         rows.append(f"tag {tag}: {report.by_tag[tag]}")
     for length in sorted(report.unit_length_hist):

@@ -3,9 +3,10 @@
 Each rule has a fixed code and severity; severity never depends on the
 input. Errors are violations of rules the annotation scheme states
 absolutely, warnings cover conventions with known exceptions, and info
-findings are stylistic lints left to human judgement.
-
-Rule table:
+findings are stylistic lints left to human judgement. ``RULES`` is the
+one statement of each code's severity and message; the table below and
+the one in README.md restate the codes and severities, and a test keeps
+all three in step.
 
 =====  =======  ======================================================
 E001   error    non-UNC unit whose PRE element count is not exactly 1
@@ -44,15 +45,17 @@ class Severity(str, enum.Enum):
     INFO = "info"
 
 
-SEVERITY_BY_CODE: dict[str, Severity] = {
-    "E001": Severity.ERROR,
-    "E003": Severity.ERROR,
-    "E005": Severity.ERROR,
-    "W010": Severity.WARNING,
-    "W011": Severity.WARNING,
-    "W020": Severity.WARNING,
-    "I040": Severity.INFO,
-    "I041": Severity.INFO,
+#: Each rule code's severity and message (a format string: E001 takes the
+#: PRE count, the others no argument).
+RULES: dict[str, tuple[Severity, str]] = {
+    "E001": (Severity.ERROR, "expected exactly one PRE element, found {}"),
+    "E003": (Severity.ERROR, "PRE-M requires a head group marking the verb"),
+    "E005": (Severity.ERROR, "UNC must be the sole element and cover the whole unit"),
+    "W010": (Severity.WARNING, "form-P element has no trigger separator"),
+    "W011": (Severity.WARNING, "PRE element contains a trigger separator"),
+    "W020": (Severity.WARNING, "RAI is a legacy tag; consider COM"),
+    "I040": (Severity.INFO, "把/被 phrases are normally annotated as adverbial elements"),
+    "I041": (Severity.INFO, "SUB element appears after the PRE element"),
 }
 
 
@@ -65,107 +68,49 @@ class Diagnostic:
     message: str
 
 
-def _finding(code: str, unit_index: int, span: Span | None, message: str) -> Diagnostic:
-    return Diagnostic(code, SEVERITY_BY_CODE[code], unit_index, span, message)
-
-
 def validate_unit(unit: LabelingUnit, unit_index: int = 0) -> list[Diagnostic]:
-    """Check one unit against the rule table; an empty list means clean."""
+    """Check one unit against the rule table; an empty list means clean.
+
+    One pass over the elements, which the model keeps sorted and disjoint:
+    so a SUB after a PRE in element order is a SUB positioned after it.
+    """
     out: list[Diagnostic] = []
-    els = unit.elements
-    uncs = [e for e in els if e.kind is ElementType.UNC]
-    pres = [e for e in els if e.kind is ElementType.PRE]
 
-    if uncs:
-        for e in uncs:
-            sole = len(els) == 1
-            whole = e.span.start == 0 and e.span.end == len(unit.text)
-            if not (sole and whole):
-                out.append(
-                    _finding(
-                        "E005",
-                        unit_index,
-                        e.span,
-                        "UNC must be the sole element and cover the whole unit",
-                    )
-                )
-    elif len(pres) != 1:
-        out.append(
-            _finding(
-                "E001",
-                unit_index,
-                None,
-                f"expected exactly one PRE element, found {len(pres)}",
-            )
-        )
+    def report(code: str, span: Span | None, *args: object) -> None:
+        severity, message = RULES[code]
+        out.append(Diagnostic(code, severity, unit_index, span, message.format(*args)))
 
-    for e in els:
+    text = unit.text
+    pres = 0
+    has_unc = False
+    for e in unit.elements:
+        kind, span, trigger = e.kind, e.span, e.trigger
+        if kind is ElementType.UNC:
+            has_unc = True
+            # Elements are disjoint and inside the text, so an element that
+            # covers the whole unit is also its sole element.
+            if span.end - span.start != len(text):
+                report("E005", span)
+        elif kind is ElementType.PRE:
+            pres += 1
+            if e.pattern is PredicatePattern.MODIFIED and e.body.head is None:
+                report("E003", span)
+            if trigger is not None:
+                report("W011", span)
+        elif kind is ElementType.SUB and pres:
+            report("I041", span)
+        elif kind is ElementType.RAI:
+            report("W020", span)
+        if e.form is ElementForm.PHRASE and trigger is None:
+            report("W010", span)
         if (
-            e.kind is ElementType.PRE
-            and e.pattern is PredicatePattern.MODIFIED
-            and e.body.head is None
+            kind is not ElementType.ADV
+            and trigger is not None
+            and text.startswith(("把", "被"), trigger.span.start)
         ):
-            out.append(
-                _finding(
-                    "E003",
-                    unit_index,
-                    e.span,
-                    "PRE-M requires a head group marking the verb",
-                )
-            )
-        if e.form is ElementForm.PHRASE and e.trigger is None:
-            out.append(
-                _finding(
-                    "W010",
-                    unit_index,
-                    e.span,
-                    "form-P element has no trigger separator",
-                )
-            )
-        if e.kind is ElementType.PRE and e.trigger is not None:
-            out.append(
-                _finding(
-                    "W011",
-                    unit_index,
-                    e.span,
-                    "PRE element contains a trigger separator",
-                )
-            )
-        if e.kind is ElementType.RAI:
-            out.append(
-                _finding(
-                    "W020",
-                    unit_index,
-                    e.span,
-                    "RAI is a legacy tag; consider COM",
-                )
-            )
-        if (
-            e.kind is not ElementType.ADV
-            and e.trigger is not None
-            and unit.text.startswith(("把", "被"), e.trigger.span.start)
-        ):
-            out.append(
-                _finding(
-                    "I040",
-                    unit_index,
-                    e.span,
-                    "把/被 phrases are normally annotated as adverbial elements",
-                )
-            )
-
-    if pres:
-        first_pre_end = min(p.body.span.end for p in pres)
-        for e in els:
-            if e.kind is ElementType.SUB and e.span.start >= first_pre_end:
-                out.append(
-                    _finding(
-                        "I041",
-                        unit_index,
-                        e.span,
-                        "SUB element appears after the PRE element",
-                    )
-                )
+            report("I040", span)
+    if not has_unc and pres != 1:
+        report("E001", None, pres)
 
     out.sort(key=_order_key)
     return out

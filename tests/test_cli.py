@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -661,6 +662,34 @@ def test_closed_stdout_pipe_is_exit_0(golden_path, command):
     finally:
         os.close(write_end)
     assert (child.returncode, child.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["parse", "{golden}"],
+        ["validate", "{golden}"],
+        ["stats", "{golden}"],
+        ["agree", "{golden}", "{golden}"],
+        ["segment", "{golden}", "--boundaries", "{sidecar}"],
+        ["convert", "--to", "columns", "{golden}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_closed_stdout_descriptor_is_exit_2(golden_path, tmp_path, command):
+    # Started with descriptor 1 closed (`phk ... >&-`), sys.stdout is None.
+    sidecar = tmp_path / "boundaries.jsonl"
+    argv = [arg.format(golden=golden_path, sidecar=sidecar) for arg in command]
+    child = subprocess.run(
+        [sys.executable, "-m", "phkit", *argv],
+        stderr=subprocess.PIPE,
+        env=child_env(),
+        preexec_fn=lambda: os.close(1),
+    )
+    err = child.stderr.decode("utf-8")
+    assert child.returncode == 2, err
+    assert err == f"phk: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    assert not sidecar.exists()
 
 
 def test_usage_error_is_exit_2():

@@ -95,6 +95,22 @@ def test_illegal_tag_combination_is_p002():
     assert codes(parse_unit("[XYZ 我]")[1]) == ["P002"]
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[PRE x]", "tag 'PRE' requires a pattern subtag (S, R, L, M, or V)"),
+        ("[ADV x]", "tag 'ADV' requires a form subtag (W, P, or C)"),
+        ("[PRE-W x]", "illegal subtag 'W' for element type 'PRE'"),
+        ("[UNC-S x]", "illegal subtag 'S' for element type 'UNC'"),
+        ("[XYZ x]", "unknown tag 'XYZ'"),
+        ("[PRE- x]", "unknown tag 'PRE-'"),
+    ],
+)
+def test_p002_message_names_the_fault_and_the_legal_subtags(line, message):
+    # Written out here: the reference scanner below calls _tag_message itself.
+    assert parse_unit(line) == (None, [ParseDiagnostic("P002", 1, 2, message)])
+
+
 def test_diagnostic_code_table():
     cases = {
         "[SUB-W 王某": "P001",  # unbalanced bracket

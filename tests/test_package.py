@@ -112,3 +112,13 @@ def test_json_writer_options_are_stated_in_one_module():
         if re.search(r"\b(separators|ensure_ascii)\s*=", path.read_text(encoding="utf-8"))
     )
     assert len(stating) <= 1, f"JSON writer options stated in {stating}"
+
+
+def test_bench_selftest_passes():
+    # The bench tracer wraps phkit functions by module and name (for example
+    # phkit.cli.parse_bytes), so renaming or deleting one breaks the bench.
+    root = Path(__file__).parents[1]
+    child = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=root, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr[-4000:]

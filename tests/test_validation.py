@@ -1,10 +1,21 @@
 import re
+from pathlib import Path
 
-from hypothesis import given
+from hypothesis import example, given
 
+import phkit.validation
 from phkit.inline import parse_document, parse_unit
-from phkit.model import Document, ElementType
+from phkit.model import (
+    Document,
+    ElementForm,
+    ElementType,
+    LabelingUnit,
+    PredicatePattern,
+    Span,
+)
 from phkit.validation import (
+    RULES,
+    Diagnostic,
     Severity,
     render_records,
     render_text,
@@ -167,3 +178,158 @@ def test_render_records_is_json(golden_doc):
     assert record["severity"] == "warning"
     assert record["line"] == 2
     assert record["start"] == 13 and record["end"] == 18
+
+
+def test_rule_tables_in_readme_and_docstring_match_rules():
+    expected = {code: severity.value for code, (severity, _) in RULES.items()}
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("## Validation rules", 1)[1].split("\n## ", 1)[0]
+    in_readme = dict(re.findall(r"^\| ([EWI]\d{3}) \| (\w+) +\|", section, re.MULTILINE))
+    docstring = phkit.validation.__doc__
+    in_docstring = dict(re.findall(r"^([EWI]\d{3}) +(\w+) ", docstring, re.MULTILINE))
+    assert in_readme == expected
+    assert in_docstring == expected
+
+
+# --- the one-pass validator against the four-pass one it replaced -----------
+#
+# The reference below is the earlier validate_unit with its severity table
+# and helper, copied verbatim: four walks over the elements, severities and
+# messages stated apart.
+
+SEVERITY_BY_CODE: dict[str, Severity] = {
+    "E001": Severity.ERROR,
+    "E003": Severity.ERROR,
+    "E005": Severity.ERROR,
+    "W010": Severity.WARNING,
+    "W011": Severity.WARNING,
+    "W020": Severity.WARNING,
+    "I040": Severity.INFO,
+    "I041": Severity.INFO,
+}
+
+
+def _finding(code: str, unit_index: int, span: Span | None, message: str) -> Diagnostic:
+    return Diagnostic(code, SEVERITY_BY_CODE[code], unit_index, span, message)
+
+
+def _order_key(d: Diagnostic) -> tuple[int, int, str]:
+    return (d.unit_index, d.span.start if d.span is not None else -1, d.code)
+
+
+def four_pass_validate_unit(unit: LabelingUnit, unit_index: int = 0) -> list[Diagnostic]:
+    """Check one unit against the rule table; an empty list means clean."""
+    out: list[Diagnostic] = []
+    els = unit.elements
+    uncs = [e for e in els if e.kind is ElementType.UNC]
+    pres = [e for e in els if e.kind is ElementType.PRE]
+
+    if uncs:
+        for e in uncs:
+            sole = len(els) == 1
+            whole = e.span.start == 0 and e.span.end == len(unit.text)
+            if not (sole and whole):
+                out.append(
+                    _finding(
+                        "E005",
+                        unit_index,
+                        e.span,
+                        "UNC must be the sole element and cover the whole unit",
+                    )
+                )
+    elif len(pres) != 1:
+        out.append(
+            _finding(
+                "E001",
+                unit_index,
+                None,
+                f"expected exactly one PRE element, found {len(pres)}",
+            )
+        )
+
+    for e in els:
+        if (
+            e.kind is ElementType.PRE
+            and e.pattern is PredicatePattern.MODIFIED
+            and e.body.head is None
+        ):
+            out.append(
+                _finding(
+                    "E003",
+                    unit_index,
+                    e.span,
+                    "PRE-M requires a head group marking the verb",
+                )
+            )
+        if e.form is ElementForm.PHRASE and e.trigger is None:
+            out.append(
+                _finding(
+                    "W010",
+                    unit_index,
+                    e.span,
+                    "form-P element has no trigger separator",
+                )
+            )
+        if e.kind is ElementType.PRE and e.trigger is not None:
+            out.append(
+                _finding(
+                    "W011",
+                    unit_index,
+                    e.span,
+                    "PRE element contains a trigger separator",
+                )
+            )
+        if e.kind is ElementType.RAI:
+            out.append(
+                _finding(
+                    "W020",
+                    unit_index,
+                    e.span,
+                    "RAI is a legacy tag; consider COM",
+                )
+            )
+        if (
+            e.kind is not ElementType.ADV
+            and e.trigger is not None
+            and unit.text.startswith(("把", "被"), e.trigger.span.start)
+        ):
+            out.append(
+                _finding(
+                    "I040",
+                    unit_index,
+                    e.span,
+                    "把/被 phrases are normally annotated as adverbial elements",
+                )
+            )
+
+    if pres:
+        first_pre_end = min(p.body.span.end for p in pres)
+        for e in els:
+            if e.kind is ElementType.SUB and e.span.start >= first_pre_end:
+                out.append(
+                    _finding(
+                        "I041",
+                        unit_index,
+                        e.span,
+                        "SUB element appears after the PRE element",
+                    )
+                )
+
+    out.sort(key=_order_key)
+    return out
+
+
+def doc_of(*lines: str) -> Document:
+    return Document(units=tuple(unit_of(line) for line in lines))
+
+
+@given(documents())
+@example(doc_of("[PRE-S 走][SUB-W 王某][PRE-S 跑]"))  # a SUB between two PREs
+@example(doc_of("[SUB-W 王某][PRE-S 走]"))  # a SUB before the only PRE
+@example(doc_of("[UNC 此句][COM-W 无法]", "无法[UNC 此句]"))  # UNC beside another element
+@example(doc_of("[UNC 把-此句无法标注]"))  # UNC with a 把 trigger
+@example(doc_of("[PRE-M (互)相-厮打]"))  # PRE-M with only a trigger head
+@example(doc_of("[COM-P 购买房屋]", "[COM-P 把-房屋]"))  # zero PREs, a form-P element
+def test_one_pass_validator_equals_the_four_pass_reference(doc):
+    for i, unit in enumerate(doc.units):
+        assert validate_unit(unit, i) == four_pass_validate_unit(unit, i)
