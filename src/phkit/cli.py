@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 # parse_bytes is unused here; the bench tracer wraps it as phkit.cli.parse_bytes.
-from .inline import emit_document, parse_bytes, parse_document
+from .inline import decode_utf8, emit_document, parse_bytes, parse_document
 from .model import Document
 
 EXIT_OK = 0
@@ -76,12 +76,11 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}") from None
     try:
-        text = data.decode("utf-8")
+        return decode_utf8(data)
     except UnicodeDecodeError as exc:
         raise CliError(
             EXIT_PARSE, f"{path}: P010 input is not valid UTF-8 at byte {exc.start}"
         ) from None
-    return text[1:] if text.startswith("\ufeff") else text
 
 
 # From the first non-whitespace character to the end of its line.
@@ -196,13 +195,20 @@ def _write_to(path: str, call, *args):
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _config_value(args: argparse.Namespace, section: str, key: str):
+def _config_value(
+    args: argparse.Namespace, section: str, key: str, kind: type = object, expected: str = ""
+):
+    """The config file's ``section.key``, None when unset or null; a value
+    that is not a ``kind`` is a usage error."""
     config = getattr(args, "_config", None)
+    value = None
     if isinstance(config, dict):
         sub = config.get(section)
         if isinstance(sub, dict):
-            return sub.get(key)
-    return None
+            value = sub.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise CliError(EXIT_USAGE, f"{section}.{key} must be {expected}")
+    return value
 
 
 def _conjunctions(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -212,8 +218,8 @@ def _conjunctions(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[s
     env_path = os.environ.get(ENV_CONJ_LEXICON)
     if env_path:
         return _load_lexicon(env_path)
-    from_config = _config_value(args, "segment", "conjunctions")
-    if isinstance(from_config, list) and from_config:
+    from_config = _config_value(args, "segment", "conjunctions", list, "a list of strings")
+    if from_config:
         if not all(isinstance(c, str) for c in from_config):
             raise CliError(EXIT_USAGE, "segment.conjunctions entries must be strings")
         return tuple(from_config)
@@ -356,7 +362,7 @@ def cmd_agree(args: argparse.Namespace) -> int:
         raise CliError(EXIT_USAGE, f"unknown match criterion {match!r}")
     normalize = args.normalize_rai
     if normalize is None:
-        normalize = bool(_config_value(args, "agree", "normalize_rai"))
+        normalize = bool(_config_value(args, "agree", "normalize_rai", bool, "true or false"))
     docs = []
     for path in (args.file_a, args.file_b):
         inputs = _Inputs([path], args.from_format)

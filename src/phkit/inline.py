@@ -350,10 +350,16 @@ def parse_document(source: str) -> ParseResult:
     return ParseResult(doc, diags, unit_lines)
 
 
+def decode_utf8(data: bytes) -> str:
+    """``data`` as UTF-8 text without a leading BOM; raises UnicodeDecodeError."""
+    text = data.decode("utf-8")
+    return text[1:] if text.startswith("\ufeff") else text
+
+
 def parse_bytes(data: bytes) -> ParseResult:
     """Decode and parse raw file contents; bad UTF-8 is a fatal P010."""
     try:
-        source = data.decode("utf-8")
+        source = decode_utf8(data)
     except UnicodeDecodeError as exc:
         prefix = data[: exc.start]
         line = prefix.count(b"\n") + 1
@@ -362,8 +368,6 @@ def parse_bytes(data: bytes) -> ParseResult:
             "P010", line, column, f"input is not valid UTF-8 at byte {exc.start}"
         )
         return ParseResult(Document(), [diag], [])
-    if source.startswith("﻿"):
-        source = source[1:]
     return parse_document(source)
 
 

@@ -11,15 +11,22 @@ Per-character agreement uses Cohen's kappa over pooled label sequences:
 each codepoint is labeled with its covering element kind or "O". When the
 expected agreement is exactly 1 (degenerate marginals, e.g. two all-O
 annotations) kappa is undefined and reported as None.
+
+Each report renders from one field list as a table (a ``label: value`` row
+per field, a ``label key: value`` row per key of a map; an agree ``kind``
+row holds the six scores as ``name value`` cells) or as one JSON record.
+A table label is its record key unless written ``label=key``:
+
+stats: units unc_units elements kind=by_kind pattern=by_pattern form=by_form
+    tag=by_tag unit_length=unit_length_hist elements_per_unit=elements_per_unit_hist
+agree: criterion matched only_a only_b precision recall f1 kappa kind=per_kind
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 from .model import (
@@ -65,19 +72,27 @@ class StatsReport:
         return sum(self.by_kind.values())
 
     def __add__(self, other: "StatsReport") -> "StatsReport":
-        def merge(a: Mapping, b: Mapping) -> dict:
-            return dict(Counter(a) + Counter(b))
-
+        # Counts add; maps merge key by key.
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         return StatsReport(
-            self.unit_count + other.unit_count,
-            self.unc_unit_count + other.unc_unit_count,
-            merge(self.by_kind, other.by_kind),
-            merge(self.by_pattern, other.by_pattern),
-            merge(self.by_form, other.by_form),
-            merge(self.by_tag, other.by_tag),
-            merge(self.unit_length_hist, other.unit_length_hist),
-            merge(self.elements_per_unit_hist, other.elements_per_unit_hist),
+            *(a + b if isinstance(a, int) else dict(Counter(a) + Counter(b)) for a, b in pairs)
         )
+
+
+# The fields of a stats rendering, in order: (record key, report attribute,
+# table key order). The table label is the record key without ``by_`` or
+# ``_hist``; a map with no order lists its keys sorted, as the record does.
+STATS_FIELDS = (
+    ("units", "unit_count", None),
+    ("unc_units", "unc_unit_count", None),
+    ("elements", "element_count", None),
+    ("by_kind", "by_kind", KIND_ORDER),
+    ("by_pattern", "by_pattern", [p.value for p in PredicatePattern]),
+    ("by_form", "by_form", [f.value for f in ElementForm]),
+    ("by_tag", "by_tag", None),
+    ("unit_length_hist", "unit_length_hist", None),
+    ("elements_per_unit_hist", "elements_per_unit_hist", None),
+)
 
 
 def corpus_stats(docs: Iterable[Document]) -> StatsReport:
@@ -90,31 +105,29 @@ def corpus_stats(docs: Iterable[Document]) -> StatsReport:
     by_tag: Counter[str] = Counter()
     length_hist: Counter[int] = Counter()
     per_unit_hist: Counter[int] = Counter()
-    # No name here holds a document while ``docs`` produces the next one,
-    # so a lazy ``docs`` keeps memory at one document.
-    for unit in chain.from_iterable(map(attrgetter("units"), docs)):
-        unit_count += 1
-        length_hist[len(unit.text)] += 1
-        per_unit_hist[len(unit.elements)] += 1
-        if any(e.kind is ElementType.UNC for e in unit.elements):
-            unc_units += 1
-        for el in unit.elements:
-            by_kind[el.kind.value] += 1
-            by_tag[el.tag] += 1
-            if el.pattern is not None:
-                by_pattern[el.pattern.value] += 1
-            if el.form is not None:
-                by_form[el.form.value] += 1
-    return StatsReport(
-        unit_count,
-        unc_units,
-        dict(by_kind),
-        dict(by_pattern),
-        dict(by_form),
-        dict(by_tag),
-        dict(length_hist),
-        dict(per_unit_hist),
-    )
+    for doc in docs:
+        for unit in doc.units:
+            unit_count += 1
+            length_hist[len(unit.text)] += 1
+            per_unit_hist[len(unit.elements)] += 1
+            if any(e.kind is ElementType.UNC for e in unit.elements):
+                unc_units += 1
+            for el in unit.elements:
+                by_kind[el.kind.value] += 1
+                by_tag[el.tag] += 1
+                if el.pattern is not None:
+                    by_pattern[el.pattern.value] += 1
+                if el.form is not None:
+                    by_form[el.form.value] += 1
+        # Not kept alive while ``docs`` produces the next one, so a lazy
+        # ``docs`` keeps memory at one document.
+        del doc
+    counts = (by_kind, by_pattern, by_form, by_tag, length_hist, per_unit_hist)
+    return StatsReport(unit_count, unc_units, *map(dict, counts))
+
+
+# The scores of a span agreement, overall and per kind, in rendering order.
+SCORE_FIELDS = ("matched", "only_a", "only_b", "precision", "recall", "f1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,13 +191,12 @@ def _matches(
     return x.pattern is y.pattern and x.form is y.form
 
 
-def _ratio(num: int, den: int) -> float:
+def _scores(m: int, na: int, nb: int) -> tuple:
+    """The SCORE_FIELDS values of ``m`` matches between ``na`` and ``nb`` elements."""
     # Vacuous agreement: nothing to predict or recall counts as perfect.
-    return num / den if den else 1.0
-
-
-def _f1(p: float, r: float) -> float:
-    return 2 * p * r / (p + r) if p + r else 0.0
+    p = m / nb if nb else 1.0
+    r = m / na if na else 1.0
+    return m, na - m, nb - m, p, r, (2 * p * r / (p + r) if p + r else 0.0)
 
 
 def span_agreement(
@@ -213,18 +225,13 @@ def span_agreement(
                     used[j] = True
                     matched[_kind_of(x, normalize_rai).value] += 1
                     break
-    per_kind: dict[str, KindAgreement] = {}
-    for kind in KIND_ORDER:
-        na, nb, m = total_a[kind], total_b[kind], matched[kind]
-        if na == 0 and nb == 0:
-            continue
-        p, r = _ratio(m, nb), _ratio(m, na)
-        per_kind[kind] = KindAgreement(m, na - m, nb - m, p, r, _f1(p, r))
-    m = sum(matched.values())
-    na = sum(total_a.values())
-    nb = sum(total_b.values())
-    p, r = _ratio(m, nb), _ratio(m, na)
-    return SpanAgreement(criterion, m, na - m, nb - m, p, r, _f1(p, r), per_kind)
+    per_kind = {
+        kind: KindAgreement(*_scores(matched[kind], total_a[kind], total_b[kind]))
+        for kind in KIND_ORDER
+        if total_a[kind] or total_b[kind]
+    }
+    overall = _scores(sum(matched.values()), total_a.total(), total_b.total())
+    return SpanAgreement(criterion, *overall, per_kind)
 
 
 def _char_labels(doc: Document, normalize_rai: bool) -> list[str]:
@@ -279,97 +286,56 @@ def agree(
 
 def stats_table(report: StatsReport) -> list[str]:
     """Human-readable statistics, one ``name: value`` row per line."""
-    rows = [
-        f"units: {report.unit_count}",
-        f"unc_units: {report.unc_unit_count}",
-        f"elements: {report.element_count}",
-    ]
-    for kind in KIND_ORDER:
-        if kind in report.by_kind:
-            rows.append(f"kind {kind}: {report.by_kind[kind]}")
-    for p in PredicatePattern:
-        if p.value in report.by_pattern:
-            rows.append(f"pattern {p.value}: {report.by_pattern[p.value]}")
-    for f in ElementForm:
-        if f.value in report.by_form:
-            rows.append(f"form {f.value}: {report.by_form[f.value]}")
-    for tag in sorted(report.by_tag):
-        rows.append(f"tag {tag}: {report.by_tag[tag]}")
-    for length in sorted(report.unit_length_hist):
-        rows.append(f"unit_length {length}: {report.unit_length_hist[length]}")
-    for count in sorted(report.elements_per_unit_hist):
-        rows.append(f"elements_per_unit {count}: {report.elements_per_unit_hist[count]}")
+    rows: list[str] = []
+    for key, attr, order in STATS_FIELDS:
+        label = key.removeprefix("by_").removesuffix("_hist")
+        value = getattr(report, attr)
+        if isinstance(value, int):
+            rows.append(f"{label}: {value}")
+        else:
+            keys = order or sorted(value)
+            rows.extend(f"{label} {k}: {value[k]}" for k in keys if k in value)
     return rows
 
 
 def stats_records(report: StatsReport) -> str:
     """Statistics as a single JSON record."""
-    rec = {
-        "units": report.unit_count,
-        "unc_units": report.unc_unit_count,
-        "elements": report.element_count,
-        "by_kind": dict(sorted(report.by_kind.items())),
-        "by_pattern": dict(sorted(report.by_pattern.items())),
-        "by_form": dict(sorted(report.by_form.items())),
-        "by_tag": dict(sorted(report.by_tag.items())),
-        "unit_length_hist": {str(k): v for k, v in sorted(report.unit_length_hist.items())},
-        "elements_per_unit_hist": {
-            str(k): v for k, v in sorted(report.elements_per_unit_hist.items())
-        },
-    }
+    rec = {}
+    for key, attr, _ in STATS_FIELDS:
+        value = getattr(report, attr)
+        if not isinstance(value, int):
+            value = {str(k): n for k, n in sorted(value.items())}
+        rec[key] = value
     return compact_json(rec)
 
 
-def _fmt(x: float | None) -> str:
-    return "undefined" if x is None else f"{x:.4f}"
+def _cell(x: object) -> str:
+    if x is None:
+        return "undefined"
+    return f"{x:.4f}" if isinstance(x, float) else str(x)
+
+
+def _score_values(scores: KindAgreement | SpanAgreement) -> dict[str, object]:
+    return {name: getattr(scores, name) for name in SCORE_FIELDS}
+
+
+def _overall(report: AgreementReport) -> dict[str, object]:
+    s = report.spans
+    return {"criterion": s.criterion.value, **_score_values(s), "kappa": report.kappa}
 
 
 def agreement_table(report: AgreementReport) -> list[str]:
     """Human-readable agreement report."""
-    s = report.spans
-    rows = [
-        f"criterion: {s.criterion.value}",
-        f"matched: {s.matched}",
-        f"only_a: {s.only_a}",
-        f"only_b: {s.only_b}",
-        f"precision: {_fmt(s.precision)}",
-        f"recall: {_fmt(s.recall)}",
-        f"f1: {_fmt(s.f1)}",
-        f"kappa: {_fmt(report.kappa)}",
-    ]
+    rows = [f"{name}: {_cell(x)}" for name, x in _overall(report).items()]
+    per_kind = report.spans.per_kind
     for kind in KIND_ORDER:
-        if kind not in s.per_kind:
-            continue
-        k = s.per_kind[kind]
-        rows.append(
-            f"kind {kind}: matched {k.matched} only_a {k.only_a} only_b {k.only_b} "
-            f"precision {_fmt(k.precision)} recall {_fmt(k.recall)} f1 {_fmt(k.f1)}"
-        )
+        if kind in per_kind:
+            cells = (f"{name} {_cell(x)}" for name, x in _score_values(per_kind[kind]).items())
+            rows.append(f"kind {kind}: " + " ".join(cells))
     return rows
 
 
 def agreement_records(report: AgreementReport) -> str:
     """Agreement report as a single JSON record."""
-    s = report.spans
-    rec = {
-        "criterion": s.criterion.value,
-        "matched": s.matched,
-        "only_a": s.only_a,
-        "only_b": s.only_b,
-        "precision": s.precision,
-        "recall": s.recall,
-        "f1": s.f1,
-        "kappa": report.kappa,
-        "per_kind": {
-            kind: {
-                "matched": k.matched,
-                "only_a": k.only_a,
-                "only_b": k.only_b,
-                "precision": k.precision,
-                "recall": k.recall,
-                "f1": k.f1,
-            }
-            for kind, k in sorted(s.per_kind.items())
-        },
-    }
-    return compact_json(rec)
+    per_kind = {kind: _score_values(k) for kind, k in sorted(report.spans.per_kind.items())}
+    return compact_json({**_overall(report), "per_kind": per_kind})

@@ -551,6 +551,50 @@ def test_non_string_conjunction_in_config_is_exit_2(capsys, tmp_path, entry):
     assert err == "phk: segment.conjunctions entries must be strings\n"
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, [], {}], ids=repr)
+def test_non_bool_normalize_rai_in_config_is_exit_2(capsys, tmp_path, golden_path, value):
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({"agree": {"normalize_rai": value}}), encoding="utf-8")
+    status, out, err = run_cli(
+        capsys, "--config", str(config), "agree", str(golden_path), str(golden_path)
+    )
+    assert (status, out) == (2, "")
+    assert err == "phk: agree.normalize_rai must be true or false\n"
+
+
+@pytest.mark.parametrize("value, kind", [(None, "RAI"), (False, "RAI"), (True, "COM")])
+def test_normalize_rai_in_config_is_read_as_a_bool(capsys, tmp_path, golden_path, value, kind):
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({"agree": {"normalize_rai": value}}), encoding="utf-8")
+    status, out, err = run_cli(
+        capsys, "--config", str(config), "agree", str(golden_path), str(golden_path)
+    )
+    assert (status, err) == (0, "")
+    assert f"kind {kind}: matched {9 if kind == 'COM' else 1} " in out
+    assert ("kind RAI:" in out) == (kind == "RAI")
+
+
+@pytest.mark.parametrize("value", ["和", {"和": 1}, 0, False], ids=repr)
+def test_non_list_conjunctions_in_config_is_exit_2(capsys, tmp_path, value):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲和乙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({"segment": {"conjunctions": value}}), encoding="utf-8")
+    status, out, err = run_cli(capsys, "--config", str(config), "segment", str(raw))
+    assert (status, out) == (2, "")
+    assert err == "phk: segment.conjunctions must be a list of strings\n"
+
+
+def test_null_conjunctions_in_config_is_the_default(capsys, tmp_path):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({"segment": {"conjunctions": None}}), encoding="utf-8")
+    assert run_cli(capsys, "--config", str(config), "segment", str(raw)) == run_cli(
+        capsys, "segment", str(raw)
+    )
+
+
 @pytest.mark.parametrize(
     "value", [["x"], {"x": 1}, 1, None, True], ids=["list", "object", "number", "null", "bool"]
 )

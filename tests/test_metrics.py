@@ -1,12 +1,18 @@
+import json
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phkit.metrics
 from phkit.inline import parse_unit
 from phkit.metrics import (
+    SCORE_FIELDS,
+    STATS_FIELDS,
     AgreementError,
     MatchCriterion,
     agree,
@@ -82,6 +88,91 @@ def test_stats_renderings(golden_doc):
     assert "tag ADV-P: 6" in table
     record = json.loads(stats_records(stats))
     assert record["by_tag"]["SUB-W"] == 5
+
+
+GOLDEN_STATS_TABLE = [
+    "units: 10",
+    "unc_units: 0",
+    "elements: 32",
+    "kind PRE: 10",
+    "kind SUB: 5",
+    "kind TEM: 1",
+    "kind LOC: 1",
+    "kind ADV: 6",
+    "kind COM: 8",
+    "kind RAI: 1",
+    "pattern S: 5",
+    "pattern M: 5",
+    "form W: 13",
+    "form P: 8",
+    "form C: 1",
+    "tag ADV-P: 6",
+    "tag COM-C: 1",
+    "tag COM-P: 2",
+    "tag COM-W: 5",
+    "tag LOC-W: 1",
+    "tag PRE-M: 5",
+    "tag PRE-S: 5",
+    "tag RAI-W: 1",
+    "tag SUB-W: 5",
+    "tag TEM-W: 1",
+    "unit_length 5: 1",
+    "unit_length 6: 2",
+    "unit_length 10: 1",
+    "unit_length 11: 2",
+    "unit_length 12: 1",
+    "unit_length 19: 1",
+    "unit_length 20: 1",
+    "unit_length 23: 1",
+    "elements_per_unit 1: 1",
+    "elements_per_unit 2: 1",
+    "elements_per_unit 3: 4",
+    "elements_per_unit 4: 3",
+    "elements_per_unit 5: 1",
+]
+GOLDEN_STATS_RECORD = (
+    '{"units":10,"unc_units":0,"elements":32,'
+    '"by_kind":{"ADV":6,"COM":8,"LOC":1,"PRE":10,"RAI":1,"SUB":5,"TEM":1},'
+    '"by_pattern":{"M":5,"S":5},"by_form":{"C":1,"P":8,"W":13},'
+    '"by_tag":{"ADV-P":6,"COM-C":1,"COM-P":2,"COM-W":5,"LOC-W":1,"PRE-M":5,'
+    '"PRE-S":5,"RAI-W":1,"SUB-W":5,"TEM-W":1},'
+    '"unit_length_hist":{"5":1,"6":2,"10":1,"11":2,"12":1,"19":1,"20":1,"23":1},'
+    '"elements_per_unit_hist":{"1":1,"2":1,"3":4,"4":3,"5":1}}'
+)
+
+
+def test_golden_stats_renderings_are_pinned(golden_doc):
+    stats = corpus_stats([golden_doc])
+    assert stats_table(stats) == GOLDEN_STATS_TABLE
+    assert stats_records(stats) == GOLDEN_STATS_RECORD
+
+
+def _table_counts(rows: list[str]) -> dict[tuple[str, str | None], int]:
+    """``label: n`` and ``label key: n`` rows as {(label, key or None): n}."""
+    counts = {}
+    for row in rows:
+        name, value = row.rsplit(": ", 1)
+        label, _, key = name.partition(" ")
+        counts[(label, key or None)] = int(value)
+    return counts
+
+
+def _record_counts(record: dict) -> dict[tuple[str, str | None], int]:
+    counts = {}
+    for name, value in record.items():
+        label = name.removeprefix("by_").removesuffix("_hist")
+        if isinstance(value, dict):
+            counts.update({(label, key): n for key, n in value.items()})
+        else:
+            counts[(label, None)] = value
+    return counts
+
+
+@given(st.lists(documents(), max_size=4))
+def test_every_stats_table_count_is_the_same_record_count(docs):
+    stats = corpus_stats(docs)
+    record = json.loads(stats_records(stats))
+    assert _table_counts(stats_table(stats)) == _record_counts(record)
 
 
 # --- span agreement -------------------------------------------------------
@@ -168,6 +259,107 @@ def test_agreement_renderings(golden_doc):
     undefined = agree(doc_of("请开门"), doc_of("请开门"))
     assert "kappa: undefined" in agreement_table(undefined)
     assert json.loads(agreement_records(undefined))["kappa"] is None
+
+
+PERFECT_ROW = "matched {} only_a 0 only_b 0 precision 1.0000 recall 1.0000 f1 1.0000"
+PERFECT_RECORD = '{{"matched":{},"only_a":0,"only_b":0,"precision":1.0,"recall":1.0,"f1":1.0}}'
+GOLDEN_KIND_COUNTS = {"PRE": 10, "SUB": 5, "TEM": 1, "LOC": 1, "ADV": 6, "COM": 8, "RAI": 1}
+
+
+@pytest.mark.parametrize("criterion", list(MatchCriterion))
+def test_golden_self_agreement_renderings_are_pinned(golden_doc, criterion):
+    report = agree(golden_doc, golden_doc, criterion)
+    assert agreement_table(report) == [
+        f"criterion: {criterion.value}",
+        "matched: 32",
+        "only_a: 0",
+        "only_b: 0",
+        "precision: 1.0000",
+        "recall: 1.0000",
+        "f1: 1.0000",
+        "kappa: 1.0000",
+        *(f"kind {kind}: " + PERFECT_ROW.format(n) for kind, n in GOLDEN_KIND_COUNTS.items()),
+    ]
+    per_kind = ",".join(
+        f'"{kind}":' + PERFECT_RECORD.format(n) for kind, n in sorted(GOLDEN_KIND_COUNTS.items())
+    )
+    assert agreement_records(report) == (
+        f'{{"criterion":"{criterion.value}","matched":32,"only_a":0,"only_b":0,'
+        f'"precision":1.0,"recall":1.0,"f1":1.0,"kappa":1.0,"per_kind":{{{per_kind}}}}}'
+    )
+
+
+def test_partial_and_undefined_agreement_renderings_are_pinned():
+    a = doc_of("[SUB-W 王某][PRE-S 发生争][COM-W 执吧了]")
+    b = doc_of("[SUB-W 王某][PRE-S 发生]争执吧了")
+    report = agree(a, b)
+    assert agreement_table(report) == [
+        "criterion: exact",
+        "matched: 1",
+        "only_a: 2",
+        "only_b: 1",
+        "precision: 0.5000",
+        "recall: 0.3333",
+        "f1: 0.4000",
+        "kappa: 0.4074",
+        "kind PRE: matched 0 only_a 1 only_b 1 precision 0.0000 recall 0.0000 f1 0.0000",
+        "kind SUB: matched 1 only_a 0 only_b 0 precision 1.0000 recall 1.0000 f1 1.0000",
+        "kind COM: matched 0 only_a 1 only_b 0 precision 1.0000 recall 0.0000 f1 0.0000",
+    ]
+    assert agreement_records(report) == (
+        '{"criterion":"exact","matched":1,"only_a":2,"only_b":1,'
+        '"precision":0.5,"recall":0.3333333333333333,"f1":0.4,"kappa":0.4074074074074074,'
+        '"per_kind":{'
+        '"COM":{"matched":0,"only_a":1,"only_b":0,"precision":1.0,"recall":0.0,"f1":0.0},'
+        '"PRE":{"matched":0,"only_a":1,"only_b":1,"precision":0.0,"recall":0.0,"f1":0.0},'
+        '"SUB":{"matched":1,"only_a":0,"only_b":0,"precision":1.0,"recall":1.0,"f1":1.0}}}'
+    )
+    undefined = agree(doc_of("请开门"), doc_of("请开门"), MatchCriterion.TYPE_ONLY)
+    assert agreement_table(undefined) == [
+        "criterion: type_only",
+        "matched: 0",
+        "only_a: 0",
+        "only_b: 0",
+        "precision: 1.0000",
+        "recall: 1.0000",
+        "f1: 1.0000",
+        "kappa: undefined",
+    ]
+    assert agreement_records(undefined) == (
+        '{"criterion":"type_only","matched":0,"only_a":0,"only_b":0,'
+        '"precision":1.0,"recall":1.0,"f1":1.0,"kappa":null,"per_kind":{}}'
+    )
+
+
+def test_each_report_key_is_stated_on_one_line_of_metrics(golden_doc):
+    # One line: a field-list row may name an attribute of the same name.
+    stats = json.loads(stats_records(corpus_stats([golden_doc])))
+    agreement = json.loads(agreement_records(agree(golden_doc, golden_doc)))
+    keys = {*stats, *agreement, *agreement["per_kind"]["PRE"]}
+    lines = Path(phkit.metrics.__file__).read_text(encoding="utf-8").splitlines()
+    stating = {key: sum(f'"{key}"' in line for line in lines) for key in sorted(keys)}
+    assert stating == dict.fromkeys(sorted(keys), 1)
+
+
+def test_report_fields_in_readme_and_docstring_match_field_lists():
+    # A stats table label is its record key without ``by_`` or ``_hist``.
+    stats = [(key.removeprefix("by_").removesuffix("_hist"), key) for key, _, _ in STATS_FIELDS]
+    overall = [(name, name) for name in ("criterion", *SCORE_FIELDS, "kappa")]
+    expected = {"stats": stats, "agree": [*overall, ("kind", "per_kind")]}
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reports", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (stats|agree) \| `(\w+)` \| `(\w+)` \|$", section, re.MULTILINE)
+    in_readme = {
+        report: [(label, key) for r, label, key in rows if r == report] for report in expected
+    }
+    docstring = phkit.metrics.__doc__.split("\nstats: ", 1)[1]
+    stats_part, agree_part = docstring.split("\nagree: ")
+    in_docstring = {
+        report: [tuple(word.split("=")) if "=" in word else (word, word) for word in part.split()]
+        for report, part in (("stats", stats_part), ("agree", agree_part))
+    }
+    assert in_readme == expected
+    assert in_docstring == expected
 
 
 # --- per-character kappa --------------------------------------------------

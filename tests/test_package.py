@@ -116,9 +116,16 @@ def test_json_writer_options_are_stated_in_one_module():
 
 def test_bench_selftest_passes():
     # The bench tracer wraps phkit functions by module and name (for example
-    # phkit.cli.parse_bytes), so renaming or deleting one breaks the bench.
+    # phkit.cli.parse_bytes), and bench/spans.py model_probe builds values
+    # through phkit.model's Segment and Span, so renaming or deleting one
+    # breaks the bench. The selftest takes a few seconds; the timeout only
+    # keeps a hung one from hanging this suite.
     root = Path(__file__).parents[1]
     child = subprocess.run(
-        [sys.executable, "bench/selftest.py"], cwd=root, capture_output=True, text=True
+        [sys.executable, "bench/selftest.py"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert child.returncode == 0, child.stderr[-4000:]
