@@ -201,14 +201,19 @@ def _config_value(
     """The config file's ``section.key``, None when unset or null; a value
     that is not a ``kind`` is a usage error."""
     config = getattr(args, "_config", None)
-    value = None
-    if isinstance(config, dict):
-        sub = config.get(section)
-        if isinstance(sub, dict):
-            value = sub.get(key)
+    sub = config.get(section) if isinstance(config, dict) else None
+    value = sub.get(key) if isinstance(sub, dict) else None
     if value is not None and not isinstance(value, kind):
         raise CliError(EXIT_USAGE, f"{section}.{key} must be {expected}")
     return value
+
+
+def _config_choice(args: argparse.Namespace, section: str, key: str, choices, what: str) -> str:
+    """The config file's ``section.key`` out of ``choices``, the first when unset or null."""
+    value = _config_value(args, section, key)
+    if value is not None and value not in choices:
+        raise CliError(EXIT_USAGE, f"unknown {what} {value!r}")
+    return choices[0] if value is None else value
 
 
 def _conjunctions(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -272,14 +277,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_segment(args: argparse.Namespace) -> int:
     from . import segmentation as seg
 
-    comma_policy = (
-        args.commas
-        or _config_value(args, "segment", "commas")
-        or seg.CommaPolicy.CANDIDATE.value
+    commas = [p.value for p in seg.CommaPolicy]
+    comma_policy = args.commas or _config_choice(args, "segment", "commas", commas, "comma policy")
+    policy = args.policy or _config_choice(
+        args, "segment", "policy", ("all", "hard_only"), "segment policy"
     )
-    policy = args.policy or _config_value(args, "segment", "policy") or "all"
-    if policy not in ("all", "hard_only"):
-        raise CliError(EXIT_USAGE, f"unknown segment policy {policy!r}")
     try:
         config = seg.SegmenterConfig(
             _conjunctions(args, seg.DEFAULT_CONJUNCTIONS), seg.CommaPolicy(comma_policy)
@@ -356,10 +358,9 @@ _MATCH_BY_FLAG = {"exact": "exact", "type": "type_only", "head": "head_overlap"}
 def cmd_agree(args: argparse.Namespace) -> int:
     from . import metrics
 
-    match = args.match or _config_value(args, "agree", "match") or "exact"
-    # A config file can give any JSON value, and a list is not a dict key.
-    if not isinstance(match, str) or match not in _MATCH_BY_FLAG:
-        raise CliError(EXIT_USAGE, f"unknown match criterion {match!r}")
+    match = args.match or _config_choice(
+        args, "agree", "match", list(_MATCH_BY_FLAG), "match criterion"
+    )
     normalize = args.normalize_rai
     if normalize is None:
         normalize = bool(_config_value(args, "agree", "normalize_rai", bool, "true or false"))
@@ -464,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             print(f"phk: cannot load config {args.config}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     args._config = config

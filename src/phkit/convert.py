@@ -1,15 +1,15 @@
 """Lossless conversion between the document model and storage formats.
 
-Standoff format: one document per line as a JSON record. Field order is
-fixed: ``id``, optional ``meta`` (raw comment lines), ``units`` with
-``text`` and ``elements``; each element carries ``kind``, optional
-``sub`` (pattern or form letter), ``start``/``end``, and the optional
-trigger, trigger-head and body-head offsets. Absent optionals are
-omitted entirely. All offsets are codepoint offsets into the unit text.
-The writer formats each record directly, without building a dict: the
-keys in that order, the offsets as decimal integers, and every string
-through ``model.compact_json``. The bytes are those of ``compact_json``
-applied to the record as a dict.
+Standoff format: one document per line as a JSON record: ``id``,
+optional ``meta`` (raw comment lines), ``units`` with ``text`` and
+``elements``; each element carries ``kind``, optional ``sub`` (pattern
+or form letter), ``start``/``end``, and the optional trigger,
+trigger-head and body-head offsets, all codepoint offsets into the unit
+text. The writer puts the keys in that order and omits absent optionals;
+its bytes are ``model.compact_json`` of the record as a dict, built
+without the dict. The reader takes the keys in any order and decodes a
+record one unit at a time, so its peak memory is about the document's;
+a broken line gets C004 with ``json.loads``' own message for it.
 
 Column format: one row per codepoint, tab-separated into character,
 boundary tag (``B-PRE-S`` / ``I-PRE-S`` / ``O``), and role flag
@@ -138,7 +138,7 @@ def _span_keys(rec: dict[str, Any], start_key: str, end_key: str) -> Span | None
 
 def _element_from_record(rec: Any) -> tuple[int, int, Element]:
     """Decode one element record into (start, end, element). ``type(v) is int``
-    excludes bools: on ``json.loads`` output no other int subclass occurs."""
+    excludes bools: in decoded JSON no other int subclass occurs."""
     if type(rec) is not dict:
         raise ConvertError("C004", "element record must be an object")
     kind = rec.get("kind")
@@ -194,33 +194,82 @@ def _unit_from_record(rec: Any) -> LabelingUnit:
         raise ConvertError("C001", str(exc)) from None
 
 
-def from_standoff(line: str) -> Document:
-    """Reconstruct a document from one standoff JSON line."""
+# A record's structure around its values, matched within its line: "{" or ","
+# before a key, the colon, "}" and the line end; the units' "[", "," and "]".
+_OPEN = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*(?:(\})[ \t\n\r]*\Z|(?="))')
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_NEXT_KEY = re.compile(r'[ \t\n\r]*(?:(\})[ \t\n\r]*\Z|,[ \t\n\r]*(?="))')
+_UNITS = re.compile(r"\[[ \t\n\r]*(\])?")
+_NEXT_UNIT = re.compile(r"[ \t\n\r]*(?:(\])|,[ \t\n\r]*)")
+_RECORD_LINE = re.compile(r"^[^\S\n]*\S[^\n]*", re.MULTILINE)  # str.strip leaves it nonempty
+_decode = json.JSONDecoder().raw_decode
+
+
+def _step(pattern: re.Pattern[str], text: str, pos: int, end: int) -> tuple[int, int | None]:
+    """The end of ``pattern`` matched within the line, and 1 if it closed."""
+    match = pattern.match(text, pos, end)
+    if match is None:
+        raise ValueError("broken record")
+    return match.end(), match.lastindex
+
+
+def _record(text: str, start: int, end: int) -> Document:
+    """Decode the standoff record ``text[start:end]`` one unit at a time, so
+    that one unit's dicts are alive at a time. Keys may come in any order and
+    the last of a repeated key wins. Errors come in ``json.loads`` order, so a
+    unit's conversion error is held until the whole record has parsed."""
+    fields: dict[str, Any] = {"id": "", "meta": [], "units": []}
+    unit_error = None
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
-    if type(rec) is not dict:
-        raise ConvertError("C004", "record must be a JSON object")
-    doc_id = rec.get("id", "")
+        pos, closed = _step(_OPEN, text, start, end)
+        while not closed:
+            key, pos = _decode(text, pos)  # a string: it starts with a quote
+            pos, _ = _step(_COLON, text, pos, end)
+            array = _UNITS.match(text, pos, end) if key == "units" else None
+            if array is None:
+                fields[key], pos = _decode(text, pos)
+            else:
+                pos, closed = array.end(), array.lastindex
+                fields[key] = units = []
+                unit_error = None  # of an earlier "units", which this one overrides
+                while not closed:
+                    unit, pos = _decode(text, pos)
+                    try:
+                        units.append(_unit_from_record(unit))
+                    except ConvertError as exc:
+                        unit_error = unit_error or exc
+                    pos, closed = _step(_NEXT_UNIT, text, pos, end)
+            pos, closed = _step(_NEXT_KEY, text, pos, end)
+    except (ValueError, RecursionError):
+        # A broken record, worded as json.loads words it for the line alone.
+        try:
+            json.loads(text[start:end])
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
+        raise ConvertError("C004", "record must be a JSON object") from None
+    doc_id, meta, units = fields["id"], fields["meta"], fields["units"]
     if type(doc_id) is not str:
         raise ConvertError("C004", "'id' must be a string")
-    meta = rec.get("meta", [])
     if type(meta) is not list or not all(type(m) is str for m in meta):
         raise ConvertError("C004", "'meta' must be a list of strings")
-    units_rec = rec.get("units", [])
-    if type(units_rec) is not list:
+    if type(units) is not list:
         raise ConvertError("C004", "'units' must be a list")
-    units = tuple([_unit_from_record(urec) for urec in units_rec])
+    if unit_error is not None:
+        raise unit_error
     try:
-        return Document(doc_id, tuple(meta), units)
+        return Document(doc_id, tuple(meta), tuple(units))
     except ModelError as exc:
         raise ConvertError("C004", str(exc)) from None
 
 
+def from_standoff(line: str) -> Document:
+    """Reconstruct a document from one standoff JSON line."""
+    return _record(line, 0, len(line))
+
+
 def read_standoff(text: str) -> list[Document]:
-    """Parse a standoff stream: one JSON record per nonempty line."""
-    return [from_standoff(line) for line in text.split("\n") if line.strip()]
+    """Parse a standoff stream: one JSON record per nonempty line, read in place."""
+    return [_record(text, line.start(), line.end()) for line in _RECORD_LINE.finditer(text)]
 
 
 def _unit_rows(unit: LabelingUnit) -> str:

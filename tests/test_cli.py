@@ -595,6 +595,64 @@ def test_null_conjunctions_in_config_is_the_default(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("value", [0, False, "", [], {}, 1, "both"], ids=repr)
+@pytest.mark.parametrize(
+    "section, key, what",
+    [
+        ("segment", "commas", "comma policy"),
+        ("segment", "policy", "segment policy"),
+        ("agree", "match", "match criterion"),
+    ],
+)
+def test_a_config_choice_other_than_null_is_checked(
+    capsys, tmp_path, golden_path, section, key, what, value
+):
+    # A falsy value is not the default: only null or an absent key is.
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    command = (
+        ["segment", str(raw)]
+        if section == "segment"
+        else ["agree", str(golden_path), str(golden_path)]
+    )
+    status, out, err = run_cli(capsys, "--config", str(config), *command)
+    assert (status, out) == (2, "")
+    assert err == f"phk: unknown {what} {value!r}\n"
+
+
+@pytest.mark.parametrize("key", ["commas", "policy", "match"])
+def test_a_null_config_choice_is_the_default(capsys, tmp_path, golden_path, key):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    section = "agree" if key == "match" else "segment"
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({section: {key: None}}), encoding="utf-8")
+    command = (
+        ["segment", str(raw)]
+        if section == "segment"
+        else ["agree", str(golden_path), str(golden_path)]
+    )
+    assert run_cli(capsys, "--config", str(config), *command) == run_cli(capsys, *command)
+
+
+def test_deeply_nested_config_is_exit_2(capsys, tmp_path, golden_path):
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    status, out, err = run_cli(capsys, "--config", str(config), "stats", str(golden_path))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"phk: cannot load config {config}: maximum recursion depth")
+
+
+def test_deeply_nested_standoff_record_is_c004_exit_3(capsys, tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"id":"x","units":' + "[" * 200_000 + "]" * 200_000 + "}\n")
+    status, out, err = run_cli(capsys, "convert", "--to", "columns", str(path))
+    assert (status, out) == (3, "")
+    assert err.startswith(f"phk: {path}: C004 record is not valid JSON: maximum recursion depth")
+
+
 @pytest.mark.parametrize(
     "value", [["x"], {"x": 1}, 1, None, True], ids=["list", "object", "number", "null", "bool"]
 )

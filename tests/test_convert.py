@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import phkit.convert
 from phkit.convert import (
     ConvertError,
+    _unit_from_record,
     from_columns,
     from_standoff,
     read_columns,
@@ -14,7 +17,7 @@ from phkit.convert import (
     to_standoff,
 )
 from phkit.inline import emit_document, parse_document
-from phkit.model import Document, ElementType, LabelingUnit
+from phkit.model import Document, ElementType, LabelingUnit, ModelError
 
 from .strategies import JSON_ESCAPE_ALPHABET, documents, json_escape_ids
 
@@ -500,3 +503,155 @@ def test_columns_corrupted_row_raises_only_convert_error(doc, data):
         read_columns("\n".join(lines))
     except ConvertError:
         pass
+
+
+# --- the unit-at-a-time standoff reader against the whole-record one --------
+#
+# The reference below is the earlier standoff reader, copied verbatim: one
+# json.loads of each whole line, after splitting the stream into lines.
+
+
+def whole_record_from_standoff(line: str) -> Document:
+    """Reconstruct a document from one standoff JSON line."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
+    if type(rec) is not dict:
+        raise ConvertError("C004", "record must be a JSON object")
+    doc_id = rec.get("id", "")
+    if type(doc_id) is not str:
+        raise ConvertError("C004", "'id' must be a string")
+    meta = rec.get("meta", [])
+    if type(meta) is not list or not all(type(m) is str for m in meta):
+        raise ConvertError("C004", "'meta' must be a list of strings")
+    units_rec = rec.get("units", [])
+    if type(units_rec) is not list:
+        raise ConvertError("C004", "'units' must be a list")
+    units = tuple([_unit_from_record(urec) for urec in units_rec])
+    try:
+        return Document(doc_id, tuple(meta), units)
+    except ModelError as exc:
+        raise ConvertError("C004", str(exc)) from None
+
+
+def whole_record_read_standoff(text: str) -> list[Document]:
+    """Parse a standoff stream: one JSON record per nonempty line."""
+    return [whole_record_from_standoff(line) for line in text.split("\n") if line.strip()]
+
+
+# JSON whitespace between tokens; "\n" ends a standoff line, so it is rarer.
+_json_space = st.sampled_from(["", "", "", " ", "\t", "\r", "  ", "\n"])
+
+
+@st.composite
+def json_text(draw, value) -> str:
+    """``value`` as JSON text: object keys shuffled, now and then a key
+    repeated with a decoy value (which wins when it comes last), and JSON
+    whitespace around every token."""
+    if isinstance(value, dict):
+        items = draw(st.permutations(list(value.items())))
+        if items and draw(st.integers(0, 3)) == 0:
+            key = draw(st.sampled_from([k for k, _ in items]))
+            items.insert(draw(st.integers(0, len(items))), (key, draw(json_corruptions)))
+        inner = [
+            f"{draw(_json_space)}{json.dumps(k)}{draw(_json_space)}:"
+            f"{draw(_json_space)}{draw(json_text(v))}{draw(_json_space)}"
+            for k, v in items
+        ]
+        return "{" + (",".join(inner) or draw(_json_space)) + "}"
+    if isinstance(value, list):
+        inner = [f"{draw(_json_space)}{draw(json_text(v))}{draw(_json_space)}" for v in value]
+        return "[" + (",".join(inner) or draw(_json_space)) + "]"
+    return json.dumps(value, ensure_ascii=draw(st.booleans()))
+
+
+# Characters that matter to JSON or to line splitting, for random edits.
+_EDIT_CHARS = '{}[],:"\\ \t\r\n\x0b\u3000\ufeff0-1.eEtrufnalsx甲'
+
+
+@st.composite
+def standoff_streams(draw) -> str:
+    """One to three standoff records of random documents, each written by
+    ``json.dumps`` or by ``json_text``, joined by line ends and blank lines,
+    then given up to three random character edits."""
+    records = []
+    for doc in draw(st.lists(documents(), min_size=1, max_size=3)):
+        rec = json.loads(to_standoff(doc))
+        records.append(json.dumps(rec) if draw(st.booleans()) else draw(json_text(rec)))
+    joins = st.sampled_from(["\n", "\n\n", "\r\n", "\n \t\u3000\x0b\n"])
+    text = records[0] + "".join(draw(joins) + rec for rec in records[1:])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:at] + char + text[at + (edit != "insert") :]
+    return text
+
+
+def _outcome(read, text):
+    """What ``read(text)`` returns, or the code and message it raises."""
+    try:
+        return read(text)
+    except ConvertError as exc:
+        return exc.code, exc.message
+
+
+_C001_UNIT = '{"text":"ab","elements":[{"kind":"PRE","sub":"S","start":1,"end":1}]}'
+
+
+@given(standoff_streams())
+@settings(max_examples=150)
+@example('{"id":"x","units":[' + _C001_UNIT + "],}")  # a syntax error after a C001 unit
+@example('{"units":[' + _C001_UNIT + '],"id":5}')  # a bad id after a bad unit
+@example('{"units":[5],"units":[{"text":"a"}]}')  # a bad first units, a good second one
+@example('{"units":[{"text":"a"}],"units":{}}')  # a good first units, a bad second one
+@example('{"id":"x"} {"id":"y"}')  # trailing data
+@example('\ufeff{"id":"x"}')  # a BOM-prefixed line
+@example('{"id":"a","units":[\n{"text":"b"}]}\n{"id":"c"}')  # units run onto the next line
+@example('{"id":"a","units":[{"text":"b"},\n{"text":"c"}]}')
+@example('{"id":"a","units":[]}\n \u3000\n{}\n[]')
+def test_standoff_reader_equals_the_whole_record_reader(text):
+    expected = _outcome(whole_record_read_standoff, text)
+    assert _outcome(read_standoff, text) == expected
+    assert _outcome(from_standoff, text) == _outcome(whole_record_from_standoff, text)
+
+
+def test_standoff_reader_never_decodes_a_whole_record(monkeypatch, golden_doc):
+    docs = [golden_doc, Document("b", ("# x",), (LabelingUnit("乙"),)), Document()]
+    stream = "".join(to_standoff(d) + "\n" for d in docs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a valid record")
+
+    monkeypatch.setattr(phkit.convert.json, "loads", refuse)
+    assert read_standoff(stream) == docs
+    assert from_standoff(" " + to_standoff(golden_doc) + "\r") == golden_doc
+
+
+def test_read_standoff_peak_memory_is_about_the_document(golden_doc):
+    doc = Document(golden_doc.id, golden_doc.metadata, golden_doc.units * 2000)
+    text = to_standoff(doc) + "\n"
+    tracemalloc.start()
+    try:
+        docs = read_standoff(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert docs == [doc]
+    # The whole-record reader peaked at about 2.7 times what it kept: a
+    # copy of the text in lines, and the record's dicts beside the model.
+    assert peak <= 1.1 * kept
+
+
+def test_deeply_nested_standoff_record_is_c004():
+    deep = "[" * 200_000 + "]" * 200_000
+    for line in ('{"id":"x","units":' + deep + "}", deep):
+        with pytest.raises(ConvertError) as err:
+            from_standoff(line)
+        assert err.value.code == "C004"
+        assert err.value.message.startswith("record is not valid JSON: maximum recursion depth")
+    # A value that runs past its line into deep nesting is worded for the line.
+    with pytest.raises(ConvertError) as err:
+        read_standoff('{"units":[[\n' + deep)
+    assert err.value.message.startswith("record is not valid JSON: Expecting value")
