@@ -10,7 +10,8 @@ validation errors present, 2 usage or I/O error (stdout too), 3 parse failure.
 Input format is sniffed per file (inline, standoff JSON lines, or column
 rows) and can be forced with ``--from``. ``-`` reads stdin. Input that is
 not UTF-8 is a fatal P010 (exit 3) for every subcommand. A JSON config
-file may supply defaults for flags; explicit flags always win. The
+file may supply defaults for flags; explicit flags always win. An unknown
+section or key in it is a usage error (exit 2). The
 ``PHK_CONJ_LEXICON`` environment variable points at a default conjunction
 lexicon file (one entry per line, UTF-8).
 
@@ -21,6 +22,9 @@ memory follows the largest document, not the whole batch. ``parse`` is
 standoff|columns`` write each document as soon as it is read, one unit at
 a time. So when a later file cannot be read (an I/O error or a coded read
 error), the complete output of the earlier files is already on stdout.
+``agree`` holds both of its documents, so it reads them through one map
+from unit line to unit: a line the two inline files share is parsed once,
+and both documents hold the same unit object for it.
 ``segment`` opens its ``--boundaries`` sidecar before any output and
 writes each line's boundary records as the line is cut.
 
@@ -128,11 +132,13 @@ class _Inputs:
     (each unit's source line, for inline input) describe the file of the
     document last yielded; ``status`` is the worst load status so far
     (EXIT_PARSE once inline lines failed to parse and were left out).
+    ``known``, if given, goes to every inline parse (see ``parse_document``).
     """
 
-    def __init__(self, paths: Iterable[str], forced_format: str | None):
+    def __init__(self, paths: Iterable[str], forced_format: str | None, known: dict | None = None):
         self.paths = paths
         self.forced_format = forced_format
+        self.known = known
         self.path = ""
         self.unit_lines: list[int] | None = None
         self.status = EXIT_OK
@@ -144,7 +150,7 @@ class _Inputs:
             self.path = path
             self.unit_lines = None
             if fmt == "inline":
-                result = parse_document(text)
+                result = parse_document(text, self.known)
                 for d in result.diagnostics:
                     print(f"{path}:{d.line}:{d.column}: {d.code} {d.message}", file=sys.stderr)
                 if result.diagnostics:
@@ -195,14 +201,35 @@ def _write_to(path: str, call, *args):
         raise CliError(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+# The sections of a config file and the keys of each.
+_CONFIG_KEYS = {"segment": ("commas", "policy", "conjunctions"), "agree": ("match", "normalize_rai")}
+
+
+def _load_config(path: str) -> dict:
+    """The config file at ``path``, checked to hold known sections and keys only."""
+    try:
+        config = json.loads(decode_utf8(Path(path).read_bytes()))
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise CliError(EXIT_USAGE, f"cannot load config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise CliError(EXIT_USAGE, f"config {path} must be a JSON object")
+    for section, sub in config.items():
+        if section not in _CONFIG_KEYS:
+            raise CliError(EXIT_USAGE, f"unknown config section {section}")
+        if sub is not None and not isinstance(sub, dict):
+            raise CliError(EXIT_USAGE, f"config section {section} must be an object or null")
+        for key in sub or ():
+            if key not in _CONFIG_KEYS[section]:
+                raise CliError(EXIT_USAGE, f"unknown config key {section}.{key}")
+    return config
+
+
 def _config_value(
     args: argparse.Namespace, section: str, key: str, kind: type = object, expected: str = ""
 ):
     """The config file's ``section.key``, None when unset or null; a value
     that is not a ``kind`` is a usage error."""
-    config = getattr(args, "_config", None)
-    sub = config.get(section) if isinstance(config, dict) else None
-    value = sub.get(key) if isinstance(sub, dict) else None
+    value = (args._config.get(section) or {}).get(key)
     if value is not None and not isinstance(value, kind):
         raise CliError(EXIT_USAGE, f"{section}.{key} must be {expected}")
     return value
@@ -365,8 +392,9 @@ def cmd_agree(args: argparse.Namespace) -> int:
     if normalize is None:
         normalize = bool(_config_value(args, "agree", "normalize_rai", bool, "true or false"))
     docs = []
+    known: dict = {}  # unit lines of both files; see the module docstring
     for path in (args.file_a, args.file_b):
-        inputs = _Inputs([path], args.from_format)
+        inputs = _Inputs([path], args.from_format, known)
         loaded = list(inputs)
         if inputs.status != EXIT_OK:
             return EXIT_PARSE
@@ -461,18 +489,11 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # started with descriptor 1 closed
         print(f"phk: cannot write stdout: {os.strerror(errno.EBADF)}", file=sys.stderr)
         return EXIT_USAGE
-    config = None
-    if args.config:
-        try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            print(f"phk: cannot load config {args.config}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    args._config = config
     # Collector paused for the subcommand; see the module docstring.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args._config = _load_config(args.config) if args.config else {}
         status = args.func(args)
         sys.stdout.flush()  # a write error shows here, not at interpreter exit
         return status

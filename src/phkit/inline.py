@@ -302,7 +302,7 @@ def _diagnose(line: str, line_no: int) -> list[ParseDiagnostic]:
     return diags
 
 
-def parse_document(source: str) -> ParseResult:
+def parse_document(source: str, known: dict[str, LabelingUnit] | None = None) -> ParseResult:
     """Parse a full inline source (LF line endings, UTF-8 text).
 
     Lines starting with "#" are metadata; the first "#id:" line sets the
@@ -311,6 +311,11 @@ def parse_document(source: str) -> ParseResult:
     carriage return in a metadata line (P011), a further "#id:" line after
     an empty id (P012; it could not be told apart from the id on output),
     and any unit line that ``parse_unit`` rejects.
+
+    ``known`` maps unit lines to units and is both read and filled: a line
+    found there is not parsed again, and the sources parsed through one dict
+    share its (immutable) unit. Only lines that parse cleanly go in, so a
+    broken line is diagnosed in each source at its own line number.
     """
     diags: list[ParseDiagnostic] = []
     units: list[LabelingUnit] = []
@@ -339,13 +344,16 @@ def parse_document(source: str) -> ParseResult:
                     )
                 )
             continue
-        unit, unit_diags = parse_unit(line, line_no)
-        if unit_diags:
-            diags.extend(unit_diags)
-        else:
-            assert unit is not None
-            units.append(unit)
-            unit_lines.append(line_no)
+        unit = known.get(line) if known is not None else None
+        if unit is None:
+            unit, unit_diags = parse_unit(line, line_no)
+            if unit_diags:
+                diags.extend(unit_diags)
+                continue
+            if known is not None:
+                known[line] = unit
+        units.append(unit)
+        unit_lines.append(line_no)
     doc = Document(doc_id, tuple(metadata), tuple(units))
     return ParseResult(doc, diags, unit_lines)
 

@@ -27,18 +27,25 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import chain
+from operator import attrgetter, is_
 from typing import Iterable, Mapping
 
 from .model import (
+    TAG_NAMES,
     Document,
     Element,
     ElementForm,
     ElementType,
+    LabelingUnit,
     PredicatePattern,
+    TagEntry,
     compact_json,
 )
 
 KIND_ORDER = [k.value for k in ElementType]
+_KIND = attrgetter("kind")
+_ENTRY = attrgetter("kind", "pattern", "form")
 
 
 class MatchCriterion(str, enum.Enum):
@@ -97,33 +104,31 @@ STATS_FIELDS = (
 
 def corpus_stats(docs: Iterable[Document]) -> StatsReport:
     """Count units, elements, tags, and length histograms over documents."""
-    unit_count = 0
     unc_units = 0
-    by_kind: Counter[str] = Counter()
-    by_pattern: Counter[str] = Counter()
-    by_form: Counter[str] = Counter()
-    by_tag: Counter[str] = Counter()
+    entries: Counter[TagEntry] = Counter()  # (kind, pattern, form) of each element
     length_hist: Counter[int] = Counter()
     per_unit_hist: Counter[int] = Counter()
     for doc in docs:
-        for unit in doc.units:
-            unit_count += 1
-            length_hist[len(unit.text)] += 1
-            per_unit_hist[len(unit.elements)] += 1
-            if any(e.kind is ElementType.UNC for e in unit.elements):
-                unc_units += 1
-            for el in unit.elements:
-                by_kind[el.kind.value] += 1
-                by_tag[el.tag] += 1
-                if el.pattern is not None:
-                    by_pattern[el.pattern.value] += 1
-                if el.form is not None:
-                    by_form[el.form.value] += 1
+        units = doc.units
+        length_hist.update(len(u.text) for u in units)
+        per_unit_hist.update(len(u.elements) for u in units)
+        unc_units += sum(ElementType.UNC in map(_KIND, u.elements) for u in units)
+        entries.update(map(_ENTRY, chain.from_iterable(u.elements for u in units)))
         # Not kept alive while ``docs`` produces the next one, so a lazy
         # ``docs`` keeps memory at one document.
-        del doc
+        del doc, units
+    by_kind: Counter[str] = Counter()
+    by_pattern: Counter[str] = Counter()
+    by_form: Counter[str] = Counter()
+    for (kind, pattern, form), n in entries.items():
+        by_kind[kind.value] += n
+        if pattern is not None:
+            by_pattern[pattern.value] += n
+        if form is not None:
+            by_form[form.value] += n
+    by_tag = {TAG_NAMES[entry]: n for entry, n in entries.items()}
     counts = (by_kind, by_pattern, by_form, by_tag, length_hist, per_unit_hist)
-    return StatsReport(unit_count, unc_units, *map(dict, counts))
+    return StatsReport(length_hist.total(), unc_units, *map(dict, counts))
 
 
 # The scores of a span agreement, overall and per kind, in rendering order.
@@ -169,17 +174,13 @@ def _check_alignment(a: Document, b: Document) -> None:
             raise AgreementError("AGR001", f"unit text mismatch at index {i}")
 
 
-def _kind_of(el: Element, normalize_rai: bool) -> ElementType:
-    if normalize_rai and el.kind is ElementType.RAI:
-        return ElementType.COM
-    return el.kind
+# Each kind as agreement counts it, without and with ``normalize_rai``.
+_KINDS = {k: k for k in ElementType}
+_KINDS_NORMALIZED = {**_KINDS, ElementType.RAI: ElementType.COM}
 
 
-def _matches(
-    x: Element, y: Element, criterion: MatchCriterion, normalize_rai: bool
-) -> bool:
-    if _kind_of(x, normalize_rai) is not _kind_of(y, normalize_rai):
-        return False
+def _matches(x: Element, y: Element, criterion: MatchCriterion) -> bool:
+    """Whether ``x`` and ``y``, of the same counted kind, match."""
     if criterion is MatchCriterion.HEAD_OVERLAP:
         kx = x.body.head if x.body.head is not None else x.span
         ky = y.body.head if y.body.head is not None else y.span
@@ -205,44 +206,60 @@ def span_agreement(
     criterion: MatchCriterion | str = MatchCriterion.EXACT,
     normalize_rai: bool = False,
 ) -> SpanAgreement:
-    """Greedy span matching between two aligned annotations."""
+    """Greedy span matching between two aligned annotations.
+
+    A unit object that both documents hold (see ``parse_document``) matches all
+    its elements under every criterion, unscanned: greedy matching of a list
+    against itself pairs each element with itself.
+    """
     criterion = MatchCriterion(criterion)
     _check_alignment(a, b)
-    matched: Counter[str] = Counter()
-    total_a: Counter[str] = Counter()
-    total_b: Counter[str] = Counter()
+    kind_of = _KINDS_NORMALIZED if normalize_rai else _KINDS
+    matched: Counter[ElementType] = Counter()
+    total_a: Counter[ElementType] = Counter()
+    total_b: Counter[ElementType] = Counter()
+    shared = []  # the elements of each unit both documents hold
     for ua, ub in zip(a.units, b.units):
-        for el in ua.elements:
-            total_a[_kind_of(el, normalize_rai).value] += 1
-        for el in ub.elements:
-            total_b[_kind_of(el, normalize_rai).value] += 1
-        used = [False] * len(ub.elements)
-        for x in ua.elements:
-            for j, y in enumerate(ub.elements):
-                if used[j]:
-                    continue
-                if _matches(x, y, criterion, normalize_rai):
+        if ua is ub:
+            shared.append(ua.elements)
+            continue
+        xs, ys = ua.elements, ub.elements
+        kinds_a = [kind_of[el.kind] for el in xs]
+        kinds_b = [kind_of[el.kind] for el in ys]
+        total_a.update(kinds_a)
+        total_b.update(kinds_b)
+        used = [False] * len(ys)
+        for x, kind in zip(xs, kinds_a):
+            for j, y in enumerate(ys):
+                if not used[j] and kinds_b[j] is kind and _matches(x, y, criterion):
                     used[j] = True
-                    matched[_kind_of(x, normalize_rai).value] += 1
+                    matched[kind] += 1
                     break
+    both = Counter(kind_of[el.kind] for el in chain.from_iterable(shared))
+    for counts in (matched, total_a, total_b):
+        counts.update(both)
     per_kind = {
-        kind: KindAgreement(*_scores(matched[kind], total_a[kind], total_b[kind]))
-        for kind in KIND_ORDER
+        kind.value: KindAgreement(*_scores(matched[kind], total_a[kind], total_b[kind]))
+        for kind in ElementType
         if total_a[kind] or total_b[kind]
     }
-    overall = _scores(sum(matched.values()), total_a.total(), total_b.total())
+    overall = _scores(matched.total(), total_a.total(), total_b.total())
     return SpanAgreement(criterion, *overall, per_kind)
 
 
-def _char_labels(doc: Document, normalize_rai: bool) -> list[str]:
-    labels: list[str] = []
-    for unit in doc.units:
-        unit_labels = ["O"] * len(unit.text)
-        for el in unit.elements:
-            kind = _kind_of(el, normalize_rai).value
-            for i in range(el.span.start, el.span.end):
-                unit_labels[i] = kind
-        labels.extend(unit_labels)
+def _add_lengths(counts: Counter, elements: Iterable[Element], kind_of: dict) -> None:
+    """Add each element's length to ``counts`` under its kind."""
+    for el in elements:
+        span = el.span
+        counts[kind_of[el.kind]] += span.end - span.start
+
+
+def _char_labels(unit: LabelingUnit, kind_of: dict) -> list[ElementType | None]:
+    """The kind of each character of ``unit``, None outside its elements."""
+    labels: list[ElementType | None] = [None] * len(unit.text)
+    for el in unit.elements:
+        span = el.span
+        labels[span.start : span.end] = [kind_of[el.kind]] * (span.end - span.start)
     return labels
 
 
@@ -252,22 +269,35 @@ def char_kappa(
     """Cohen's kappa over pooled per-character kind labels.
 
     Returns exactly 1.0 for identical label sequences and None when the
-    expected agreement is 1 (kappa undefined).
+    expected agreement is 1 (kappa undefined). The label counts are sums
+    of element lengths; only a pair of distinct unit objects is labeled
+    character by character, to count the characters where it agrees.
     """
     _check_alignment(a, b)
-    la = _char_labels(a, normalize_rai)
-    lb = _char_labels(b, normalize_rai)
-    n = len(la)
-    if n == 0:
-        return None
-    ca = Counter(la)
-    cb = Counter(lb)
+    kind_of = _KINDS_NORMALIZED if normalize_rai else _KINDS
+    # Characters per label, None for "O" (set last, as what no element covers).
+    ca: Counter[ElementType | None] = Counter()
+    cb: Counter[ElementType | None] = Counter()
+    both: Counter[ElementType | None] = Counter()  # of the units both documents hold
+    n = po_num = 0
+    for ua, ub in zip(a.units, b.units):
+        size = len(ua.text)
+        n += size
+        if ua is ub:
+            _add_lengths(both, ua.elements, kind_of)
+            po_num += size
+        else:
+            _add_lengths(ca, ua.elements, kind_of)
+            _add_lengths(cb, ub.elements, kind_of)
+            po_num += sum(map(is_, _char_labels(ua, kind_of), _char_labels(ub, kind_of)))
+    for counts in (ca, cb):
+        counts.update(both)
+        counts[None] = n - counts.total()
     pe_num = sum(ca[k] * cb[k] for k in ca)
-    if pe_num == n * n:
+    if pe_num == n * n:  # also when there is no text (n == 0)
         return None
-    if la == lb:
+    if po_num == n:  # the two label sequences are equal
         return 1.0
-    po_num = sum(1 for x, y in zip(la, lb) if x == y)
     # kappa = (p_o - p_e) / (1 - p_e), computed over a common denominator.
     return (po_num * n - pe_num) / (n * n - pe_num)
 

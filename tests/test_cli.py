@@ -505,6 +505,21 @@ def test_agree_match_and_normalize_flags(capsys, tmp_path):
     assert "f1: 1.0000" in out.splitlines()
 
 
+def test_agree_inputs_share_units_and_report_a_broken_line_per_file(capsys, tmp_path):
+    # ``agree`` loads both files through one map of known lines.
+    a = tmp_path / "a.ann"
+    b = tmp_path / "b.ann"
+    a.write_text("[SUB-W 王]走\n[SUB-W ]\n", encoding="utf-8")
+    b.write_text("#id: b\n[SUB-W 王]走\n\n[SUB-W ]\n", encoding="utf-8")
+    inputs = cli._Inputs([str(a), str(b)], None, {})
+    doc_a, doc_b = inputs
+    assert doc_b.units[0] is doc_a.units[0]
+    assert inputs.status == 3
+    assert capsys.readouterr().err == (
+        f"{a}:2:8: P009 empty element content\n{b}:4:8: P009 empty element content\n"
+    )
+
+
 def test_segment_unknown_policy_in_config_is_exit_2(capsys, tmp_path):
     raw = tmp_path / "raw.txt"
     raw.write_text("甲。乙\n", encoding="utf-8")
@@ -635,6 +650,37 @@ def test_a_null_config_choice_is_the_default(capsys, tmp_path, golden_path, key)
         else ["agree", str(golden_path), str(golden_path)]
     )
     assert run_cli(capsys, "--config", str(config), *command) == run_cli(capsys, *command)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[1, 2]", "config {path} must be a JSON object"),
+        ("null", "config {path} must be a JSON object"),
+        ('{"segment": 5, "agree": []}', "config section segment must be an object or null"),
+        ('{"agree": []}', "config section agree must be an object or null"),
+        ('{"segment": {"comas": "ignore"}}', "unknown config key segment.comas"),
+        ('{"agree": {"normalize": true}}', "unknown config key agree.normalize"),
+        ('{"segmnt": {"commas": "ignore"}}', "unknown config section segmnt"),
+    ],
+)
+@pytest.mark.parametrize("command", ["segment", "stats"])
+def test_a_config_of_the_wrong_shape_is_exit_2(capsys, tmp_path, content, message, command):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(content, encoding="utf-8")
+    status, out, err = run_cli(capsys, "--config", str(config), command, str(raw))
+    assert (status, out) == (2, "")
+    assert err == "phk: " + message.format(path=config) + "\n"
+
+
+def test_a_config_with_a_bom_is_read(capsys, tmp_path):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("甲，乙。丙\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"segment": {"commas": "ignore"}}).encode())
+    assert run_cli(capsys, "--config", str(config), "segment", str(raw)) == (0, "甲，乙。\n丙\n", "")
 
 
 def test_deeply_nested_config_is_exit_2(capsys, tmp_path, golden_path):

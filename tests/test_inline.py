@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -566,3 +567,68 @@ def test_golden_corpus_parse_and_reemit(golden_text):
     assert emit_document(result.document) == golden_text
     again = parse_document(emit_document(result.document))
     assert again.document == result.document
+
+
+# --- sources parsed through one map of known lines --------------------------
+
+_source_lines = st.one_of(
+    _near_lines(),
+    st.sampled_from(["", "#id: x", "# meta", "#id:", "[SUB-W 王]\r", "王\t[SUB-W 某]"]),
+)
+
+
+@given(st.lists(_source_lines, max_size=8), st.lists(_source_lines, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_parse_with_known_lines_equals_a_plain_parse(first, second):
+    # The second source repeats the first's lines at other line numbers.
+    known = {}
+    for source in ("\n".join(first), "\n".join(second + first)):
+        assert parse_document(source, known) == parse_document(source)
+    for line, unit in known.items():
+        assert parse_unit(line) == (unit, [])
+
+
+def test_a_broken_known_line_is_reported_at_each_sources_own_line():
+    known = {}
+    first = parse_document("[SUB-W 王]\n[SUB-W ]", known)
+    second = parse_document("#id: b\n\n[SUB-W 王]\n[SUB-W ]", known)
+    assert [(d.code, d.line) for d in first.diagnostics] == [("P009", 2)]
+    assert [(d.code, d.line) for d in second.diagnostics] == [("P009", 4)]
+    assert list(known) == ["[SUB-W 王]"]
+
+
+def _kept(*args) -> int:
+    """Bytes still allocated while the result of ``parse_document(*args)`` is held."""
+    tracemalloc.start()
+    try:
+        result = parse_document(*args)
+        assert result.ok
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_line_changed(source: str) -> str:
+    lines = source.split("\n")
+    lines[1] = lines[1].replace("[RAI-W", "[COM-W")
+    return "\n".join(lines)
+
+
+def test_known_lines_share_their_units(golden_text):
+    edited = _one_line_changed(golden_text)
+    known = {}
+    a = parse_document(golden_text, known).document
+    b = parse_document(edited, known).document
+    assert b == parse_document(edited).document
+    assert b.units[0] != a.units[0]
+    assert all(ub is ua for ua, ub in zip(a.units[1:], b.units[1:]))
+
+
+def test_known_lines_are_not_kept_twice(golden_lines):
+    # Golden's unit lines 20 times over, each copy's lines made distinct by a
+    # leading gap character, so that one changed line is a small share.
+    source = "#id: g\n" + "".join(f"{k}{line}\n" for k in range(20) for line in golden_lines)
+    known = {}
+    parse_document(source, known)
+    shared, independent = _kept(_one_line_changed(source), known), _kept(source)
+    assert shared <= 0.25 * independent, (shared, independent)

@@ -11,10 +11,15 @@ from hypothesis import strategies as st
 import phkit.metrics
 from phkit.inline import parse_unit
 from phkit.metrics import (
+    KIND_ORDER,
     SCORE_FIELDS,
     STATS_FIELDS,
     AgreementError,
+    KindAgreement,
     MatchCriterion,
+    SpanAgreement,
+    _check_alignment,
+    _scores,
     agree,
     agreement_records,
     agreement_table,
@@ -24,9 +29,9 @@ from phkit.metrics import (
     stats_records,
     stats_table,
 )
-from phkit.model import Document, LabelingUnit
+from phkit.model import TAGS, Document, Element, ElementType, LabelingUnit
 
-from .strategies import documents
+from .strategies import documents, labeling_units
 
 
 def doc_of(*lines: str) -> Document:
@@ -460,3 +465,157 @@ def test_swap_symmetry(doc_a, doc_b):
     assert fwd.spans.f1 == rev.spans.f1
     assert fwd.kappa == rev.kappa
     assert fwd.spans.matched == rev.spans.matched
+
+
+# --- agreement over shared units against the whole-document scan -----------
+#
+# The reference below is the earlier agreement code, copied verbatim: every
+# unit pair goes through the greedy matcher, and kappa compares one label
+# list per document. Documents that share unit objects (as two inline files
+# read through one map of known lines do) must score exactly as it scores.
+
+
+def reference_kind_of(el: Element, normalize_rai: bool) -> ElementType:
+    if normalize_rai and el.kind is ElementType.RAI:
+        return ElementType.COM
+    return el.kind
+
+
+def reference_matches(
+    x: Element, y: Element, criterion: MatchCriterion, normalize_rai: bool
+) -> bool:
+    if reference_kind_of(x, normalize_rai) is not reference_kind_of(y, normalize_rai):
+        return False
+    if criterion is MatchCriterion.HEAD_OVERLAP:
+        kx = x.body.head if x.body.head is not None else x.span
+        ky = y.body.head if y.body.head is not None else y.span
+        return kx.overlaps(ky)
+    if x.span != y.span:
+        return False
+    if criterion is MatchCriterion.TYPE_ONLY:
+        return True
+    return x.pattern is y.pattern and x.form is y.form
+
+
+def reference_span_agreement(
+    a: Document,
+    b: Document,
+    criterion: MatchCriterion | str = MatchCriterion.EXACT,
+    normalize_rai: bool = False,
+) -> SpanAgreement:
+    """Greedy span matching between two aligned annotations."""
+    criterion = MatchCriterion(criterion)
+    _check_alignment(a, b)
+    matched: Counter[str] = Counter()
+    total_a: Counter[str] = Counter()
+    total_b: Counter[str] = Counter()
+    for ua, ub in zip(a.units, b.units):
+        for el in ua.elements:
+            total_a[reference_kind_of(el, normalize_rai).value] += 1
+        for el in ub.elements:
+            total_b[reference_kind_of(el, normalize_rai).value] += 1
+        used = [False] * len(ub.elements)
+        for x in ua.elements:
+            for j, y in enumerate(ub.elements):
+                if used[j]:
+                    continue
+                if reference_matches(x, y, criterion, normalize_rai):
+                    used[j] = True
+                    matched[reference_kind_of(x, normalize_rai).value] += 1
+                    break
+    per_kind = {
+        kind: KindAgreement(*_scores(matched[kind], total_a[kind], total_b[kind]))
+        for kind in KIND_ORDER
+        if total_a[kind] or total_b[kind]
+    }
+    overall = _scores(sum(matched.values()), total_a.total(), total_b.total())
+    return SpanAgreement(criterion, *overall, per_kind)
+
+
+def reference_char_labels(doc: Document, normalize_rai: bool) -> list[str]:
+    labels: list[str] = []
+    for unit in doc.units:
+        unit_labels = ["O"] * len(unit.text)
+        for el in unit.elements:
+            kind = reference_kind_of(el, normalize_rai).value
+            for i in range(el.span.start, el.span.end):
+                unit_labels[i] = kind
+        labels.extend(unit_labels)
+    return labels
+
+
+def reference_char_kappa(
+    a: Document, b: Document, normalize_rai: bool = False
+) -> float | None:
+    """Cohen's kappa over pooled per-character kind labels.
+
+    Returns exactly 1.0 for identical label sequences and None when the
+    expected agreement is 1 (kappa undefined).
+    """
+    _check_alignment(a, b)
+    la = reference_char_labels(a, normalize_rai)
+    lb = reference_char_labels(b, normalize_rai)
+    n = len(la)
+    if n == 0:
+        return None
+    ca = Counter(la)
+    cb = Counter(lb)
+    pe_num = sum(ca[k] * cb[k] for k in ca)
+    if pe_num == n * n:
+        return None
+    if la == lb:
+        return 1.0
+    po_num = sum(1 for x, y in zip(la, lb) if x == y)
+    # kappa = (p_o - p_e) / (1 - p_e), computed over a common denominator.
+    return (po_num * n - pe_num) / (n * n - pe_num)
+
+
+def _representable(text: str, elements: tuple[Element, ...]) -> bool:
+    """Whether a document may hold a unit of ``text`` with ``elements``."""
+    return not text.startswith("#") or bool(elements) and elements[0].span.start == 0
+
+
+@st.composite
+def shared_pairs(draw):
+    """Two annotations of the same texts, the second holding many of the
+    first's unit objects. Each other unit of the second is the first's
+    unit rebuilt as an equal but distinct object, relabeled with another
+    unit's elements that fit its text, missing one element, or with one
+    element retagged."""
+    a = draw(documents())
+    units_b = []
+    for ua in a.units:
+        action = draw(st.sampled_from(["share", "share", "copy", "relabel", "drop", "retag"]))
+        elements = ua.elements
+        if action == "relabel":
+            other = draw(labeling_units())
+            elements = tuple(e for e in other.elements if e.span.end <= len(ua.text))
+        elif action == "drop" and elements:
+            i = draw(st.integers(0, len(elements) - 1))
+            elements = elements[:i] + elements[i + 1 :]
+        elif action == "retag" and elements:
+            i = draw(st.integers(0, len(elements) - 1))
+            kind, pattern, form = TAGS[draw(st.sampled_from(sorted(TAGS)))]
+            el = elements[i]
+            retagged = Element(kind, el.body, el.trigger, pattern, form)
+            elements = elements[:i] + (retagged,) + elements[i + 1 :]
+        if action == "share" or not _representable(ua.text, elements):
+            units_b.append(ua)
+        else:
+            units_b.append(LabelingUnit(ua.text, elements))
+    return a, Document(units=tuple(units_b))
+
+
+@given(shared_pairs())
+@settings(max_examples=300)
+def test_agreement_over_shared_units_equals_the_reference(pair):
+    a, b = pair
+    for x, y in (pair, (b, a)):
+        for normalize in (False, True):
+            for criterion in MatchCriterion:
+                got = span_agreement(x, y, criterion, normalize)
+                expected = reference_span_agreement(x, y, criterion, normalize)
+                assert got == expected
+                assert list(got.per_kind) == list(expected.per_kind)
+            # Equal floats, not close ones: the same integers in the same formula.
+            assert char_kappa(x, y, normalize) == reference_char_kappa(x, y, normalize)
