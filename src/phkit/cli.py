@@ -24,9 +24,10 @@ a time. So when a later file cannot be read (an I/O error or a coded read
 error), the complete output of the earlier files is already on stdout.
 ``agree`` holds both of its documents, so it reads them through one map
 from unit line to unit: a line the two inline files share is parsed once,
-and both documents hold the same unit object for it.
+and both documents hold the same unit object for it. Both files are read,
+and their broken lines reported, before a parse failure ends ``agree``.
 ``segment`` opens its ``--boundaries`` sidecar before any output and
-writes each line's boundary records as the line is cut.
+writes each line's pieces, and its boundary records, as the line is cut.
 
 Each subcommand imports the library modules it runs when it runs, so that
 start-up stays small: ``phk parse`` never imports the metrics,
@@ -319,19 +320,21 @@ def cmd_segment(args: argparse.Namespace) -> int:
     path = args.boundaries
     # Opened before the first line, so an unwritable path fails before any output.
     sidecar = _write_to(path, open, path, "wb") if path else None
+    write = sys.stdout.write
     try:
         for line_no, line in enumerate(text.split("\n"), start=1):
             line = line.removesuffix("\r")  # a CRLF line end is an LF one
             if not line:
                 continue
             boundaries = seg.propose_boundaries(line, config)
-            for piece in seg.split_at(line, boundaries, policy):
-                print(piece)
+            # A nonempty line is cut into nonempty pieces, one per output line.
+            write("\n".join(seg.split_at(line, boundaries, policy)) + "\n")
             if sidecar:
-                # The kind and cause values are ASCII words: no JSON escaping.
+                # The kind and cause members are str, so they concatenate as
+                # their values, which are ASCII words: no JSON escaping.
                 records = "".join(
-                    f'{{"line":{line_no},"position":{b.position},'
-                    f'"kind":"{b.kind.value}","cause":"{b.cause.value}"}}\n'
+                    f'{{"line":{line_no},"position":{b.position},"kind":"'
+                    + b.kind + '","cause":"' + b.cause + '"}\n'
                     for b in boundaries
                 )
                 _write_to(path, sidecar.write, records.encode())
@@ -393,14 +396,16 @@ def cmd_agree(args: argparse.Namespace) -> int:
         normalize = bool(_config_value(args, "agree", "normalize_rai", bool, "true or false"))
     docs = []
     known: dict = {}  # unit lines of both files; see the module docstring
+    status = EXIT_OK  # both files are read, and their broken lines reported, first
     for path in (args.file_a, args.file_b):
         inputs = _Inputs([path], args.from_format, known)
         loaded = list(inputs)
-        if inputs.status != EXIT_OK:
-            return EXIT_PARSE
+        status = max(status, inputs.status)
         if len(loaded) != 1:
             raise CliError(EXIT_USAGE, f"{path}: expected exactly one document")
         docs.append(loaded[0])
+    if status != EXIT_OK:
+        return status
     try:
         report = metrics.agree(
             docs[0], docs[1], metrics.MatchCriterion(_MATCH_BY_FLAG[match]), normalize

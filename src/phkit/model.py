@@ -59,16 +59,7 @@ class ElementForm(str, enum.Enum):
 
 
 #: Element kinds that carry a form postfix (everything except PRE and UNC).
-FORM_KINDS = frozenset(
-    {
-        ElementType.SUB,
-        ElementType.TEM,
-        ElementType.LOC,
-        ElementType.ADV,
-        ElementType.COM,
-        ElementType.RAI,
-    }
-)
+FORM_KINDS = frozenset(ElementType) - {ElementType.PRE, ElementType.UNC}
 
 TagEntry = tuple[ElementType, PredicatePattern | None, ElementForm | None]
 

@@ -13,8 +13,10 @@ entirely of date/time characters (e.g. ``2015年6月29日凌晨``) cannot
 contain a predicate head, so rule-wise it never stands alone and its
 trailing comma is not proposed as a boundary.
 
-Conjunctions are matched by plain substring, longest entry first; no word
-segmentation is attempted.
+The punctuation cuts come from one pattern scan: an end mark with the
+closing quotes after it, or a comma (end marks only when commas are
+ignored). Conjunctions are a second scan, matched by plain substring,
+longest entry first; no word segmentation is attempted.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import enum
 import functools
 import re
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable
 
 from .model import ModelError
@@ -41,6 +44,14 @@ TEMPORAL_CHARS = frozenset(
     "年月日时分秒点凌晨早中午晚夜上下前后许间"
     "，、：:"
 )
+
+
+# An end mark with the closing quotes after it; with a comma as the other
+# alternative (group 1) unless commas are ignored.
+_END_MARK = re.compile(f"[{re.escape(END_MARKS)}][{re.escape(CLOSING_QUOTES)}]*")
+_END_MARK_OR_COMMA = re.compile(f"{_END_MARK.pattern}|([{re.escape(COMMAS)}])")
+# A nonempty piece drawn entirely from TEMPORAL_CHARS.
+_TEMPORAL_LEADIN = re.compile(f"[{re.escape(''.join(sorted(TEMPORAL_CHARS)))}]+")
 
 
 class BoundaryKind(str, enum.Enum):
@@ -95,29 +106,16 @@ def propose_boundaries(
     if config is None:
         config = SegmenterConfig()
     n = len(text)
+    end_mark = (BoundaryKind.HARD, BoundaryCause.END_MARK)
+    hard_commas = config.comma_policy is CommaPolicy.HARD
+    comma = (BoundaryKind.HARD if hard_commas else BoundaryKind.CANDIDATE, BoundaryCause.COMMA)
+    pattern = _END_MARK if config.comma_policy is CommaPolicy.IGNORE else _END_MARK_OR_COMMA
     # End marks, closing quotes and commas are different characters, so a
     # position holds at most one punctuation boundary (and may also precede
-    # a conjunction, which the punctuation boundary then stands for).
-    marks: dict[int, tuple[BoundaryKind, BoundaryCause]] = {}
-    comma_kind = (
-        BoundaryKind.HARD
-        if config.comma_policy is CommaPolicy.HARD
-        else BoundaryKind.CANDIDATE
-    )
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch in END_MARKS:
-            p = i
-            while p + 1 < n and text[p + 1] in CLOSING_QUOTES:
-                p += 1
-            if p < n - 1:
-                marks[p] = (BoundaryKind.HARD, BoundaryCause.END_MARK)
-            i = p + 1
-            continue
-        if ch in COMMAS and config.comma_policy is not CommaPolicy.IGNORE and i < n - 1:
-            marks[i] = (comma_kind, BoundaryCause.COMMA)
-        i += 1
+    # a conjunction, which the punctuation boundary then stands for). A
+    # match of group 1 is a comma.
+    found = pattern.finditer(text)
+    marks = {m.end() - 1: comma if m.lastindex else end_mark for m in found if m.end() < n}
 
     finditer = _conjunction_pattern(config.conjunctions).finditer
     conjunctions = {m.start() - 1 for m in finditer(text) if m.start()}
@@ -126,9 +124,8 @@ def propose_boundaries(
     piece_start = 0
     for pos in sorted(marks.keys() | conjunctions):
         mark = marks.get(pos)
-        if mark and mark[1] is BoundaryCause.COMMA:
-            if _is_temporal_leadin(text[piece_start:pos]):
-                mark = None
+        if mark is comma and _TEMPORAL_LEADIN.fullmatch(text, piece_start, pos):
+            mark = None
         if mark is None and pos in conjunctions:
             mark = (BoundaryKind.CANDIDATE, BoundaryCause.CONJUNCTION)
         if mark is not None:
@@ -149,10 +146,6 @@ def _conjunction_pattern(lexicon: tuple[str, ...]) -> re.Pattern[str]:
     if not lexicon:
         return re.compile("(?!)")
     return re.compile("|".join(map(re.escape, sorted(lexicon, key=len, reverse=True))))
-
-
-def _is_temporal_leadin(piece: str) -> bool:
-    return bool(piece) and all(c in TEMPORAL_CHARS for c in piece)
 
 
 def split(
@@ -176,15 +169,9 @@ def split_at(text: str, boundaries: Iterable[SegmentBoundary], policy: str) -> l
     if policy not in ("all", "hard_only"):
         raise ValueError(f"unknown split policy {policy!r}")
     cuts = [
-        b.position
+        b.position + 1
         for b in boundaries
         if policy == "all" or b.kind is BoundaryKind.HARD
     ]
-    pieces: list[str] = []
-    prev = 0
-    for cut in cuts:
-        pieces.append(text[prev : cut + 1])
-        prev = cut + 1
-    if prev < len(text):
-        pieces.append(text[prev:])
-    return [p for p in pieces if p]
+    # Positions increase and stop short of the text's end, so no piece is empty.
+    return [text[i:j] for i, j in pairwise([0, *cuts, len(text)])] if text else []

@@ -278,6 +278,15 @@ def test_segment_boundary_sidecar(capsys, tmp_path):
     ]
     # The records are formatted directly, as json.dumps would write them.
     assert lines == [json.dumps(rec, separators=(",", ":")) for rec in records]
+    status, out, _ = run_cli(
+        capsys, "segment", str(raw), "--commas", "hard", "--boundaries", str(sidecar)
+    )
+    assert (status, out) == (0, "甲，\n乙。\n丙\n甲\n并乙\n")
+    assert sidecar.read_text("utf-8").splitlines() == [
+        '{"line":1,"position":1,"kind":"hard","cause":"comma"}',
+        '{"line":1,"position":3,"kind":"hard","cause":"end_mark"}',
+        '{"line":3,"position":0,"kind":"candidate","cause":"conjunction"}',
+    ]
 
 
 @pytest.mark.parametrize("where", ["missing directory", "a directory"])
@@ -517,6 +526,18 @@ def test_agree_inputs_share_units_and_report_a_broken_line_per_file(capsys, tmp_
     assert inputs.status == 3
     assert capsys.readouterr().err == (
         f"{a}:2:8: P009 empty element content\n{b}:4:8: P009 empty element content\n"
+    )
+
+
+def test_agree_reports_the_broken_lines_of_both_files(capsys, tmp_path):
+    a = tmp_path / "ba.ann"
+    b = tmp_path / "bb.ann"
+    a.write_text("[SUB-W 王]走\n[SUB-W ]\n", encoding="utf-8")
+    b.write_text("[SUB-W 王]走\n\n[SUB-W ]\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "agree", str(a), str(b))
+    assert (status, out) == (3, "")
+    assert err == (
+        f"{a}:2:8: P009 empty element content\n{b}:3:8: P009 empty element content\n"
     )
 
 

@@ -62,6 +62,14 @@ def test_element_tag_spells_its_tags_entry():
         assert Element(kind, body, pattern=pattern, form=form).tag == tag
 
 
+def test_tags_are_every_pattern_and_form_in_scheme_order():
+    assert list(TAGS) == [
+        "UNC",
+        *(f"PRE-{p}" for p in "SRLMV"),
+        *(f"{k}-{f}" for k in ("SUB", "TEM", "LOC", "ADV", "COM", "RAI") for f in "WPC"),
+    ]
+
+
 def test_trigger_must_abut_body():
     trigger = Segment(Span(0, 2))
     with pytest.raises(ModelError):

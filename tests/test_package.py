@@ -83,11 +83,37 @@ def test_public_import_surface():
         phkit.nonexistent
 
 
-def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(golden_path):
-    # Runs ``python -m phkit parse`` through runpy, then lists what it imported.
+# Per subcommand: its input, what its stdout starts with, the modules it
+# imports and the modules it must not import.
+CHILD_IMPORTS = {
+    "parse": (
+        None,
+        b'{"id":"golden"',
+        {"phkit.cli", "phkit.inline", "phkit.convert"},
+        {"phkit.metrics", "phkit.segmentation", "phkit.validation"},
+    ),
+    "segment": (
+        "甲，乙。丙\n",
+        "甲，\n乙。\n丙\n".encode("utf-8"),
+        {"phkit.cli", "phkit.inline", "phkit.segmentation"},
+        {"phkit.metrics", "phkit.validation", "phkit.convert"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHILD_IMPORTS))
+def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(
+    golden_path, tmp_path, command
+):
+    # Runs ``python -m phkit COMMAND FILE`` through runpy, then lists what it imported.
+    raw, stdout, imported, not_imported = CHILD_IMPORTS[command]
+    path = golden_path
+    if raw is not None:
+        path = tmp_path / "raw.txt"
+        path.write_text(raw, encoding="utf-8")
     code = (
         "import runpy, sys\n"
-        "sys.argv = ['phkit', 'parse', sys.argv[1]]\n"
+        "sys.argv = ['phkit', sys.argv[1], sys.argv[2]]\n"
         "try:\n"
         "    runpy.run_module('phkit', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
@@ -95,13 +121,13 @@ def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(gol
         "sys.stderr.write(f'{status} ' + ' '.join(sorted(sys.modules)))\n"
     )
     child = subprocess.run(
-        [sys.executable, "-c", code, str(golden_path)], capture_output=True, env=child_env()
+        [sys.executable, "-c", code, command, str(path)], capture_output=True, env=child_env()
     )
     status, *modules = child.stderr.decode().split()
     assert status == "0"
-    assert child.stdout.startswith(b'{"id":"golden"')
-    assert {"phkit.cli", "phkit.inline", "phkit.convert"} <= set(modules)
-    assert not {"phkit.metrics", "phkit.segmentation", "phkit.validation"} & set(modules)
+    assert child.stdout.startswith(stdout)
+    assert imported <= set(modules)
+    assert not not_imported & set(modules)
 
 
 def test_json_writer_options_are_stated_in_one_module():

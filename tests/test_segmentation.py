@@ -15,6 +15,7 @@ from phkit.segmentation import (
     SegmenterConfig,
     propose_boundaries,
     split,
+    split_at,
 )
 
 import pytest
@@ -261,7 +262,7 @@ def _reference_propose_boundaries(text, config):
 
 
 @given(
-    st.text(alphabet="。；！？”』」，、并且和而但是然后年月日时0１2点晨甲乙丙 ", max_size=40),
+    st.text(alphabet="。；！？”』」，、：:并且和而但是然后年月日时0１2点晨甲乙丙 ", max_size=40),
     st.sampled_from(list(CommaPolicy)),
     st.one_of(
         st.just(DEFAULT_CONJUNCTIONS),
@@ -271,6 +272,38 @@ def _reference_propose_boundaries(text, config):
 @example("甲，并乙。”并丙", CommaPolicy.HARD, DEFAULT_CONJUNCTIONS)
 @example("2015年，并且甲", CommaPolicy.CANDIDATE, DEFAULT_CONJUNCTIONS)
 @example("甲，乙", CommaPolicy.CANDIDATE, ["，乙"])
+@example("甲。”", CommaPolicy.CANDIDATE, DEFAULT_CONJUNCTIONS)
+@example("甲。」，乙", CommaPolicy.IGNORE, DEFAULT_CONJUNCTIONS)
+@example("凌晨3：15，并且甲，乙", CommaPolicy.HARD, DEFAULT_CONJUNCTIONS)
 def test_propose_boundaries_equals_reference_merge(text, comma_policy, lexicon):
     config = SegmenterConfig(conjunctions=tuple(lexicon), comma_policy=comma_policy)
     assert propose_boundaries(text, config) == _reference_propose_boundaries(text, config)
+
+
+def _reference_split_at(text, boundaries, policy):
+    """``split_at`` as it was before its pieces came from one comprehension."""
+    if policy not in ("all", "hard_only"):
+        raise ValueError(f"unknown split policy {policy!r}")
+    cuts = [
+        b.position
+        for b in boundaries
+        if policy == "all" or b.kind is BoundaryKind.HARD
+    ]
+    pieces: list[str] = []
+    prev = 0
+    for cut in cuts:
+        pieces.append(text[prev : cut + 1])
+        prev = cut + 1
+    if prev < len(text):
+        pieces.append(text[prev:])
+    return [p for p in pieces if p]
+
+
+@given(raw_texts, st.sampled_from(list(CommaPolicy)), st.sampled_from(["all", "hard_only"]))
+@example("", CommaPolicy.CANDIDATE, "all")
+@example("", CommaPolicy.HARD, "hard_only")
+@example("甲。”", CommaPolicy.CANDIDATE, "all")
+@example("甲，乙。丙并丁", CommaPolicy.HARD, "hard_only")
+def test_split_at_equals_reference(text, comma_policy, policy):
+    bounds = propose_boundaries(text, SegmenterConfig(comma_policy=comma_policy))
+    assert split_at(text, bounds, policy) == _reference_split_at(text, bounds, policy)
