@@ -6,6 +6,7 @@ with LF endings and is byte-identical across runs on identical input.
 
 Exit status: 0 success (also when a reader closes the stdout pipe), 1
 validation errors present, 2 usage or I/O error (stdout too), 3 parse failure.
+A stderr that cannot be written loses its messages, not the exit status.
 
 Input format is sniffed per file (inline, standoff JSON lines, or column
 rows) and can be forced with ``--from``. ``-`` reads stdin. Input that is
@@ -17,11 +18,30 @@ lexicon file (one entry per line, UTF-8).
 
 Every subcommand reads its files through one loader, one file at a time,
 and each file's documents are released before the next file is read, so
-memory follows the largest document, not the whole batch. ``parse`` is
-``convert --from inline --to standoff``; it and ``convert --to
-standoff|columns`` write each document as soon as it is read, one unit at
-a time. So when a later file cannot be read (an I/O error or a coded read
-error), the complete output of the earlier files is already on stdout.
+memory follows the largest document per process, not the whole batch.
+``parse`` is ``convert --from inline --to standoff``; it and ``convert
+--to standoff|columns`` write each document as soon as it is read, one
+unit at a time. So when a later file cannot be read (an I/O error or a
+coded read error), the complete output of the earlier files is already on
+stdout, and no output of later files is written.
+
+``parse``, ``validate``, ``stats`` and ``convert --to standoff|columns``
+work file by file, and run their files on every usable CPU: with k =
+min(files, usable CPUs) of at least 2, ``main`` forks k workers before any
+input is read and deals the files out round-robin. Each worker sends the
+stdout and stderr text of each of its files over a pipe, in frames of a
+few dozen KB, and then the file's result. The parent writes each file's
+output in file order, and stops at the first failing file, where the
+one-worker run stops, so stdout, stderr and the exit status are those of
+the one-worker run. A worker holds one document and one frame at a time;
+the parent holds only the output of files that are not due yet (reading
+only the due file's worker while that is 4 MB or more), and folds each
+file's result into the command's as the file comes due. A worker
+that dies is one ``phk:`` line and exit 2, and no worker outlives ``main``.
+One file, one usable CPU, ``-`` among the files, a platform without
+``fork`` or a process that runs other threads keeps the run in one
+process.
+
 ``agree`` holds both of its documents, so it reads them through one map
 from unit line to unit: a line the two inline files share is parsed once,
 and both documents hold the same unit object for it. Both files are read,
@@ -54,7 +74,7 @@ import sys
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 # parse_bytes is unused here; the bench tracer wraps it as phkit.cli.parse_bytes.
 from .inline import decode_utf8, emit_document, parse_bytes, parse_document
@@ -74,10 +94,27 @@ class CliError(Exception):
         self.status = status
 
 
+def _to_stderr(text: str) -> None:
+    """Write ``text`` to stderr. A stderr that cannot be written (closed or
+    full) must not change the exit status, so its failure is dropped."""
+    if sys.stderr is None:  # started without a usable descriptor 2
+        return
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        pass
+
+
 def _read_text(path: str) -> str:
     """The text of ``path`` (``-`` is stdin) without a leading BOM."""
     try:
-        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        if path != "-":
+            data = Path(path).read_bytes()
+        elif sys.stdin is None:  # started with descriptor 0 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            data = sys.stdin.buffer.read()
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read {path}: {exc.strerror or exc}") from None
     try:
@@ -134,6 +171,8 @@ class _Inputs:
     document last yielded; ``status`` is the worst load status so far
     (EXIT_PARSE once inline lines failed to parse and were left out).
     ``known``, if given, goes to every inline parse (see ``parse_document``).
+    A standoff document's units all have its record's line; column input
+    has no ``unit_lines``, so a finding there names its unit's index + 1.
     """
 
     def __init__(self, paths: Iterable[str], forced_format: str | None, known: dict | None = None):
@@ -141,57 +180,112 @@ class _Inputs:
         self.forced_format = forced_format
         self.known = known
         self.path = ""
-        self.unit_lines: list[int] | None = None
+        self._unit_lines: list[int] | None = None  # of an inline file
+        self._record: tuple[int, int] | None = None  # a standoff document's line and unit count
         self.status = EXIT_OK
+
+    @property
+    def unit_lines(self) -> list[int] | None:
+        if self._record is None:
+            return self._unit_lines
+        line, units = self._record
+        return [line] * units  # built when asked for: only validate asks
 
     def __iter__(self) -> Iterator[Document]:
         for path in self.paths:
             text = _read_text(path)
             fmt = self.forced_format or sniff_format(text)
             self.path = path
-            self.unit_lines = None
+            record_lines: list[int] = []  # of each standoff document
             if fmt == "inline":
                 result = parse_document(text, self.known)
-                for d in result.diagnostics:
-                    print(f"{path}:{d.line}:{d.column}: {d.code} {d.message}", file=sys.stderr)
                 if result.diagnostics:
                     self.status = EXIT_PARSE
-                self.unit_lines = result.unit_lines
+                    _to_stderr("".join(
+                        f"{path}:{d.line}:{d.column}: {d.code} {d.message}\n"
+                        for d in result.diagnostics
+                    ))
+                unit_lines = result.unit_lines
                 docs = [result.document]
                 del result
             else:
                 from . import convert as conv
 
-                read = conv.read_standoff if fmt == "standoff" else conv.read_columns
+                unit_lines = None
                 try:
-                    docs = read(text)
+                    if fmt == "standoff":
+                        docs = conv.read_standoff(text, record_lines)
+                    else:
+                        docs = conv.read_columns(text)
                 except conv.ConvertError as exc:
                     raise CliError(EXIT_PARSE, f"{path}: {exc.code} {exc.message}") from None
             del text  # not kept alive while the documents are used
+            self._unit_lines = unit_lines
             docs.reverse()
+            record_lines.reverse()
             while docs:
-                yield docs.pop()
+                doc = docs.pop()
+                self._record = (record_lines.pop(), len(doc.units)) if record_lines else None
+                yield doc
+                del doc  # not kept alive while the next one is read
 
 
 def _is_empty(doc: Document) -> bool:
     return not doc.id and not doc.metadata and not doc.units
 
 
-def _write_documents(inputs: _Inputs, to: str) -> int:
+T = TypeVar("T")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _each_file(paths: list[str], job: Callable[[str], T]) -> Iterator[T]:
+    """``job(path)`` for each of ``paths``, with each file's output written
+    in file order; yields the results in file order, each once its file's
+    output is written, so that a caller folding them holds none. The first
+    CliError raised ends the run, after the output of the earlier files only.
+
+    The files run on forked workers when more than one CPU and file allow;
+    see the module docstring.
+    """
+    count = min(len(paths), _usable_cpus())
+    if count < 2 or "-" in paths or not hasattr(os, "fork"):
+        return map(job, paths)
+    import threading
+
+    if threading.active_count() > 1:  # a forked copy may find another thread's lock held
+        return map(job, paths)
+    from . import workers
+
+    return workers.fan_out(paths, job, count)
+
+
+def _write_files(paths: list[str], forced_format: str | None, to: str) -> int:
     """Write each nonempty document as standoff or columns once it is read."""
     from . import convert as conv
 
     pieces = conv.standoff_pieces if to == "standoff" else conv.columns_pieces
-    write = sys.stdout.write
-    for doc in inputs:
-        if not _is_empty(doc):
-            # One write per piece: the output of a document is never built whole.
-            for piece in pieces(doc):
-                write(piece)
-            if to == "standoff":
-                write("\n")
-        del doc  # not kept alive while the next file is read
-    return inputs.status
+
+    def write_file(path: str) -> int:
+        inputs = _Inputs([path], forced_format)
+        write = sys.stdout.write  # a worker's stdout is its pipe
+        for doc in inputs:
+            if not _is_empty(doc):
+                # One write per piece: the output of a document is never built whole.
+                for piece in pieces(doc):
+                    write(piece)
+                if to == "standoff":
+                    write("\n")
+            del doc  # not kept alive while the next document is read
+        return inputs.status
+
+    return max(_each_file(paths, write_file))
 
 
 def _write_to(path: str, call, *args):
@@ -271,11 +365,15 @@ def _load_lexicon(path: str) -> tuple[str, ...]:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    inputs = _Inputs(args.files, "inline")
-    if args.check:
-        deque(inputs, maxlen=0)  # reads every file for its diagnostics only
+    if not args.check:
+        return _write_files(args.files, "inline", "standoff")
+
+    def check(path: str) -> int:
+        inputs = _Inputs([path], "inline")
+        deque(inputs, maxlen=0)  # reads the file for its diagnostics only
         return inputs.status
-    return _write_documents(inputs, "standoff")
+
+    return max(_each_file(args.files, check))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -283,21 +381,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .validation import Severity
 
     render = validation.render_records if args.format == "records" else validation.render_text
-    inputs = _Inputs(args.files, args.from_format)
-    errors = False
-    for doc in inputs:
-        findings = validation.validate_document(doc)
-        del doc  # not kept alive while the next file is read
-        if args.strict:
-            findings = [
-                replace(d, severity=Severity.ERROR) if d.severity is Severity.WARNING else d
-                for d in findings
-            ]
-        if any(d.severity is Severity.ERROR for d in findings):
-            errors = True
-        for line in render(findings, inputs.path, inputs.unit_lines):
-            print(line)
-    if inputs.status == EXIT_PARSE:
+
+    def check(path: str) -> tuple[int, bool]:
+        inputs = _Inputs([path], args.from_format)
+        errors = False
+        for doc in inputs:
+            findings = validation.validate_document(doc)
+            del doc  # not kept alive while the next document is read
+            if args.strict:
+                findings = [
+                    replace(d, severity=Severity.ERROR) if d.severity is Severity.WARNING else d
+                    for d in findings
+                ]
+            if any(d.severity is Severity.ERROR for d in findings):
+                errors = True
+            for line in render(findings, inputs.path, inputs.unit_lines):
+                print(line)
+        return inputs.status, errors
+
+    status, errors = EXIT_OK, False
+    for file_status, file_errors in _each_file(args.files, check):
+        status, errors = max(status, file_status), errors or file_errors
+    if status == EXIT_PARSE:
         return EXIT_PARSE
     return EXIT_VALIDATION if errors else EXIT_OK
 
@@ -345,8 +450,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    inputs = _Inputs(args.files, args.from_format)
     if args.to == "inline":
+        inputs = _Inputs(args.files, args.from_format)
         # Every file is still read (and its diagnostics reported) before a
         # second document is refused, so nothing reaches stdout then.
         first: Document | None = None
@@ -365,20 +470,31 @@ def cmd_convert(args: argparse.Namespace) -> int:
         if first is not None:
             sys.stdout.write(emit_document(first))
         return inputs.status
-    return _write_documents(inputs, args.to)
+    return _write_files(args.files, args.from_format, args.to)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from . import metrics
 
-    inputs = _Inputs(args.files, args.from_format)
-    report = metrics.corpus_stats(inputs)
+    def count(path: str) -> tuple[metrics.StatsReport, int]:
+        inputs = _Inputs([path], args.from_format)
+        return metrics.corpus_stats(inputs), inputs.status
+
+    status = EXIT_OK
+
+    def reports() -> Iterator[metrics.StatsReport]:
+        nonlocal status
+        for report, file_status in _each_file(args.files, count):
+            status = max(status, file_status)
+            yield report
+
+    report = metrics.StatsReport.total(reports())
     if args.format == "records":
         print(metrics.stats_records(report))
     else:
         for row in metrics.stats_table(report):
             print(row)
-    return inputs.status
+    return status
 
 
 # ``--match`` values to ``metrics.MatchCriterion`` values.
@@ -486,13 +602,13 @@ def _drop_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(encoding="utf-8", newline="\n")
-        sys.stderr.reconfigure(encoding="utf-8", newline="\n")
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):  # None when started with the descriptor closed
+            stream.reconfigure(encoding="utf-8", newline="\n")
     parser = build_parser()
     args = parser.parse_args(argv)
     if sys.stdout is None:  # started with descriptor 1 closed
-        print(f"phk: cannot write stdout: {os.strerror(errno.EBADF)}", file=sys.stderr)
+        _to_stderr(f"phk: cannot write stdout: {os.strerror(errno.EBADF)}\n")
         return EXIT_USAGE
     # Collector paused for the subcommand; see the module docstring.
     gc_was_enabled = gc.isenabled()
@@ -503,14 +619,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a write error shows here, not at interpreter exit
         return status
     except CliError as exc:
-        print(f"phk: {exc}", file=sys.stderr)
+        _to_stderr(f"phk: {exc}\n")
         return exc.status
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_OK
     except OSError as exc:
         # Every other file is read and written under a CliError: this is stdout.
-        print(f"phk: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        _to_stderr(f"phk: cannot write stdout: {exc.strerror or exc}\n")
         _drop_stdout()
         return EXIT_USAGE
     finally:

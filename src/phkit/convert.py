@@ -267,9 +267,17 @@ def from_standoff(line: str) -> Document:
     return _record(line, 0, len(line))
 
 
-def read_standoff(text: str) -> list[Document]:
-    """Parse a standoff stream: one JSON record per nonempty line, read in place."""
-    return [_record(text, line.start(), line.end()) for line in _RECORD_LINE.finditer(text)]
+def read_standoff(text: str, lines: list[int] | None = None) -> list[Document]:
+    """Parse a standoff stream: one JSON record per nonempty line, read in
+    place. Each record's 1-based line number is appended to ``lines``, if given."""
+    docs, number, pos = [], 1, 0
+    for line in _RECORD_LINE.finditer(text):
+        number += text.count("\n", pos, line.start())
+        pos = line.start()
+        if lines is not None:
+            lines.append(number)
+        docs.append(_record(text, pos, line.end()))
+    return docs
 
 
 def _unit_rows(unit: LabelingUnit) -> str:

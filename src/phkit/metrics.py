@@ -79,11 +79,20 @@ class StatsReport:
         return sum(self.by_kind.values())
 
     def __add__(self, other: "StatsReport") -> "StatsReport":
-        # Counts add; maps merge key by key.
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return StatsReport(
-            *(a + b if isinstance(a, int) else dict(Counter(a) + Counter(b)) for a, b in pairs)
-        )
+        return StatsReport.total((self, other))
+
+    @staticmethod
+    def total(reports: Iterable["StatsReport"]) -> "StatsReport":
+        """The sum of ``reports``: counts add; maps merge key by key (keeping
+        positive counts), each report's keys visited once."""
+        sums = {f.name: 0 if isinstance(f.default, int) else Counter() for f in fields(StatsReport)}
+        for report in reports:
+            for name, total in sums.items():
+                if isinstance(total, Counter):
+                    total.update(getattr(report, name))
+                else:
+                    sums[name] = total + getattr(report, name)
+        return StatsReport(**{n: dict(+s) if isinstance(s, Counter) else s for n, s in sums.items()})
 
 
 # The fields of a stats rendering, in order: (record key, report attribute,

@@ -246,6 +246,21 @@ def test_validate_records_format(capsys, golden_path):
     assert record["line"] == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_validate_standoff_names_each_records_line(capsys, tmp_path, fmt):
+    # Two records, each with one E001 finding, on lines 1 and 3.
+    two = tmp_path / "two.jsonl"
+    record = to_standoff(Document("d", (), (LabelingUnit("走来"),)))
+    two.write_text(record + "\n\n" + record.replace('"d"', '"e"') + "\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "validate", "--format", fmt, str(two))
+    assert (status, err) == (1, "")
+    if fmt == "records":
+        lines = [json.loads(line)["line"] for line in out.splitlines()]
+    else:
+        lines = [int(line.split(":")[1]) for line in out.splitlines()]
+    assert lines == [1, 3]
+
+
 def test_segment_running_example(capsys, tmp_path, golden_doc):
     raw = tmp_path / "raw.txt"
     raw.write_text(GOLDEN_PARAGRAPH + "\n", encoding="utf-8")
@@ -448,24 +463,54 @@ class _Discard:
         pass
 
 
-def test_convert_memory_does_not_grow_with_file_count(
-    monkeypatch, tmp_path, golden_lines
-):
-    path = tmp_path / "big.ann"
-    path.write_text("\n".join(golden_lines * 300) + "\n", encoding="utf-8")
+def _peaks(monkeypatch, command: list[str], path, workers: int, few: int, many: int):
+    """Traced peaks of ``command`` over ``few`` and over ``many`` copies of
+    ``path``, with the files run on up to ``workers`` workers."""
     monkeypatch.setattr(sys, "stdout", _Discard())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
 
     def peak(files: int) -> int:
         tracemalloc.start()
         try:
-            assert main(["convert", "--to", "standoff", *[str(path)] * files]) == 0
+            assert main([*command, *[str(path)] * files]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    main(["convert", "--to", "standoff", str(path)])  # warm-up
-    one, four = peak(1), peak(4)
+    main([*command, str(path), str(path)])  # warm-up: imports what a run with workers uses
+    return peak(few), peak(many)
+
+
+def _big(tmp_path, golden_lines):
+    path = tmp_path / "big.ann"
+    path.write_text("\n".join(golden_lines * 300) + "\n", encoding="utf-8")
+    return path
+
+
+def test_convert_memory_does_not_grow_with_file_count(monkeypatch, tmp_path, golden_lines):
+    path = _big(tmp_path, golden_lines)
+    one, four = _peaks(monkeypatch, ["convert", "--to", "standoff"], path, 1, 1, 4)
     assert four < 1.3 * one, (one, four)
+
+
+def test_convert_parent_memory_does_not_grow_with_file_count(
+    monkeypatch, tmp_path, golden_lines
+):
+    # tracemalloc sees the parent only: the output it holds for files that
+    # are not due yet, which stays below what one file's run holds.
+    path = _big(tmp_path, golden_lines)
+    one, four = _peaks(monkeypatch, ["convert", "--to", "standoff"], path, 2, 1, 4)
+    assert four < one, (one, four)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stats_memory_does_not_grow_with_file_count(monkeypatch, golden_path, workers):
+    # Each file's counts join the total once the file is due, so a long
+    # list of small files keeps none of their reports (which would take
+    # 300 files to 7-9 times the peak of two). With two workers the parent
+    # also holds the pickled counts of files a worker finished ahead.
+    two, many = _peaks(monkeypatch, ["stats"], golden_path, workers, 2, 300)
+    assert many < 3 * two, (two, many)
 
 
 def test_stats_table_and_records(capsys, golden_path):
@@ -859,6 +904,50 @@ def test_closed_stdout_descriptor_is_exit_2(golden_path, tmp_path, command):
     assert child.returncode == 2, err
     assert err == f"phk: cannot write stdout: {os.strerror(errno.EBADF)}\n"
     assert not sidecar.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "segment"])
+def test_closed_stdin_is_exit_2(command):
+    # Started with descriptor 0 closed (`phk validate - <&-`), sys.stdin is None.
+    child = subprocess.run(
+        [sys.executable, "-m", "phkit", command, "-"],
+        capture_output=True,
+        env=child_env(),
+        preexec_fn=lambda: os.close(0),
+    )
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr.decode() == f"phk: cannot read -: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize(
+    "files, status",
+    [
+        (["{missing}"], 2),
+        (["{bad}"], 3),
+        (["{broken}"], 3),
+        (["{golden}", "{broken}"], 3),
+        (["{golden}", "{missing}"], 2),
+    ],
+    ids=["missing", "not UTF-8", "parse diagnostics", "two files", "missing second file"],
+)
+def test_an_unwritable_stderr_keeps_the_exit_status(golden_path, tmp_path, files, status, stderr):
+    bad = tmp_path / "bad.ann"
+    bad.write_bytes(b"[PRE-S \xff]\n")
+    broken = tmp_path / "broken.ann"
+    broken.write_text("[SUB-W 王某\n", encoding="utf-8")
+    paths = dict(missing=tmp_path / "missing.ann", bad=bad, broken=broken, golden=golden_path)
+    argv = [sys.executable, "-m", "phkit", "validate", *(f.format(**paths) for f in files)]
+    if stderr == "closed":
+        child = subprocess.run(
+            argv, stdout=subprocess.PIPE, env=child_env(), preexec_fn=lambda: os.close(2)
+        )
+    elif Path("/dev/full").exists():
+        with open("/dev/full", "wb") as full:
+            child = subprocess.run(argv, stdout=subprocess.PIPE, stderr=full, env=child_env())
+    else:
+        pytest.skip("needs a device that is always full")
+    assert child.returncode == status
 
 
 def test_usage_error_is_exit_2():

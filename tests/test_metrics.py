@@ -18,6 +18,7 @@ from phkit.metrics import (
     KindAgreement,
     MatchCriterion,
     SpanAgreement,
+    StatsReport,
     _check_alignment,
     _scores,
     agree,
@@ -81,6 +82,8 @@ def test_stats_additivity(docs, cut):
     cut = min(cut, len(docs))
     a, b = docs[:cut], docs[cut:]
     assert corpus_stats(a) + corpus_stats(b) == corpus_stats(docs)
+    # One report per document, summed at once, as ``phk stats`` sums its files.
+    assert StatsReport.total(corpus_stats([d]) for d in docs) == corpus_stats(docs)
 
 
 def test_stats_renderings(golden_doc):

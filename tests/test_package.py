@@ -90,7 +90,8 @@ CHILD_IMPORTS = {
         None,
         b'{"id":"golden"',
         {"phkit.cli", "phkit.inline", "phkit.convert"},
-        {"phkit.metrics", "phkit.segmentation", "phkit.validation"},
+        # One file runs in one process: nothing of the workers' is imported.
+        {"phkit.metrics", "phkit.segmentation", "phkit.validation", "phkit.workers", "pickle"},
     ),
     "segment": (
         "甲，乙。丙\n",
