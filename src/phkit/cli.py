@@ -16,9 +16,10 @@ section or key in it is a usage error (exit 2). The
 ``PHK_CONJ_LEXICON`` environment variable points at a default conjunction
 lexicon file (one entry per line, UTF-8).
 
-Every subcommand reads its files through one loader, one file at a time,
-and each file's documents are released before the next file is read, so
-memory follows the largest document per process, not the whole batch.
+Every subcommand reads annotation files through one function, ``_read``,
+one file at a time, and each file's documents are released before the next
+file is read, so memory follows the largest file per process, not the whole
+batch. File names are written as the bytes given, also when not UTF-8.
 ``parse`` is ``convert --from inline --to standoff``; it and ``convert
 --to standoff|columns`` write each document as soon as it is read, one
 unit at a time. So when a later file cannot be read (an I/O error or a
@@ -71,10 +72,9 @@ import json
 import os
 import re
 import sys
-from collections import deque
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 # parse_bytes is unused here; the bench tracer wraps it as phkit.cli.parse_bytes.
 from .inline import decode_utf8, emit_document, parse_bytes, parse_document
@@ -102,6 +102,8 @@ def _to_stderr(text: str) -> None:
     try:
         sys.stderr.write(text)
         sys.stderr.flush()
+    except UnicodeEncodeError:  # a JSON escape of a surrogate that no byte stands for
+        _to_stderr(text.encode("utf-8", "backslashreplace").decode())
     except OSError:
         pass
 
@@ -161,73 +163,35 @@ def sniff_format(text: str) -> str:
     return "columns"
 
 
-class _Inputs:
-    """The documents of several files, read one file at a time.
-
-    Iterating yields each document once and keeps no reference to it, so a
-    caller that drops its own (including its loop variable) holds at most
-    one document while the next file is read. ``path`` and ``unit_lines``
-    (each unit's source line, for inline input) describe the file of the
-    document last yielded; ``status`` is the worst load status so far
-    (EXIT_PARSE once inline lines failed to parse and were left out).
-    ``known``, if given, goes to every inline parse (see ``parse_document``).
-    A standoff document's units all have its record's line; column input
-    has no ``unit_lines``, so a finding there names its unit's index + 1.
+def _read(path: str, forced_format: str | None, known: dict | None = None) -> tuple[int, list]:
+    """The load status of the file ``path`` and its documents, each paired
+    with its units' source lines. The status is EXIT_PARSE once inline lines
+    failed to parse and were left out, each reported on stderr; a coded read
+    error is a CliError. ``known``, if given, goes to the inline parse (see
+    ``parse_document``). A standoff document's units all have its record's
+    line; column input has no unit lines (None), so a finding there names
+    its unit's index + 1.
     """
+    text = _read_text(path)
+    fmt = forced_format or sniff_format(text)
+    if fmt == "inline":
+        result = parse_document(text, known)
+        if result.diagnostics:
+            _to_stderr("".join(
+                f"{path}:{d.line}:{d.column}: {d.code} {d.message}\n" for d in result.diagnostics
+            ))
+        status = EXIT_PARSE if result.diagnostics else EXIT_OK
+        return status, [(result.document, result.unit_lines)]
+    from . import convert as conv
 
-    def __init__(self, paths: Iterable[str], forced_format: str | None, known: dict | None = None):
-        self.paths = paths
-        self.forced_format = forced_format
-        self.known = known
-        self.path = ""
-        self._unit_lines: list[int] | None = None  # of an inline file
-        self._record: tuple[int, int] | None = None  # a standoff document's line and unit count
-        self.status = EXIT_OK
-
-    @property
-    def unit_lines(self) -> list[int] | None:
-        if self._record is None:
-            return self._unit_lines
-        line, units = self._record
-        return [line] * units  # built when asked for: only validate asks
-
-    def __iter__(self) -> Iterator[Document]:
-        for path in self.paths:
-            text = _read_text(path)
-            fmt = self.forced_format or sniff_format(text)
-            self.path = path
-            record_lines: list[int] = []  # of each standoff document
-            if fmt == "inline":
-                result = parse_document(text, self.known)
-                if result.diagnostics:
-                    self.status = EXIT_PARSE
-                    _to_stderr("".join(
-                        f"{path}:{d.line}:{d.column}: {d.code} {d.message}\n"
-                        for d in result.diagnostics
-                    ))
-                unit_lines = result.unit_lines
-                docs = [result.document]
-                del result
-            else:
-                from . import convert as conv
-
-                unit_lines = None
-                try:
-                    if fmt == "standoff":
-                        docs = conv.read_standoff(text, record_lines)
-                    else:
-                        docs = conv.read_columns(text)
-                except conv.ConvertError as exc:
-                    raise CliError(EXIT_PARSE, f"{path}: {exc.code} {exc.message}") from None
-            del text  # not kept alive while the documents are used
-            self._unit_lines = unit_lines
-            docs.reverse()
-            record_lines.reverse()
-            while docs:
-                doc = docs.pop()
-                self._record = (record_lines.pop(), len(doc.units)) if record_lines else None
-                yield doc
-                del doc  # not kept alive while the next one is read
+    try:
+        if fmt == "columns":
+            return EXIT_OK, [(doc, None) for doc in conv.read_columns(text)]
+        lines: list[int] = []
+        docs = conv.read_standoff(text, lines)
+    except conv.ConvertError as exc:
+        raise CliError(EXIT_PARSE, f"{path}: {exc.code} {exc.message}") from None
+    return EXIT_OK, [(doc, [line] * len(doc.units)) for doc, line in zip(docs, lines)]
 
 
 def _is_empty(doc: Document) -> bool:
@@ -273,17 +237,16 @@ def _write_files(paths: list[str], forced_format: str | None, to: str) -> int:
     pieces = conv.standoff_pieces if to == "standoff" else conv.columns_pieces
 
     def write_file(path: str) -> int:
-        inputs = _Inputs([path], forced_format)
+        status, docs = _read(path, forced_format)
         write = sys.stdout.write  # a worker's stdout is its pipe
-        for doc in inputs:
+        for doc, _ in docs:
             if not _is_empty(doc):
                 # One write per piece: the output of a document is never built whole.
                 for piece in pieces(doc):
                     write(piece)
                 if to == "standoff":
                     write("\n")
-            del doc  # not kept alive while the next document is read
-        return inputs.status
+        return status
 
     return max(_each_file(paths, write_file))
 
@@ -369,9 +332,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         return _write_files(args.files, "inline", "standoff")
 
     def check(path: str) -> int:
-        inputs = _Inputs([path], "inline")
-        deque(inputs, maxlen=0)  # reads the file for its diagnostics only
-        return inputs.status
+        return _read(path, "inline")[0]  # the file is read for its diagnostics only
 
     return max(_each_file(args.files, check))
 
@@ -383,11 +344,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     render = validation.render_records if args.format == "records" else validation.render_text
 
     def check(path: str) -> tuple[int, bool]:
-        inputs = _Inputs([path], args.from_format)
+        status, docs = _read(path, args.from_format)
         errors = False
-        for doc in inputs:
+        for doc, unit_lines in docs:
             findings = validation.validate_document(doc)
-            del doc  # not kept alive while the next document is read
             if args.strict:
                 findings = [
                     replace(d, severity=Severity.ERROR) if d.severity is Severity.WARNING else d
@@ -395,9 +355,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 ]
             if any(d.severity is Severity.ERROR for d in findings):
                 errors = True
-            for line in render(findings, inputs.path, inputs.unit_lines):
+            for line in render(findings, path, unit_lines):
                 print(line)
-        return inputs.status, errors
+        return status, errors
 
     status, errors = EXIT_OK, False
     for file_status, file_errors in _each_file(args.files, check):
@@ -451,25 +411,27 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     if args.to == "inline":
-        inputs = _Inputs(args.files, args.from_format)
         # Every file is still read (and its diagnostics reported) before a
         # second document is refused, so nothing reaches stdout then.
+        status, extra = EXIT_OK, False
         first: Document | None = None
-        extra = False
-        for doc in inputs:
-            if not _is_empty(doc):
-                if first is None:
-                    first = doc
-                else:
-                    extra = True
-            del doc  # not kept alive while the next file is read
+        for path in args.files:
+            file_status, docs = _read(path, args.from_format)
+            status = max(status, file_status)
+            for doc, _ in docs:
+                if not _is_empty(doc):
+                    if first is None:
+                        first = doc
+                    else:
+                        extra = True
+            docs = doc = None  # not kept alive while the next file is read
         if extra:
             raise CliError(
                 EXIT_USAGE, "inline output holds a single document per stream"
             )
         if first is not None:
             sys.stdout.write(emit_document(first))
-        return inputs.status
+        return status
     return _write_files(args.files, args.from_format, args.to)
 
 
@@ -477,8 +439,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from . import metrics
 
     def count(path: str) -> tuple[metrics.StatsReport, int]:
-        inputs = _Inputs([path], args.from_format)
-        return metrics.corpus_stats(inputs), inputs.status
+        status, docs = _read(path, args.from_format)
+        return metrics.corpus_stats(doc for doc, _ in docs), status
 
     status = EXIT_OK
 
@@ -514,12 +476,11 @@ def cmd_agree(args: argparse.Namespace) -> int:
     known: dict = {}  # unit lines of both files; see the module docstring
     status = EXIT_OK  # both files are read, and their broken lines reported, first
     for path in (args.file_a, args.file_b):
-        inputs = _Inputs([path], args.from_format, known)
-        loaded = list(inputs)
-        status = max(status, inputs.status)
+        file_status, loaded = _read(path, args.from_format, known)
+        status = max(status, file_status)
         if len(loaded) != 1:
             raise CliError(EXIT_USAGE, f"{path}: expected exactly one document")
-        docs.append(loaded[0])
+        docs.append(loaded.pop()[0])  # its unit lines go before the next file is read
     if status != EXIT_OK:
         return status
     try:
@@ -604,7 +565,8 @@ def _drop_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):  # None when started with the descriptor closed
-            stream.reconfigure(encoding="utf-8", newline="\n")
+            # surrogateescape: a path from argv is written as the bytes given
+            stream.reconfigure(encoding="utf-8", errors="surrogateescape", newline="\n")
     parser = build_parser()
     args = parser.parse_args(argv)
     if sys.stdout is None:  # started with descriptor 1 closed

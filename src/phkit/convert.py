@@ -9,7 +9,9 @@ text. The writer puts the keys in that order and omits absent optionals;
 its bytes are ``model.compact_json`` of the record as a dict, built
 without the dict. The reader takes the keys in any order and decodes a
 record one unit at a time, so its peak memory is about the document's;
-a broken line gets C004 with ``json.loads``' own message for it.
+a broken line gets C004 with ``json.loads``' own message for it, and so
+does a lone surrogate escape (of U+D800 to U+DFFF, without its pair) in
+``text``, ``id`` or ``meta``, which UTF-8 cannot encode.
 
 Column format: one row per codepoint, tab-separated into character,
 boundary tag (``B-PRE-S`` / ``I-PRE-S`` / ``O``), and role flag
@@ -171,12 +173,23 @@ def _element_from_record(rec: Any) -> tuple[int, int, Element]:
     return start, end, Element(kind, body, trigger, pattern, form)
 
 
+# A \ud800-\udfff escape that json did not join with its pair into one code
+# point: no UTF-8 text holds it, so no writer could write it out.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _lone_surrogate(key: str) -> ConvertError:
+    return ConvertError("C004", f"{key!r} holds a lone surrogate escape")
+
+
 def _unit_from_record(rec: Any) -> LabelingUnit:
     if type(rec) is not dict:
         raise ConvertError("C004", "unit record must be an object")
     text = rec.get("text")
     if type(text) is not str:
         raise ConvertError("C004", "unit record needs a 'text' string")
+    if _LONE_SURROGATE.search(text):
+        raise _lone_surrogate("text")
     element_recs = rec.get("elements", [])
     if type(element_recs) is not list:
         raise ConvertError("C004", "'elements' must be a list")
@@ -252,6 +265,10 @@ def _record(text: str, start: int, end: int) -> Document:
         raise ConvertError("C004", "'id' must be a string")
     if type(meta) is not list or not all(type(m) is str for m in meta):
         raise ConvertError("C004", "'meta' must be a list of strings")
+    if _LONE_SURROGATE.search(doc_id):
+        raise _lone_surrogate("id")
+    if any(map(_LONE_SURROGATE.search, meta)):
+        raise _lone_surrogate("meta")
     if type(units) is not list:
         raise ConvertError("C004", "'units' must be a list")
     if unit_error is not None:

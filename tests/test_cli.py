@@ -41,6 +41,19 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def run_encoded(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """``main(argv)`` with stdout and stderr as a process has them: text
+    streams over bytes, so that what cannot be encoded fails here as it
+    would there (an ``io.StringIO`` never encodes)."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    out.flush()
+    err.flush()
+    return status, out.buffer.getvalue(), err.buffer.getvalue()
+
+
 def test_parse_golden_emits_one_standoff_record(capsys, golden_path):
     status, out, err = run_cli(capsys, "parse", str(golden_path))
     assert status == 0
@@ -393,6 +406,22 @@ def test_convert_inline_rejects_multiple_documents(capsys, tmp_path, golden_path
     assert "single document" in err
 
 
+@pytest.mark.parametrize("to", ["inline", "standoff", "columns"])
+def test_convert_skips_empty_documents(capsys, tmp_path, golden_path, golden_doc, to):
+    empty = tmp_path / "empty.ann"
+    empty.write_text("", encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"id":"","units":[]}\n' + to_standoff(golden_doc) + "\n", encoding="utf-8")
+    expected = {
+        "inline": emit_document(golden_doc),
+        "standoff": to_standoff(golden_doc) + "\n",
+        "columns": to_columns(golden_doc),
+    }[to]
+    for files in ([empty, golden_path, empty], [records], [empty, records, empty]):
+        status, out, err = run_cli(capsys, "convert", "--to", to, *map(str, files))
+        assert (status, out, err) == (0, expected, ""), files
+
+
 def _three_files(tmp_path, golden_doc):
     """An inline file, a standoff stream of two documents and a column file."""
     other = Document("other", ("# note",), (LabelingUnit("甲乙"),))
@@ -565,10 +594,11 @@ def test_agree_inputs_share_units_and_report_a_broken_line_per_file(capsys, tmp_
     b = tmp_path / "b.ann"
     a.write_text("[SUB-W 王]走\n[SUB-W ]\n", encoding="utf-8")
     b.write_text("#id: b\n[SUB-W 王]走\n\n[SUB-W ]\n", encoding="utf-8")
-    inputs = cli._Inputs([str(a), str(b)], None, {})
-    doc_a, doc_b = inputs
+    known: dict = {}
+    status_a, [(doc_a, _)] = cli._read(str(a), None, known)
+    status_b, [(doc_b, _)] = cli._read(str(b), None, known)
     assert doc_b.units[0] is doc_a.units[0]
-    assert inputs.status == 3
+    assert (status_a, status_b) == (3, 3)
     assert capsys.readouterr().err == (
         f"{a}:2:8: P009 empty element content\n{b}:4:8: P009 empty element content\n"
     )
@@ -728,6 +758,8 @@ def test_a_null_config_choice_is_the_default(capsys, tmp_path, golden_path, key)
         ('{"segment": {"comas": "ignore"}}', "unknown config key segment.comas"),
         ('{"agree": {"normalize": true}}', "unknown config key agree.normalize"),
         ('{"segmnt": {"commas": "ignore"}}', "unknown config section segmnt"),
+        # A surrogate escape that no byte stands for is written as the escape.
+        ('{"segment": {"\\ud800": 1}}', "unknown config key segment.\\ud800"),
     ],
 )
 @pytest.mark.parametrize("command", ["segment", "stats"])
@@ -1036,6 +1068,87 @@ def test_no_reference_cycles_grow_with_the_input(capsys, tmp_path, golden_doc, f
             assert found[1] == found[2], (command, found)
 
 
+# File names that are not UTF-8: ``phk`` writes them as the bytes given.
+_NAMES = {
+    "bad": b"a\xff.ann",
+    "findings": b"f\xff.ann",
+    "missing": b"m\xff.ann",
+    "raw": b"r\xff.txt",
+    "nodir": b"d\xff/x.jsonl",
+}
+_P009 = "{bad}:2:8: P009 empty element content\n"
+_NOT_FOUND = "phk: cannot read {missing}: No such file or directory\n"
+_E001 = "{findings}:1: E001 error expected exactly one PRE element, found 2\n"
+
+# Per case: the arguments, the exit status, what stdout holds and stderr.
+_NAME_CASES = {
+    "parse": (["parse", "{golden}", "{bad}"], 3, "", _P009),
+    "parse --check": (["parse", "--check", "{bad}", "{golden}"], 3, "", _P009),
+    "validate": (["validate", "{findings}", "{golden}"], 1, _E001, ""),
+    "validate records": (
+        ["validate", "--format", "records", "{golden}", "{findings}"], 1, '"file":"{findings}"', ""
+    ),
+    "stats": (["stats", "{golden}", "{missing}"], 2, "", _NOT_FOUND),
+    "convert --to inline": (["convert", "--to", "inline", "{bad}"], 3, "", _P009),
+    "convert --to standoff": (
+        ["convert", "--to", "standoff", "{golden}", "{missing}"], 2, "", _NOT_FOUND
+    ),
+    "convert --to columns": (["convert", "--to", "columns", "{bad}", "{golden}"], 3, "", _P009),
+    "agree": (["agree", "{golden}", "{bad}"], 3, "", _P009),
+    "segment": (["segment", "{missing}"], 2, "", _NOT_FOUND),
+    "--config": (
+        ["--config", "{missing}", "stats", "{golden}"],
+        2,
+        "",
+        "phk: cannot load config {missing}: [Errno 2] No such file or directory: {missing!r}\n",
+    ),
+    "--conj": (["segment", "--conj", "{missing}", "{raw}"], 2, "", _NOT_FOUND),
+    "PHK_CONJ_LEXICON": (["segment", "{raw}"], 2, "", _NOT_FOUND),
+    "--boundaries": (
+        ["segment", "--boundaries", "{nodir}", "{raw}"],
+        2,
+        "",
+        "phk: cannot write {nodir}: No such file or directory\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", _NAME_CASES)
+def test_a_file_name_that_is_not_utf8_is_written_as_its_bytes(
+    monkeypatch, tmp_path, golden_path, case, workers
+):
+    names = {key: str(tmp_path / os.fsdecode(raw)) for key, raw in _NAMES.items()}
+    names["golden"] = str(golden_path)
+    Path(names["bad"]).write_text("[SUB-W 王]走\n[SUB-W ]\n", encoding="utf-8")
+    Path(names["findings"]).write_text("[PRE-S 走][PRE-S 来]\n", encoding="utf-8")
+    Path(names["raw"]).write_text("甲，乙。\n", encoding="utf-8")
+    command, status, out, err = _NAME_CASES[case]
+    if case == "PHK_CONJ_LEXICON":
+        monkeypatch.setenv(cli.ENV_CONJ_LEXICON, names["missing"])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    result = run_encoded([arg.format(**names) for arg in command])
+
+    def encoded(text: str) -> bytes:
+        return text.format(**names).encode("utf-8", "surrogateescape")
+
+    assert (result[0], encoded(out) in result[1], result[2]) == (status, True, encoded(err))
+
+
+@pytest.mark.parametrize("field", ["text", "id", "meta"])
+@pytest.mark.parametrize("to", ["inline", "standoff", "columns"])
+def test_convert_refuses_a_lone_surrogate_escape_before_any_output(tmp_path, field, to):
+    record = {
+        "text": '{"id":"x","units":[{"text":"走\\udcff","elements":[]}]}',
+        "id": '{"id":"\\udcff","units":[{"text":"走","elements":[]}]}',
+        "meta": '{"id":"x","meta":["# \\ud800"],"units":[]}',
+    }[field]
+    path = tmp_path / "lone.jsonl"
+    path.write_text(record + "\n", encoding="utf-8")
+    expected = f"phk: {path}: C004 '{field}' holds a lone surrogate escape\n"
+    assert run_encoded(["convert", "--to", to, str(path)]) == (3, b"", expected.encode())
+
+
 # --- fuzzing the command line ------------------------------------------------
 
 _FUZZ_COMMANDS = [
@@ -1065,6 +1178,7 @@ _FUZZ_TOKENS = [
     b'"id"', b'"units"', b'"text"', b'"elements"', b'"kind"', b'"sub"',
     b'"start"', b'"end"', b'"trig_end"', b'"head_start"', b'"PRE"', b'"S"',
     b"B-PRE-S", b"I-PRE-S", b"O", b"H", b"TH", b"T",
+    b"\\ud800", b"\\udcff", b"\\ud83d\\ude00",  # lone, and paired into one character
 ]
 
 
@@ -1093,10 +1207,28 @@ def _edited_seeds(draw):
     return bytes(data)
 
 
+@st.composite
+def _escaped_records(draw):
+    """The standoff seed with a lone surrogate, or a character outside the
+    BMP, at the end of its id or a unit text (where it keeps the offsets), or
+    as a meta line. json.dumps writes it as a JSON escape, a pair for the latter."""
+    record = json.loads(_fuzz_seeds()[1])
+    char = draw(st.sampled_from(["\ud800", "\udcff", "\U0001f600"]))
+    field = draw(st.sampled_from(["id", "meta", "text"]))
+    if field == "id":
+        record["id"] += char
+    elif field == "meta":
+        record["meta"] = ["# " + char]  # the seed has none
+    else:
+        record["units"][draw(st.integers(0, len(record["units"]) - 1))]["text"] += char
+    return json.dumps(record).encode()
+
+
 _fuzz_inputs = st.one_of(
     st.binary(max_size=200),
     st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map(b"".join),
     _edited_seeds(),
+    _escaped_records(),
 )
 
 
@@ -1107,8 +1239,11 @@ _fuzz_inputs = st.one_of(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_any_bytes_to_any_subcommand_end_with_an_exit_status(tmp_path, data, command):
-    path = tmp_path / "fuzz.in"
+    name = b"fuzz\xff.in"  # not UTF-8
+    path = tmp_path / os.fsdecode(name)
     path.write_bytes(data)
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        status = main([arg.format(path) for arg in command])
+    status, out, _ = run_encoded([arg.format(path) for arg in command])
     assert status in (0, 1, 2, 3)
+    # Only the name is written as bytes that are not UTF-8: no escape in a
+    # standoff string reaches stdout as a byte of its own.
+    out.replace(name, b"").decode("utf-8")

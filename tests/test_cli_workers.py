@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -23,7 +23,7 @@ from phkit.inline import emit_document
 from phkit.model import Document, LabelingUnit
 
 from .conftest import GOLDEN_PATH
-from .test_cli import _fuzz_inputs
+from .test_cli import _fuzz_inputs, run_encoded
 
 COMMANDS = [
     ["parse"],
@@ -92,10 +92,8 @@ def _workers(count: int):
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        status = main(argv)
-    return status, out.getvalue(), err.getvalue()
+    status, out, err = run_encoded(argv)
+    return status, out.decode("utf-8", "surrogateescape"), err.decode("utf-8", "surrogateescape")
 
 
 class _Digest:
@@ -297,7 +295,7 @@ def test_no_more_workers_than_usable_cpus(tmp_path, golden_doc):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_any_bytes_in_several_files_give_the_one_worker_run(tmp_path, first, second, command):
-    paths = [tmp_path / "first.in", tmp_path / "second.in"]
+    paths = [tmp_path / os.fsdecode(b"first\xff.in"), tmp_path / "second.in"]  # one not UTF-8
     paths[0].write_bytes(first)
     paths[1].write_bytes(second)
     argv = command + [str(paths[0]), str(GOLDEN_PATH), str(paths[1])]

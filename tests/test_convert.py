@@ -173,6 +173,30 @@ def test_standoff_rejects_malformed_json():
     assert err.value.code == "C004"
 
 
+@pytest.mark.parametrize("escape", ["\\ud800", "\\udcff", "\\ude00\\ud83d"])
+@pytest.mark.parametrize("field", ["text", "id", "meta"])
+def test_standoff_lone_surrogate_escape_is_c004(field, escape):
+    # No UTF-8 text holds a lone surrogate, so no writer could write it out.
+    record = {
+        "text": '{"id":"x","units":[{"text":"走%s","elements":[]}]}',
+        "id": '{"id":"%s","units":[]}',
+        "meta": '{"id":"x","meta":["# %s"],"units":[]}',
+    }[field] % escape
+    with pytest.raises(ConvertError) as err:
+        from_standoff(record)
+    assert (err.value.code, err.value.message) == (
+        "C004", f"'{field}' holds a lone surrogate escape"
+    )
+
+
+def test_standoff_paired_surrogate_escapes_are_one_character():
+    char = "\U0001f600"
+    record = json.dumps({"id": char, "meta": ["# " + char], "units": [{"text": char + "走"}]})
+    assert record.count("\\ud83d\\ude00") == 3  # json.dumps escapes it as a pair
+    doc = from_standoff(record)
+    assert (doc.id, doc.metadata, doc.units[0].text) == (char, ("# " + char,), char + "走")
+
+
 def test_standoff_accepts_unordered_disjoint_elements():
     rec = {"id": "", "units": [{"text": "abcdef", "elements": [
         {"kind": "COM", "sub": "W", "start": 3, "end": 6},

@@ -1,6 +1,7 @@
-"""The package as a whole: its public names, what a command imports, and
-where the JSON writer options are stated."""
+"""The package as a whole: its public names, what it and a command import,
+and where the JSON writer options are stated."""
 
+import ast
 import importlib
 import re
 import subprocess
@@ -129,6 +130,23 @@ def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(
     assert child.stdout.startswith(stdout)
     assert imported <= set(modules)
     assert not not_imported & set(modules)
+
+
+def test_the_package_imports_the_standard_library_only():
+    imported = set()
+    for path in sorted(Path(phkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+                imported.add((path.name, node.module))
+    assert ("cli.py", "argparse") in imported
+    outside = {
+        (name, module)
+        for name, module in imported
+        if module.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert not outside, f"imports outside the standard library: {sorted(outside)}"
 
 
 def test_json_writer_options_are_stated_in_one_module():
