@@ -31,14 +31,14 @@ work file by file, and run their files on every usable CPU: with k =
 min(files, usable CPUs) of at least 2, ``main`` forks k workers before any
 input is read and deals the files out round-robin. Each worker sends the
 stdout and stderr text of each of its files over a pipe, in frames of a
-few dozen KB, and then the file's result. The parent writes each file's
-output in file order, and stops at the first failing file, where the
-one-worker run stops, so stdout, stderr and the exit status are those of
-the one-worker run. A worker holds one document and one frame at a time;
-the parent holds only the output of files that are not due yet (reading
-only the due file's worker while that is 4 MB or more), and folds each
-file's result into the command's as the file comes due. A worker
-that dies is one ``phk:`` line and exit 2, and no worker outlives ``main``.
+few dozen KB, and then the file's result. The parent walks the files in
+order, writes each file's output, and stops at the first failing file,
+where the one-worker run stops, so stdout, stderr and the exit status are
+those of the one-worker run. A worker holds one document and one frame at
+a time; the parent keeps the frames the workers have sent, and once they
+reach 4 MB reads only the due file's worker. It folds each file's result
+into the command's as the file comes due. A worker that dies is one
+``phk:`` line and exit 2, and no worker outlives ``main``.
 One file, one usable CPU, ``-`` among the files, a platform without
 ``fork`` or a process that runs other threads keeps the run in one
 process.
@@ -169,8 +169,8 @@ def _read(path: str, forced_format: str | None, known: dict | None = None) -> tu
     failed to parse and were left out, each reported on stderr; a coded read
     error is a CliError. ``known``, if given, goes to the inline parse (see
     ``parse_document``). A standoff document's units all have its record's
-    line; column input has no unit lines (None), so a finding there names
-    its unit's index + 1.
+    line, and a standoff read error names it too; column input has no unit
+    lines (None), so a finding there names its unit's index + 1.
     """
     text = _read_text(path)
     fmt = forced_format or sniff_format(text)
@@ -184,13 +184,14 @@ def _read(path: str, forced_format: str | None, known: dict | None = None) -> tu
         return status, [(result.document, result.unit_lines)]
     from . import convert as conv
 
+    lines: list[int] = []
     try:
         if fmt == "columns":
             return EXIT_OK, [(doc, None) for doc in conv.read_columns(text)]
-        lines: list[int] = []
         docs = conv.read_standoff(text, lines)
     except conv.ConvertError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc.code} {exc.message}") from None
+        where = f"line {lines[-1]}: " if lines else ""  # the failing standoff record's
+        raise CliError(EXIT_PARSE, f"{path}: {exc.code} {where}{exc.message}") from None
     return EXIT_OK, [(doc, [line] * len(doc.units)) for doc, line in zip(docs, lines)]
 
 
@@ -264,21 +265,26 @@ _CONFIG_KEYS = {"segment": ("commas", "policy", "conjunctions"), "agree": ("matc
 
 
 def _load_config(path: str) -> dict:
-    """The config file at ``path``, checked to hold known sections and keys only."""
+    """The config file at ``path``, checked to hold known sections and keys
+    only. A name in a message shows a lone surrogate escape as its text
+    (``\\udcff``), not as the byte that the stderr would write for it."""
     try:
         config = json.loads(decode_utf8(Path(path).read_bytes()))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise CliError(EXIT_USAGE, f"cannot load config {path}: {exc}") from None
+        reason = getattr(exc, "strerror", None) or exc  # an OSError as "cannot read" words it
+        raise CliError(EXIT_USAGE, f"cannot load config {path}: {reason}") from None
     if not isinstance(config, dict):
         raise CliError(EXIT_USAGE, f"config {path} must be a JSON object")
     for section, sub in config.items():
+        name = section.encode("utf-8", "backslashreplace").decode()
         if section not in _CONFIG_KEYS:
-            raise CliError(EXIT_USAGE, f"unknown config section {section}")
+            raise CliError(EXIT_USAGE, f"unknown config section {name}")
         if sub is not None and not isinstance(sub, dict):
-            raise CliError(EXIT_USAGE, f"config section {section} must be an object or null")
+            raise CliError(EXIT_USAGE, f"config section {name} must be an object or null")
         for key in sub or ():
             if key not in _CONFIG_KEYS[section]:
-                raise CliError(EXIT_USAGE, f"unknown config key {section}.{key}")
+                key = key.encode("utf-8", "backslashreplace").decode()
+                raise CliError(EXIT_USAGE, f"unknown config key {name}.{key}")
     return config
 
 

@@ -286,7 +286,9 @@ def from_standoff(line: str) -> Document:
 
 def read_standoff(text: str, lines: list[int] | None = None) -> list[Document]:
     """Parse a standoff stream: one JSON record per nonempty line, read in
-    place. Each record's 1-based line number is appended to ``lines``, if given."""
+    place. Each record's 1-based line number is appended to ``lines``, if
+    given, before the record is decoded, so after a ConvertError the last
+    one is the failing record's line."""
     docs, number, pos = [], 1, 0
     for line in _RECORD_LINE.finditer(text):
         number += text.count("\n", pos, line.start())

@@ -3,9 +3,10 @@
 ``cli`` imports this module only for a run that fans its files out (see
 the ``cli`` docstring), so that a one-file command does not compile it.
 Worker ``w`` of ``count`` runs a job on files ``w``, ``w + count``, … with
-its ``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a pipe;
-the parent writes each file's frames in file order, through its own
-``sys.stdout`` and stderr, and stops at the first file that fails.
+its ``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a pipe.
+The parent walks the files in order: it writes file ``i``'s frames, taken
+from worker ``i % count``'s queue, through its own ``sys.stdout`` and
+stderr, and stops at the first file that fails.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import select
 import signal
 import sys
 from collections import deque
+from itertools import groupby
 from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .cli import EXIT_USAGE, CliError, _to_stderr
@@ -26,7 +28,7 @@ T = TypeVar("T")
 # frame is a few dozen KB (three bytes per character of Chinese text).
 _FRAME_CHARS = 1 << 14
 _STDOUT, _STDERR, _END = b"o", b"e", b"x"  # frame kinds
-# The most the parent holds of files that are not due yet, give or take a read.
+# The most the parent holds of frames it has not written, give or take a read.
 _HELD_BYTES = 1 << 22
 
 
@@ -41,40 +43,28 @@ class _Frames:
 
     def __init__(self, fd: int):
         self.fd = fd
-        self.kind = _STDOUT
-        self.held: list[str] = []  # text of the open frame, all of ``kind``
-        self.size = 0
-        self.closed = bytearray()  # frames not sent yet
+        self.writes: list[tuple[bytes, str]] = []  # (kind, text), not sent yet
+        self.size = 0  # their characters
 
     def write(self, kind: bytes, text: str) -> None:
-        if kind != self.kind:
-            self.close()
-            self.kind = kind
-        self.held.append(text)
+        self.writes.append((kind, text))
         self.size += len(text)
         if self.size >= _FRAME_CHARS:
-            self.close()
             self.send()
 
-    def close(self) -> None:
-        if self.held:
+    def send(self, end: bytes | None = None) -> None:
+        """Send the writes held, a frame per run of one kind, and then the
+        end frame ``end`` of the file, if given."""
+        frames = [
             # surrogatepass: a path from argv may hold surrogate escapes
-            self.add(self.kind, "".join(self.held).encode("utf-8", "surrogatepass"))
-            self.held.clear()
-            self.size = 0
-
-    def add(self, kind: bytes, payload: bytes) -> None:
-        self.closed += kind + len(payload).to_bytes(4, "big") + payload
-
-    def end(self, payload: bytes) -> None:
-        """Send what is held and the end frame ``payload`` of the file."""
-        self.close()
-        self.add(_END, payload)
-        self.send()
-
-    def send(self) -> None:
-        data = memoryview(bytes(self.closed))
-        self.closed.clear()
+            (kind, "".join(text for _, text in run).encode("utf-8", "surrogatepass"))
+            for kind, run in groupby(self.writes, lambda write: write[0])
+        ]
+        if end is not None:
+            frames.append((_END, end))
+        data = memoryview(b"".join(k + len(p).to_bytes(4, "big") + p for k, p in frames))
+        self.writes.clear()
+        self.size = 0
         while data:
             data = data[os.write(self.fd, data):]
 
@@ -107,7 +97,7 @@ def _work(paths: list[str], job: Callable[[str], object], fd: int) -> NoReturn:
                 end = (job(path), None)
             except CliError as exc:
                 end = (None, (exc.status, str(exc)))
-            frames.end(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
+            frames.send(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
             if end[1] is not None:
                 break
         code = 0
@@ -119,49 +109,19 @@ def _work(paths: list[str], job: Callable[[str], object], fd: int) -> NoReturn:
 
 def fan_out(paths: list[str], job: Callable[[str], T], count: int) -> Iterator[T]:
     """``cli._each_file`` on ``count`` forked workers; worker ``w`` runs files
-    ``w``, ``w + count``, … The parent writes the frames of the file that is
-    due (the first one not yet ended) as they arrive, holds those of later
-    files until they are due, and yields each file's result once it is.
-    While it holds ``_HELD_BYTES`` or more, it reads only the due file's
-    worker, so that a worker far ahead waits on its pipe."""
+    ``w``, ``w + count``, … The parent walks the files in order: it writes
+    each frame of file ``i`` from worker ``i % count``'s queue, and yields
+    the file's result at its end frame. It splits the frames out of every
+    worker's pipe as they arrive; once it holds ``_HELD_BYTES`` or more of
+    them, it reads only the due file's worker, so that a worker far ahead
+    waits on its pipe."""
     pids: list[int] = []
     read_ends: list[int] = []  # by worker
-    files_of: dict[int, deque[int]] = {}  # read end -> its worker's files not yet ended
-    held: dict[int, list[tuple[bytes, bytes]]] = {}  # frames of files not due yet
-    held_bytes = 0
-    results: list[T] = []  # of the files that came due since the last yield
-    out, due = sys.stdout.write, 0
-
-    def take(i: int, kind: bytes, payload: bytes) -> None:
-        # A frame of file ``i``: held, or shown, with every file it lets end.
-        nonlocal due, held_bytes
-        if i != due:
-            held.setdefault(i, []).append((kind, payload))
-            held_bytes += len(payload)
-            return
-        frames = deque([(kind, payload)])
-        while frames:
-            kind, payload = frames.popleft()
-            if kind == _END:
-                result, error = pickle.loads(payload)
-                if error is not None:
-                    raise CliError(*error)
-                results.append(result)
-                due += 1
-                later = held.pop(due, [])
-                held_bytes -= sum(len(frame) for _, frame in later)
-                frames.extend(later)
-            elif kind == _STDOUT:
-                out(payload.decode("utf-8", "surrogatepass"))
-            else:
-                _to_stderr(payload.decode("utf-8", "surrogatepass"))
-
     try:
         for w in range(count):
             try:
                 read_end, write_end = os.pipe()
                 read_ends.append(read_end)
-                files_of[read_end] = deque(range(w, len(paths), count))
                 try:
                     pid = os.fork()
                 except OSError:
@@ -175,29 +135,44 @@ def fan_out(paths: list[str], job: Callable[[str], T], count: int) -> Iterator[T
                 _work(paths[w::count], job, write_end)
             pids.append(pid)
             os.close(write_end)
-        buffers = {fd: bytearray() for fd in read_ends}  # of the workers not ended
-        while due < len(paths):
-            poller = select.poll()
-            for fd in buffers if held_bytes < _HELD_BYTES else [read_ends[due % count]]:
-                poller.register(fd, select.POLLIN)
-            for fd, _ in poller.poll():
-                data = os.read(fd, 1 << 16)
-                mine = files_of[fd]
-                if not data:
-                    del buffers[fd]
-                    if mine:  # the worker died before it ended this file
-                        i = mine.popleft()
-                        error = (EXIT_USAGE, f"{paths[i]}: worker ended without a result")
-                        take(i, _END, pickle.dumps((None, error)))
-                    continue
-                buf = buffers[fd]
-                buf += data
-                while len(buf) >= 5 and len(buf) >= 5 + (size := int.from_bytes(buf[1:5], "big")):
-                    kind, payload = bytes(buf[:1]), bytes(buf[5 : 5 + size])
-                    del buf[: 5 + size]
-                    take(mine.popleft() if kind == _END else mine[0], kind, payload)
-            yield from results
-            results.clear()
+        queues = {fd: deque() for fd in read_ends}  # (kind, payload) frames not written yet
+        starts = {fd: bytearray() for fd in read_ends}  # of the open pipes: a frame's start
+        held, out = 0, sys.stdout.write  # held: the bytes of the queued payloads
+        for i, path in enumerate(paths):
+            due = read_ends[i % count]
+            while True:
+                while not queues[due]:
+                    if due not in starts:
+                        raise CliError(EXIT_USAGE, f"{path}: worker ended without a result")
+                    poller = select.poll()
+                    for fd in starts if held < _HELD_BYTES else [due]:
+                        poller.register(fd, select.POLLIN)
+                    for fd, _ in poller.poll():
+                        data = os.read(fd, 1 << 16)
+                        if not data:
+                            del starts[fd]
+                            continue
+                        buf, at = starts[fd], 0
+                        buf += data
+                        while len(buf) >= at + 5 and len(buf) >= (
+                            end := at + 5 + int.from_bytes(buf[at + 1 : at + 5], "big")
+                        ):
+                            queues[fd].append((bytes(buf[at : at + 1]), bytes(buf[at + 5 : end])))
+                            held += end - at - 5
+                            at = end
+                        del buf[:at]
+                kind, payload = queues[due].popleft()
+                held -= len(payload)
+                if kind == _END:
+                    break
+                if kind == _STDOUT:
+                    out(payload.decode("utf-8", "surrogatepass"))
+                else:
+                    _to_stderr(payload.decode("utf-8", "surrogatepass"))
+            result, error = pickle.loads(payload)
+            if error is not None:
+                raise CliError(*error)
+            yield result
     finally:
         for fd in read_ends:
             os.close(fd)

@@ -760,6 +760,8 @@ def test_a_null_config_choice_is_the_default(capsys, tmp_path, golden_path, key)
         ('{"segmnt": {"commas": "ignore"}}', "unknown config section segmnt"),
         # A surrogate escape that no byte stands for is written as the escape.
         ('{"segment": {"\\ud800": 1}}', "unknown config key segment.\\ud800"),
+        # One that the stderr would write as the byte 0xFF is written as the escape too.
+        ('{"\\udcff": 1}', "unknown config section \\udcff"),
     ],
 )
 @pytest.mark.parametrize("command", ["segment", "stats"])
@@ -794,7 +796,31 @@ def test_deeply_nested_standoff_record_is_c004_exit_3(capsys, tmp_path):
     path.write_text('{"id":"x","units":' + "[" * 200_000 + "]" * 200_000 + "}\n")
     status, out, err = run_cli(capsys, "convert", "--to", "columns", str(path))
     assert (status, out) == (3, "")
-    assert err.startswith(f"phk: {path}: C004 record is not valid JSON: maximum recursion depth")
+    assert err.startswith(
+        f"phk: {path}: C004 line 1: record is not valid JSON: maximum recursion depth"
+    )
+
+
+@pytest.mark.parametrize(
+    "third, message",
+    [
+        (
+            '{"id":"c","units":[{"text":"走","elements":[{"kind":"PRE","sub":"X","start":0,"end":1}]}]}',
+            "C003 line 4: illegal kind/subtag combination 'PRE'/'X'",
+        ),
+        (
+            '{"id": 1, x}',
+            "C004 line 4: record is not valid JSON: Expecting property name enclosed in double"
+            " quotes: line 1 column 11 (char 10)",
+        ),
+    ],
+    ids=["C003", "C004"],
+)
+def test_a_standoff_read_error_names_its_record_line(capsys, tmp_path, third, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id":"a","units":[]}\n{"id":"b","units":[]}\n\n' + third + "\n")
+    for command in (["stats"], ["convert", "--to", "columns"]):
+        assert run_cli(capsys, *command, str(path)) == (3, "", f"phk: {path}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -1100,7 +1126,7 @@ _NAME_CASES = {
         ["--config", "{missing}", "stats", "{golden}"],
         2,
         "",
-        "phk: cannot load config {missing}: [Errno 2] No such file or directory: {missing!r}\n",
+        "phk: cannot load config {missing}: No such file or directory\n",
     ),
     "--conj": (["segment", "--conj", "{missing}", "{raw}"], 2, "", _NOT_FOUND),
     "PHK_CONJ_LEXICON": (["segment", "{raw}"], 2, "", _NOT_FOUND),
@@ -1145,7 +1171,7 @@ def test_convert_refuses_a_lone_surrogate_escape_before_any_output(tmp_path, fie
     }[field]
     path = tmp_path / "lone.jsonl"
     path.write_text(record + "\n", encoding="utf-8")
-    expected = f"phk: {path}: C004 '{field}' holds a lone surrogate escape\n"
+    expected = f"phk: {path}: C004 line 1: '{field}' holds a lone surrogate escape\n"
     assert run_encoded(["convert", "--to", to, str(path)]) == (3, b"", expected.encode())
 
 

@@ -10,13 +10,15 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stderr
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from phkit import cli, workers
+from phkit import cli, convert, workers
 from phkit.cli import main
 from phkit.convert import to_columns, to_standoff
 from phkit.inline import emit_document
@@ -110,6 +112,12 @@ class _Digest:
         pass
 
 
+def _open_fds() -> list[str] | None:
+    """The descriptors this process has open, None where they cannot be listed."""
+    fds = Path("/proc/self/fd")
+    return sorted(os.listdir(fds)) if fds.is_dir() else None
+
+
 def _reaped(pid: int) -> bool:
     try:
         os.waitpid(pid, os.WNOHANG)
@@ -125,10 +133,12 @@ def test_any_worker_count_gives_the_one_worker_run(tmp_path, golden_doc, command
     argv = command + [files[name] for name in CASES[case]]
     runs = {}
     for count in WORKERS:
+        fds = _open_fds()
         with _workers(count) as forked:
             runs[count] = _run(argv)
         assert len(forked) == (0 if count == 1 else min(count, len(CASES[case])))
         assert all(map(_reaped, forked))
+        assert _open_fds() == fds  # no pipe end is left open
     assert runs[2] == runs[1]
     assert runs[8] == runs[1]
     assert "Traceback" not in runs[1][2]
@@ -202,6 +212,38 @@ def test_a_worker_that_dies_is_one_line_and_exit_2(tmp_path, golden_doc, monkeyp
         status, out, err = _run(["convert", "--to", "columns", *paths])
     assert (status, out) == (2, before)
     assert err == f"phk: {files['records']}: worker ended without a result\n"
+    assert all(map(_reaped, forked))
+
+
+def test_a_worker_that_dies_mid_file_leaves_the_frames_it_sent(tmp_path, golden_doc, monkeypatch):
+    # Worker 0 dies in the middle of the third file, after it has sent some of it.
+    files = _files(tmp_path, golden_doc)
+    doc = Document("third", (), golden_doc.units * 60)
+    third = tmp_path / "third.in"
+    third.write_text(emit_document(doc), encoding="utf-8")
+    paths = [files["golden"], files["big"], str(third)]
+    with _workers(1):
+        _, before, _ = _run(["convert", "--to", "columns", *paths[:2]])
+    dying = 300  # the piece of the third file at which its worker is killed
+    written = "".join(islice(convert.columns_pieces(doc), dying))
+    parent = os.getpid()
+    columns_pieces = convert.columns_pieces
+
+    def pieces_or_die(doc: Document) -> Iterator[str]:
+        for n, piece in enumerate(columns_pieces(doc)):
+            if n == dying and doc.id == "third" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield piece
+
+    monkeypatch.setattr(convert, "columns_pieces", pieces_or_die)
+    with _workers(2) as forked:
+        status, out, err = _run(["convert", "--to", "columns", *paths])
+    assert (status, err) == (2, f"phk: {third}: worker ended without a result\n")
+    assert out.startswith(before)
+    sent = out[len(before) :]
+    # A prefix of what it wrote, short of it by less than the frame it held.
+    assert written.startswith(sent)
+    assert len(written) - workers._FRAME_CHARS < len(sent) < len(written)
     assert all(map(_reaped, forked))
 
 
