@@ -16,9 +16,10 @@ section or key in it is a usage error (exit 2). The
 ``PHK_CONJ_LEXICON`` environment variable points at a default conjunction
 lexicon file (one entry per line, UTF-8).
 
-Every subcommand reads annotation files through one function, ``_read``,
-one file at a time, and each file's documents are released before the next
-file is read, so memory follows the largest file per process, not the whole
+Every subcommand reads annotation files through one function, ``_read``
+(one large file may be read in ranges instead; see below), one file at a
+time, and each file's documents are released before the next file is
+read, so memory follows the largest file per process, not the whole
 batch. File names are written as the bytes given, also when not UTF-8.
 ``parse`` is ``convert --from inline --to standoff``; it and ``convert
 --to standoff|columns`` write each document as soon as it is read, one
@@ -28,8 +29,8 @@ stdout, and no output of later files is written.
 
 ``parse``, ``validate``, ``stats`` and ``convert --to standoff|columns``
 work file by file, and run their files on every usable CPU: with k =
-min(files, usable CPUs) of at least 2, ``main`` forks k workers before any
-input is read and deals the files out round-robin. Each worker sends the
+min(files, usable CPUs) of at least 2, ``main`` forks k workers, which
+read the files, and deals the files out round-robin. Each worker sends the
 stdout and stderr text of each of its files over a pipe, in frames of a
 few dozen KB, and then the file's result. The parent walks the files in
 order, writes each file's output, and stops at the first failing file,
@@ -39,9 +40,22 @@ a time; the parent keeps the frames the workers have sent, and once they
 reach 4 MB reads only the due file's worker. It folds each file's result
 into the command's as the file comes due. A worker that dies is one
 ``phk:`` line and exit 2, and no worker outlives ``main``.
-One file, one usable CPU, ``-`` among the files, a platform without
-``fork`` or a process that runs other threads keeps the run in one
-process.
+
+``stats`` and ``convert`` given one standoff or column file of 512 KB or
+more run its units on every usable CPU. The parent reads the text, cuts it
+into ranges where a unit may start (a ``,{"text":`` in the record, a blank
+line between rows), and forks a worker per range, the same way. Each
+worker decodes its range into a document of its units, with every check
+of the whole-file reader, then writes or counts them. The parent writes
+nothing until every range has decoded. If one has not (a coded error, a
+cut inside an element record, record keys other than the writer's ``id``,
+``meta``, ``units``, a "\\r" in column input, a second document), it
+stops the workers and reads the file in this process from the text it
+holds, so stdout, stderr and the status are those of one process.
+
+One file below that size or inline, one usable CPU, ``-`` among the
+files, a platform without ``fork`` or a process that runs other threads
+keeps the run in one process.
 
 ``agree`` holds both of its documents, so it reads them through one map
 from unit line to unit: a line the two inline files share is parsed once,
@@ -73,6 +87,7 @@ import os
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -163,16 +178,20 @@ def sniff_format(text: str) -> str:
     return "columns"
 
 
-def _read(path: str, forced_format: str | None, known: dict | None = None) -> tuple[int, list]:
+def _read(
+    path: str, forced_format: str | None, known: dict | None = None, text: str | None = None
+) -> tuple[int, list]:
     """The load status of the file ``path`` and its documents, each paired
     with its units' source lines. The status is EXIT_PARSE once inline lines
     failed to parse and were left out, each reported on stderr; a coded read
     error is a CliError. ``known``, if given, goes to the inline parse (see
-    ``parse_document``). A standoff document's units all have its record's
-    line, and a standoff read error names it too; column input has no unit
-    lines (None), so a finding there names its unit's index + 1.
+    ``parse_document``); ``text``, if given, is the file's text, already
+    read. A standoff document's units all have its record's line, and a
+    standoff read error names it too; column input has no unit lines
+    (None), so a finding there names its unit's index + 1.
     """
-    text = _read_text(path)
+    if text is None:
+        text = _read_text(path)
     fmt = forced_format or sniff_format(text)
     if fmt == "inline":
         result = parse_document(text, known)
@@ -210,25 +229,98 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _each_file(paths: list[str], job: Callable[[str], T]) -> Iterator[T]:
-    """``job(path)`` for each of ``paths``, with each file's output written
-    in file order; yields the results in file order, each once its file's
+# The ends of its document that a job's documents hold: (opens, closes).
+_WHOLE = (True, True)
+
+# A standoff or column file of this many bytes or more is read in ranges
+# when it is the one file of a command that allows it. The break-even,
+# measured for `convert --to inline` of golden-like files on 2 shared vCPUs
+# (CPython 3.11): forking and the workers module cost 15-25 ms, and two
+# workers save about that much on 500 KB of standoff or columns.
+_SPLIT_BYTES = 1 << 19
+
+
+def _each_file(
+    paths: list[str], forced_format: str | None, use: Callable[..., T], split: bool = False
+) -> Iterator[T]:
+    """``use(path, status, docs)`` for each of ``paths``, where ``status,
+    docs = _read(path, forced_format)``, with each file's output written in
+    file order; yields the results in file order, each once its file's
     output is written, so that a caller folding them holds none. The first
     CliError raised ends the run, after the output of the earlier files only.
 
-    The files run on forked workers when more than one CPU and file allow;
-    see the module docstring.
+    Several files run on forked workers when more than one CPU allows, and
+    with ``split`` so does one standoff or column file of ``_SPLIT_BYTES``
+    or more, cut into ranges of its units: ``use`` then runs once for each
+    range, in its worker, on a document of the range's units, and is told
+    which ends of the whole document it holds, as ``use(path, EXIT_OK,
+    [(part, None)], (opens, closes))``; see the module docstring.
     """
-    count = min(len(paths), _usable_cpus())
-    if count < 2 or "-" in paths or not hasattr(os, "fork"):
+
+    def job(path: str) -> T:
+        return use(path, *_read(path, forced_format))
+
+    cpus = _usable_cpus()
+    one = len(paths) == 1
+    if one and not (split and forced_format != "inline" and _size(paths[0]) >= _SPLIT_BYTES):
+        return map(job, paths)
+    if cpus < 2 or "-" in paths or not hasattr(os, "fork"):
         return map(job, paths)
     import threading
 
     if threading.active_count() > 1:  # a forked copy may find another thread's lock held
         return map(job, paths)
+    if one:
+        return _each_range(paths[0], forced_format, use, cpus)
     from . import workers
 
-    return workers.fan_out(paths, job, count)
+    jobs = [(path, partial(job, path)) for path in paths]
+    return workers.fan_out(jobs, min(len(paths), cpus))
+
+
+def _size(path: str) -> int:
+    """The size of the file ``path``, 0 when it cannot be told."""
+    try:
+        return os.stat(path).st_size
+    except OSError:  # reading the file reports it
+        return 0
+
+
+def _each_range(
+    path: str, forced_format: str | None, use: Callable[..., T], cpus: int
+) -> Iterator[T]:
+    """``_each_file`` of the one file ``path``, in ranges when it is one
+    standoff or column document that can be cut. The parent reads the text
+    once, and every worker decodes its range of it. When a range cannot be
+    decoded, the file runs in this process on that text, so that stdout,
+    stderr and the status are those of one process."""
+    from . import convert as conv
+
+    text = _read_text(path)
+    fmt = forced_format or sniff_format(text)
+    bounds = [] if fmt == "inline" else conv.range_bounds(text, fmt, cpus)
+    count = len(bounds) - 1
+    if count > 1:
+        from . import workers
+
+        def run(k: int) -> T:
+            try:
+                part = conv.read_range(text, fmt, bounds, k)
+            except (ValueError, RecursionError) as exc:  # the parent runs the file itself
+                raise CliError(EXIT_PARSE, str(exc)) from None
+            return use(path, EXIT_OK, [(part, None)], (k == 0, k == count - 1))
+
+        jobs = [(path, partial(run, k)) for k in range(count)]
+        results = workers.fan_out(jobs, count, decoded=True)
+        try:
+            first = next(results)
+        except workers.Undecoded:
+            pass
+        else:
+            yield first
+            yield from results
+            return
+    yield use(path, *_read(path, fmt, text=text))
 
 
 def _write_files(paths: list[str], forced_format: str | None, to: str) -> int:
@@ -237,19 +329,18 @@ def _write_files(paths: list[str], forced_format: str | None, to: str) -> int:
 
     pieces = conv.standoff_pieces if to == "standoff" else conv.columns_pieces
 
-    def write_file(path: str) -> int:
-        status, docs = _read(path, forced_format)
+    def write_file(path: str, status: int, docs: list, ends=_WHOLE) -> int:
         write = sys.stdout.write  # a worker's stdout is its pipe
         for doc, _ in docs:
             if not _is_empty(doc):
                 # One write per piece: the output of a document is never built whole.
-                for piece in pieces(doc):
+                for piece in pieces(doc, *ends):
                     write(piece)
-                if to == "standoff":
+                if to == "standoff" and ends[1]:
                     write("\n")
         return status
 
-    return max(_each_file(paths, write_file))
+    return max(_each_file(paths, forced_format, write_file, split=True))
 
 
 def _write_to(path: str, call, *args):
@@ -337,10 +428,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
     if not args.check:
         return _write_files(args.files, "inline", "standoff")
 
-    def check(path: str) -> int:
-        return _read(path, "inline")[0]  # the file is read for its diagnostics only
+    def check(path: str, status: int, docs: list) -> int:
+        return status  # the file is read for its diagnostics only
 
-    return max(_each_file(args.files, check))
+    return max(_each_file(args.files, "inline", check))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -349,8 +440,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     render = validation.render_records if args.format == "records" else validation.render_text
 
-    def check(path: str) -> tuple[int, bool]:
-        status, docs = _read(path, args.from_format)
+    def check(path: str, status: int, docs: list) -> tuple[int, bool]:
         errors = False
         for doc, unit_lines in docs:
             findings = validation.validate_document(doc)
@@ -366,7 +456,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return status, errors
 
     status, errors = EXIT_OK, False
-    for file_status, file_errors in _each_file(args.files, check):
+    for file_status, file_errors in _each_file(args.files, args.from_format, check):
         status, errors = max(status, file_status), errors or file_errors
     if status == EXIT_PARSE:
         return EXIT_PARSE
@@ -416,6 +506,17 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    if args.to == "inline" and len(args.files) == 1:
+
+        def emit(path: str, status: int, docs: list, ends=_WHOLE) -> int:
+            kept = [doc for doc, _ in docs if not _is_empty(doc)]
+            if len(kept) > 1:
+                raise CliError(EXIT_USAGE, "inline output holds a single document per stream")
+            for doc in kept:
+                sys.stdout.write(emit_document(doc))
+            return status
+
+        return max(_each_file(args.files, args.from_format, emit, split=True))
     if args.to == "inline":
         # Every file is still read (and its diagnostics reported) before a
         # second document is refused, so nothing reaches stdout then.
@@ -444,15 +545,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     from . import metrics
 
-    def count(path: str) -> tuple[metrics.StatsReport, int]:
-        status, docs = _read(path, args.from_format)
+    def count(path: str, status: int, docs: list, ends=_WHOLE) -> tuple[metrics.StatsReport, int]:
         return metrics.corpus_stats(doc for doc, _ in docs), status
 
     status = EXIT_OK
 
     def reports() -> Iterator[metrics.StatsReport]:
         nonlocal status
-        for report, file_status in _each_file(args.files, count):
+        for report, file_status in _each_file(args.files, args.from_format, count, split=True):
             status = max(status, file_status)
             yield report
 

@@ -86,18 +86,23 @@ def _element_json(el: Element) -> str:
     return rec + "}"
 
 
-def standoff_pieces(doc: Document) -> Iterator[str]:
+def standoff_pieces(doc: Document, opens: bool = True, closes: bool = True) -> Iterator[str]:
     """Yield the standoff record of ``doc`` (no newline) in pieces: the
     header up to ``"units":[``, then one piece per unit, then ``]}``.
 
     The pieces join to ``compact_json`` of the whole record as a dict, with
-    the keys in the order the module docstring gives.
+    the keys in the order the module docstring gives. A document that holds
+    one range of a record's units (see ``read_range``) leaves out the
+    header unless it ``opens`` the record, then starts its first unit with
+    a comma, and leaves out ``]}`` unless it ``closes`` the record.
     """
-    header = '{"id":' + compact_json(doc.id)
-    if doc.metadata:
-        header += ',"meta":' + compact_json(doc.metadata)
-    yield header + ',"units":['
-    separator = '{"text":'
+    separator = ',{"text":'
+    if opens:
+        header = '{"id":' + compact_json(doc.id)
+        if doc.metadata:
+            header += ',"meta":' + compact_json(doc.metadata)
+        yield header + ',"units":['
+        separator = '{"text":'
     for u in doc.units:
         yield (
             separator
@@ -107,7 +112,8 @@ def standoff_pieces(doc: Document) -> Iterator[str]:
             + "]}"
         )
         separator = ',{"text":'
-    yield "]}"
+    if closes:
+        yield "]}"
 
 
 def to_standoff(doc: Document) -> str:
@@ -226,32 +232,57 @@ def _step(pattern: re.Pattern[str], text: str, pos: int, end: int) -> tuple[int,
     return match.end(), match.lastindex
 
 
-def _record(text: str, start: int, end: int) -> Document:
+def _units(
+    text: str, pos: int, end: int, hi: int | None, opener: re.Pattern[str]
+) -> tuple[list[LabelingUnit], ConvertError | None, int, int | None]:
+    """Decode unit records from ``pos``, where ``opener`` matches the
+    "units" array's "[" or the "," before a unit, through the array's "]",
+    or up to ``hi`` if a unit ends there: the units, the first unit's
+    conversion error, the position after the last, and 1 if "]" closed."""
+    units: list[LabelingUnit] = []
+    unit_error = None
+    pos, closed = _step(opener, text, pos, end)
+    while not closed:
+        unit, pos = _decode(text, pos)
+        try:
+            units.append(_unit_from_record(unit))
+        except ConvertError as exc:
+            unit_error = unit_error or exc
+        if pos == hi:
+            break
+        pos, closed = _step(_NEXT_UNIT, text, pos, end)
+    return units, unit_error, pos, closed
+
+
+# The keys of a record up to its units, in the order the writer puts them.
+_WRITER_KEYS = (["id", "units"], ["id", "meta", "units"])
+
+
+def _record(text: str, start: int, end: int, hi: int | None = None) -> Document:
     """Decode the standoff record ``text[start:end]`` one unit at a time, so
     that one unit's dicts are alive at a time. Keys may come in any order and
     the last of a repeated key wins. Errors come in ``json.loads`` order, so a
-    unit's conversion error is held until the whole record has parsed."""
+    unit's conversion error is held until the whole record has parsed.
+
+    With ``hi``, only the units before ``hi`` are read: the record's first
+    range (see ``read_range``). Its keys must then come in the writer's
+    order, and a unit must end at ``hi``; a ValueError says they do not."""
     fields: dict[str, Any] = {"id": "", "meta": [], "units": []}
+    keys = []
     unit_error = None
     try:
         pos, closed = _step(_OPEN, text, start, end)
         while not closed:
             key, pos = _decode(text, pos)  # a string: it starts with a quote
+            keys.append(key)
             pos, _ = _step(_COLON, text, pos, end)
-            array = _UNITS.match(text, pos, end) if key == "units" else None
-            if array is None:
-                fields[key], pos = _decode(text, pos)
+            if key == "units" and text.startswith("[", pos, end):
+                # An error of an earlier "units" goes with it.
+                fields[key], unit_error, pos, closed = _units(text, pos, end, hi, _UNITS)
+                if not closed:  # it stopped at hi
+                    break
             else:
-                pos, closed = array.end(), array.lastindex
-                fields[key] = units = []
-                unit_error = None  # of an earlier "units", which this one overrides
-                while not closed:
-                    unit, pos = _decode(text, pos)
-                    try:
-                        units.append(_unit_from_record(unit))
-                    except ConvertError as exc:
-                        unit_error = unit_error or exc
-                    pos, closed = _step(_NEXT_UNIT, text, pos, end)
+                fields[key], pos = _decode(text, pos)
             pos, closed = _step(_NEXT_KEY, text, pos, end)
     except (ValueError, RecursionError):
         # A broken record, worded as json.loads words it for the line alone.
@@ -260,6 +291,8 @@ def _record(text: str, start: int, end: int) -> Document:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
         raise ConvertError("C004", "record must be a JSON object") from None
+    if hi is not None and (closed or keys not in _WRITER_KEYS):
+        raise ValueError("the record's first range does not end at a unit")
     doc_id, meta, units = fields["id"], fields["meta"], fields["units"]
     if type(doc_id) is not str:
         raise ConvertError("C004", "'id' must be a string")
@@ -325,13 +358,18 @@ def _unit_rows(unit: LabelingUnit) -> str:
     return "".join([f"{ch}\t{b}\t{r}\n" for ch, b, r in zip(unit.text, btags, roles)])
 
 
-def columns_pieces(doc: Document) -> Iterator[str]:
+def columns_pieces(doc: Document, opens: bool = True, closes: bool = True) -> Iterator[str]:
     """Yield the column block of ``doc`` in pieces: the ``# doc`` and
     ``# meta`` rows, then one piece per unit (its rows, after a blank line
-    from the second unit on). Every piece ends with a newline."""
-    header = "# doc " + doc.id if doc.id else "# doc"
-    yield header + "\n" + "".join([f"# meta\t{meta}\n" for meta in doc.metadata])
-    separator = ""
+    from the second unit on). Every piece ends with a newline. A document
+    that holds one range of a block's units (see ``read_range``) leaves out
+    the header rows unless it ``opens`` the block, and then starts its
+    first unit with a blank line; a block has no closing piece."""
+    separator = "\n"
+    if opens:
+        header = "# doc " + doc.id if doc.id else "# doc"
+        yield header + "\n" + "".join([f"# meta\t{meta}\n" for meta in doc.metadata])
+        separator = ""
     for unit in doc.units:
         yield separator + _unit_rows(unit)
         separator = "\n"
@@ -418,22 +456,31 @@ def _unit_from_rows(block: str) -> LabelingUnit:
         raise ConvertError("C011", str(exc)) from None
 
 
-def read_columns(text: str) -> list[Document]:
-    """Parse a column-format stream into documents."""
-    if "\r" in text:  # one "\r" before each line end is dropped
-        text = text.replace("\r\n", "\n")
-        if text.endswith("\r"):
-            text = text[:-1]
+def _at_line(text: str, pos: int, exc: ConvertError) -> ConvertError:
+    """``exc`` naming the line of ``text`` that ``pos`` is on."""
+    line = text.count("\n", 0, pos) + 1
+    return ConvertError(exc.code, f"line {line}: {exc.message}")
+
+
+def _column_docs(text: str, lo: int, hi: int) -> list[Document]:
+    """The documents of the column rows in ``text[lo:hi]``, where ``lo`` is
+    a line start and ``text`` holds no "\\r". An error names a line: a
+    unit's first row, a document's first line (its ``# doc`` header if it
+    has one), or the malformed row."""
     docs: list[Document] = []
     doc_id = ""
     meta: list[str] = []
     units: list[LabelingUnit] = []
     blocks: list[str] = []  # row runs of the open unit, split by "# meta" lines
     started = False
+    doc_at = unit_at = lo  # where the open document and the open unit start
 
     def close_unit() -> None:
         if blocks:
-            units.append(_unit_from_rows("".join(blocks)))
+            try:
+                units.append(_unit_from_rows("".join(blocks)))
+            except ConvertError as exc:
+                raise _at_line(text, unit_at, exc) from None
             blocks.clear()
 
     def close_doc() -> None:
@@ -443,14 +490,16 @@ def read_columns(text: str) -> list[Document]:
             try:
                 docs.append(Document(doc_id, tuple(meta), tuple(units)))
             except ModelError as exc:
-                raise ConvertError("C012", str(exc)) from None
+                raise _at_line(text, doc_at, ConvertError("C012", str(exc))) from None
         doc_id = ""
         meta = []
         units = []
 
-    for token in _COLUMN_TOKEN.finditer(text):
+    for token in _COLUMN_TOKEN.finditer(text, lo, hi):
         kind = token.lastgroup
         if kind == "rows":
+            if not blocks:
+                unit_at = token.start()
             started = True
             blocks.append(token.group())
         elif kind == "blank":
@@ -459,17 +508,96 @@ def read_columns(text: str) -> list[Document]:
             close_doc()
             started = True
             doc_id = token.group(kind)[6:]
+            doc_at = token.start()
         elif kind == "meta":
             started = True
             meta.append(token.group(kind))
         else:
             line = token.group()
-            line_no = text.count("\n", 0, token.start()) + 1
             if line.count("\t") != 2:
-                raise ConvertError("C013", f"line {line_no}: expected 3 tab-separated fields")
-            raise ConvertError("C013", f"line {line_no}: first field must be a single character")
+                error = ConvertError("C013", "expected 3 tab-separated fields")
+            else:
+                error = ConvertError("C013", "first field must be a single character")
+            raise _at_line(text, token.start(), error)
     close_doc()
     return docs
+
+
+def read_columns(text: str) -> list[Document]:
+    """Parse a column-format stream into documents. A read error names its
+    line, as ``C011 line N: …``."""
+    if "\r" in text:  # one "\r" before each line end is dropped
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
+    return _column_docs(text, 0, len(text))
+
+
+# Where a range of a one-document file may start: the "," before a unit
+# record, which can also open an element record, and a blank line.
+_CUTS = {"standoff": (',{"text":', 0), "columns": ("\n\n", 1)}  # (text, offset)
+
+
+def range_bounds(text: str, fmt: str, count: int) -> list[int]:
+    """Where to cut ``text``, one standoff record or one column document,
+    into at most ``count`` ranges of its units, each range after the first
+    starting at a cut candidate: ``[start, cut, …, end]``. Empty when the
+    text is not one such document, holds "\\r" (columns), or is a record
+    whose line does not start with ``{"id":`` and end with ``]}`` as the
+    writer's does (standoff), so that it would surely fail in ranges.
+
+    A standoff candidate is not checked here: ``read_range`` finds out
+    whether a unit ends at it."""
+    if fmt == "columns":
+        if "\r" in text or "\n# doc" in text:
+            return []
+        start, end = 0, len(text)
+    else:
+        line = _RECORD_LINE.search(text)
+        if line is None or _RECORD_LINE.search(text, line.end()):
+            return []
+        start, end = line.span()
+        if not text.startswith('{"id":', start) or not text.endswith(("]}", "]}\r"), start, end):
+            return []
+    cut, offset = _CUTS[fmt]
+    bounds = [start]
+    for k in range(1, count):
+        at = text.find(cut, max(start + (end - start) * k // count, bounds[-1] + 1), end)
+        if at < 0:
+            break
+        bounds.append(at + offset)
+    return bounds + [end]
+
+
+def read_range(text: str, fmt: str, bounds: list[int], k: int) -> Document:
+    """Decode range ``k`` of ``range_bounds(text, fmt, …)``: a document of
+    the units from ``bounds[k]`` to ``bounds[k + 1]``, with every check of
+    ``read_standoff`` or ``read_columns``; only the first range holds the
+    id and metadata. A range that is empty, holds a second document or
+    metadata (columns), or does not end where a unit does, the last at the
+    record's closing "]}" (standoff), is a ValueError; so is a ConvertError.
+    Only a standoff record whose keys up to ``units`` are the writer's
+    ``id`` and ``meta`` is read in ranges."""
+    lo, hi, end = bounds[k], bounds[k + 1], bounds[-1]
+    if fmt == "columns":
+        docs = _column_docs(text, lo, hi)
+        if len(docs) != 1 or not docs[0].units or k and (docs[0].id or docs[0].metadata):
+            raise ValueError("a column range holds no unit, or more than units")
+        return docs[0]
+    last = hi == end
+    if k == 0:
+        return _record(text, lo, end, None if last else hi)
+    units, unit_error, pos, closed = _units(text, lo, end, None if last else hi, _NEXT_UNIT)
+    if last:
+        _, closed = _step(_NEXT_KEY, text, pos, end)  # "}" and the line end
+    if bool(closed) != last:  # stopped at hi, or closed the record
+        raise ValueError("a standoff range does not end where a unit does")
+    if unit_error is not None:
+        raise unit_error
+    try:
+        return Document("", (), tuple(units))
+    except ModelError as exc:
+        raise ConvertError("C004", str(exc)) from None
 
 
 def from_columns(text: str) -> Document:

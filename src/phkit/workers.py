@@ -1,12 +1,13 @@
 """The forked workers of ``phk``'s per-file commands.
 
-``cli`` imports this module only for a run that fans its files out (see
-the ``cli`` docstring), so that a one-file command does not compile it.
-Worker ``w`` of ``count`` runs a job on files ``w``, ``w + count``, … with
-its ``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a pipe.
-The parent walks the files in order: it writes file ``i``'s frames, taken
-from worker ``i % count``'s queue, through its own ``sys.stdout`` and
-stderr, and stops at the first file that fails.
+``cli`` imports this module only for a run that fans out (see the ``cli``
+docstring), so that a one-file command below the range size does not
+compile it. A job is a name, for messages, and a call: a file, or a range
+of one file. Worker ``w`` of ``count`` runs jobs ``w``, ``w + count``, …
+with its ``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a
+pipe. The parent walks the jobs in order: it writes job ``i``'s frames,
+taken from worker ``i % count``'s queue, through its own ``sys.stdout``
+and stderr, and stops at the first job that fails.
 """
 
 from __future__ import annotations
@@ -84,17 +85,21 @@ class _Stream:
         pass
 
 
-def _work(paths: list[str], job: Callable[[str], object], fd: int) -> NoReturn:
-    """The life of a worker: ``job`` on each of ``paths`` with its stdout and
-    stderr sent over ``fd``, each file ended by its result or its CliError.
-    It stops after a CliError, as the parent does, and never returns."""
+class Undecoded(Exception):
+    """A range of a file did not decode, and no output of it was written."""
+
+
+def _work(jobs: list[tuple[str, Callable[[], object]]], fd: int) -> NoReturn:
+    """The life of a worker: each of ``jobs`` with its stdout and stderr sent
+    over ``fd``, each job ended by its result or its CliError. It stops
+    after a CliError, as the parent does, and never returns."""
     code = 1
     try:
         frames = _Frames(fd)
         sys.stdout, sys.stderr = _Stream(frames, _STDOUT), _Stream(frames, _STDERR)
-        for path in paths:
+        for _, job in jobs:
             try:
-                end = (job(path), None)
+                end = (job(), None)
             except CliError as exc:
                 end = (None, (exc.status, str(exc)))
             frames.send(pickle.dumps(end, pickle.HIGHEST_PROTOCOL))
@@ -103,18 +108,53 @@ def _work(paths: list[str], job: Callable[[str], object], fd: int) -> NoReturn:
         code = 0
     finally:
         # Whatever happened, a worker never runs its parent's code again; a
-        # file it leaves without an end frame is reported by the parent.
+        # job it leaves without an end frame is reported by the parent.
         os._exit(code)
 
 
-def fan_out(paths: list[str], job: Callable[[str], T], count: int) -> Iterator[T]:
-    """``cli._each_file`` on ``count`` forked workers; worker ``w`` runs files
-    ``w``, ``w + count``, … The parent walks the files in order: it writes
-    each frame of file ``i`` from worker ``i % count``'s queue, and yields
-    the file's result at its end frame. It splits the frames out of every
+def _read_frames(fds: list[int], queues: dict[int, deque], starts: dict[int, bytearray]) -> int:
+    """Wait until some of ``fds`` can be read, read them, and move each whole
+    frame read into its pipe's queue; a pipe found closed leaves ``starts``.
+    Returns the bytes of the payloads queued."""
+    queued = 0
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    for fd, _ in poller.poll():
+        data = os.read(fd, 1 << 16)
+        if not data:
+            del starts[fd]
+            continue
+        buf, at = starts[fd], 0
+        buf += data
+        while len(buf) >= at + 5 and len(buf) >= (
+            end := at + 5 + int.from_bytes(buf[at + 1 : at + 5], "big")
+        ):
+            queues[fd].append((bytes(buf[at : at + 1]), bytes(buf[at + 5 : end])))
+            queued += end - at - 5
+            at = end
+        del buf[:at]
+    return queued
+
+
+def fan_out(
+    jobs: list[tuple[str, Callable[[], T]]], count: int, decoded: bool = False
+) -> Iterator[T]:
+    """``cli._each_file`` on ``count`` forked workers; worker ``w`` runs jobs
+    ``w``, ``w + count``, … The parent walks the jobs in order: it writes
+    each frame of job ``i`` from worker ``i % count``'s queue, and yields
+    the job's result at its end frame. It splits the frames out of every
     worker's pipe as they arrive; once it holds ``_HELD_BYTES`` or more of
-    them, it reads only the due file's worker, so that a worker far ahead
-    waits on its pipe."""
+    them, it reads only the due job's worker, so that a worker far ahead
+    waits on its pipe.
+
+    ``decoded`` is for the ranges of one file, a job per worker, each of
+    which writes nothing before it has decoded its range. A worker's first
+    frame is then its verdict: output or a result says the range decoded,
+    a CliError or a pipe closed first says it did not. The parent writes
+    nothing until every worker has given its verdict, and raises Undecoded
+    if one did not; a worker that has decoded meanwhile waits on its pipe.
+    """
     pids: list[int] = []
     read_ends: list[int] = []  # by worker
     try:
@@ -132,35 +172,26 @@ def fan_out(paths: list[str], job: Callable[[str], T], count: int) -> Iterator[T
             if pid == 0:
                 for fd in read_ends:  # its own included
                     os.close(fd)
-                _work(paths[w::count], job, write_end)
+                _work(jobs[w::count], write_end)
             pids.append(pid)
             os.close(write_end)
         queues = {fd: deque() for fd in read_ends}  # (kind, payload) frames not written yet
         starts = {fd: bytearray() for fd in read_ends}  # of the open pipes: a frame's start
         held, out = 0, sys.stdout.write  # held: the bytes of the queued payloads
-        for i, path in enumerate(paths):
+        if decoded:
+            while waiting := [fd for fd in starts if not queues[fd]]:
+                held += _read_frames(waiting, queues, starts)
+            for queue in queues.values():
+                if not queue or queue[0][0] == _END and pickle.loads(queue[0][1])[1] is not None:
+                    raise Undecoded
+        for i, (name, _) in enumerate(jobs):
             due = read_ends[i % count]
             while True:
                 while not queues[due]:
                     if due not in starts:
-                        raise CliError(EXIT_USAGE, f"{path}: worker ended without a result")
-                    poller = select.poll()
-                    for fd in starts if held < _HELD_BYTES else [due]:
-                        poller.register(fd, select.POLLIN)
-                    for fd, _ in poller.poll():
-                        data = os.read(fd, 1 << 16)
-                        if not data:
-                            del starts[fd]
-                            continue
-                        buf, at = starts[fd], 0
-                        buf += data
-                        while len(buf) >= at + 5 and len(buf) >= (
-                            end := at + 5 + int.from_bytes(buf[at + 1 : at + 5], "big")
-                        ):
-                            queues[fd].append((bytes(buf[at : at + 1]), bytes(buf[at + 5 : end])))
-                            held += end - at - 5
-                            at = end
-                        del buf[:at]
+                        raise CliError(EXIT_USAGE, f"{name}: worker ended without a result")
+                    fds = list(starts) if held < _HELD_BYTES else [due]
+                    held += _read_frames(fds, queues, starts)
                 kind, payload = queues[due].popleft()
                 held -= len(payload)
                 if kind == _END:

@@ -824,6 +824,37 @@ def test_a_standoff_read_error_names_its_record_line(capsys, tmp_path, third, me
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "# doc x\n甲\tB-PRE-S\tB\n\n丙\tB-PRE-X\tB\n",
+            "C003 line 4: illegal element tag 'B-PRE-X'",
+        ),
+        (
+            "# doc x\n甲\tB-PRE-S\tB\n\n丙\tO\tO\n丁\tI-PRE-S\tB\n",
+            "C010 line 4: 'I-PRE-S' without a preceding matching B tag",
+        ),
+        (
+            "# doc x\n甲\tB-PRE-S\tB\n乙\tI-PRE-S\tB\n\n丙\tO\tB\n",
+            "C011 line 5: role 'B' on an O-tagged character",
+        ),
+        # The line of the failing document's header, not of the unit.
+        ("# doc a\n甲\tO\tO\n# doc  x\n\n乙\tO\tO\n", "C012 line 3: invalid document id ' x'"),
+        (
+            "# doc x\r\n甲\tO\tO\r\n\r\n乙\tO\tB\r\n",
+            "C011 line 4: role 'B' on an O-tagged character",
+        ),
+    ],
+    ids=["C003", "C010", "C011", "C012", "C011 CRLF"],
+)
+def test_a_column_read_error_names_its_line(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.cols"
+    path.write_text(text, encoding="utf-8", newline="")
+    for command in (["stats"], ["convert", "--to", "standoff"]):
+        assert run_cli(capsys, *command, str(path)) == (3, "", f"phk: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "value", [["x"], {"x": 1}, 1, None, True], ids=["list", "object", "number", "null", "bool"]
 )
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ the exit status and the processes left behind must be those of one worker."""
 import hashlib
 import io
 import os
+import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -24,7 +26,7 @@ from phkit.convert import to_columns, to_standoff
 from phkit.inline import emit_document
 from phkit.model import Document, LabelingUnit
 
-from .conftest import GOLDEN_PATH
+from .conftest import GOLDEN_PATH, child_env
 from .test_cli import _fuzz_inputs, run_encoded
 
 COMMANDS = [
@@ -126,22 +128,28 @@ def _reaped(pid: int) -> bool:
     return False
 
 
+def _runs(argv: list[str], counts: list[int]) -> dict[int, tuple[tuple[int, str, str], int]]:
+    """By worker count: the run of ``argv`` and the number of workers it
+    forked. Each run leaves no descriptor open and no worker unreaped."""
+    runs = {}
+    for count in counts:
+        fds = _open_fds()
+        with _workers(count) as forked:
+            runs[count] = _run(argv), len(forked)
+        assert all(map(_reaped, forked))
+        assert _open_fds() == fds  # no pipe end is left open
+    return runs
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_any_worker_count_gives_the_one_worker_run(tmp_path, golden_doc, command, case):
     files = _files(tmp_path, golden_doc)
-    argv = command + [files[name] for name in CASES[case]]
-    runs = {}
-    for count in WORKERS:
-        fds = _open_fds()
-        with _workers(count) as forked:
-            runs[count] = _run(argv)
-        assert len(forked) == (0 if count == 1 else min(count, len(CASES[case])))
-        assert all(map(_reaped, forked))
-        assert _open_fds() == fds  # no pipe end is left open
-    assert runs[2] == runs[1]
-    assert runs[8] == runs[1]
-    assert "Traceback" not in runs[1][2]
+    runs = _runs(command + [files[name] for name in CASES[case]], WORKERS)
+    for count, (run, forked) in runs.items():
+        assert forked == (0 if count == 1 else min(count, len(CASES[case])))
+        assert run == runs[1][0]
+    assert "Traceback" not in runs[1][0][2]
 
 
 def test_the_files_are_dealt_round_robin(tmp_path, golden_doc, monkeypatch):
@@ -229,8 +237,8 @@ def test_a_worker_that_dies_mid_file_leaves_the_frames_it_sent(tmp_path, golden_
     parent = os.getpid()
     columns_pieces = convert.columns_pieces
 
-    def pieces_or_die(doc: Document) -> Iterator[str]:
-        for n, piece in enumerate(columns_pieces(doc)):
+    def pieces_or_die(doc: Document, *ends: bool) -> Iterator[str]:
+        for n, piece in enumerate(columns_pieces(doc, *ends)):
             if n == dying and doc.id == "third" and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             yield piece
@@ -347,3 +355,180 @@ def test_any_bytes_in_several_files_give_the_one_worker_run(tmp_path, first, sec
             runs.append(_run(argv))
     assert runs[0][0] in (0, 1, 2, 3)
     assert runs[1] == runs[0]
+
+
+
+# The commands that read one standoff or column file in ranges.
+RANGE_COMMANDS = [
+    ["stats"],
+    ["stats", "--format", "records"],
+    ["convert", "--to", "standoff"],
+    ["convert", "--to", "columns"],
+    ["convert", "--to", "inline"],
+]
+
+
+def _units_json(doc: Document) -> str:
+    """The ``"units":[…]`` member of the standoff record of ``doc``."""
+    record = to_standoff(doc)
+    return record[record.index('"units":') : -1]
+
+
+def _range_inputs(golden_doc) -> dict[str, str]:
+    """One-file inputs for the range run, by case: one document of 30 units,
+    and the forms on which a range must fail, so that one process runs."""
+    doc = Document("ranges", ("# note",), golden_doc.units * 3)
+    record, columns = to_standoff(doc), to_columns(doc)
+    units, one_unit = _units_json(doc), _units_json(Document("", (), doc.units[:1]))
+    header = '"id":"ranges","meta":["# note"]'
+    assert record == "{" + header + "," + units + "}"
+    last_kind = record.rindex('"kind":"') + len('"kind":"')
+    middle = record.index('"end":', len(record) // 2) + len('"end":')
+    last_unit = columns.rindex("\n\n") + 2
+    second_row = columns.index("\n", last_unit) + 1
+    last_row = columns.rindex("\n", 0, -1) + 1
+    return {
+        "standoff": record + "\n",
+        "columns": columns,
+        # Each element record after the first of its unit makes a false cut.
+        "element text first": record.replace('{"kind":', '{"text":"y","kind":') + "\n",
+        "keys units first": "{" + units + "," + header + "}\n",
+        "keys meta first": '{"meta":["# note"],"id":"ranges",' + units + "}\n",
+        "units repeated, the last short": "{" + header + "," + units + "," + one_unit + "}\n",
+        "units repeated, the last long": "{" + header + "," + one_unit + "," + units + "}\n",
+        "key after units": "{" + header + "," + units + ',"x":1}\n',
+        "broken record end": record[:-1] + "\n",
+        "bad unit in the last range": record[:last_kind] + "X" + record[last_kind:] + "\n",
+        "bad unit in the middle": record[:middle] + "99" + record[middle:] + "\n",
+        "bad row in the last range": columns[:last_row] + "甲\tO\tB\n",
+        "meta in a late unit": columns[:second_row] + "# meta\t# late\n" + columns[second_row:],
+        # The first range is the header and blank lines, with no unit.
+        "blank lines after the header": columns.replace("\n", "\n" * len(columns), 1),
+        "crlf columns": columns.replace("\n", "\r\n"),
+        "bom standoff": "\ufeff" + record + "\n",
+        "bom columns": "\ufeff" + columns,
+        "two records": record + "\n\n" + record + "\n",
+        "two column documents": columns + columns,
+    }
+
+
+RANGE_CASES = [
+    "standoff", "columns", "element text first", "keys units first", "keys meta first",
+    "units repeated, the last short", "units repeated, the last long", "key after units",
+    "broken record end", "bad unit in the last range", "bad unit in the middle",
+    "bad row in the last range", "meta in a late unit", "blank lines after the header",
+    "crlf columns", "bom standoff", "bom columns", "two records", "two column documents",
+]
+
+
+@pytest.fixture(scope="module")
+def range_files(tmp_path_factory) -> dict[str, str]:
+    from phkit import parse_document
+
+    golden_doc = parse_document(GOLDEN_PATH.read_text(encoding="utf-8")).document
+    folder = tmp_path_factory.mktemp("ranges")
+    inputs = _range_inputs(golden_doc)
+    assert list(inputs) == RANGE_CASES
+    paths = {}
+    for case, text in inputs.items():
+        path = folder / (case.replace(" ", "_").replace(",", "") + ".in")
+        path.write_text(text, encoding="utf-8", newline="")
+        paths[case] = str(path)
+    return paths
+
+
+# The cases whose ranges all decode; the parent reads every other file itself.
+DECODED = {"standoff", "columns", "bom standoff", "bom columns"}
+
+
+@pytest.mark.parametrize("case", RANGE_CASES)
+@pytest.mark.parametrize("command", RANGE_COMMANDS, ids=" ".join)
+def test_any_worker_count_reads_one_file_as_one_process(range_files, monkeypatch, command, case):
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
+    parent, read, reads = os.getpid(), cli._read, []
+
+    def logged(*args, **kwargs):
+        if os.getpid() == parent:
+            reads.append(args[0])
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read", logged)
+    runs = _runs(command + [range_files[case]], WORKERS)
+    for count, (run, forked) in runs.items():
+        assert run == runs[1][0], count
+        if case in DECODED:  # a worker per range, one range per CPU
+            assert forked == (0 if count == 1 else count)
+    if case == "element text first":  # 2 ranges decode; of 8, one is cut at an element
+        assert reads == [range_files[case]] * 2
+    else:
+        assert len(reads) == (1 if case in DECODED else len(WORKERS))
+    assert "Traceback" not in runs[1][0][2]
+
+
+@given(
+    case=st.sampled_from(["standoff", "columns", "element text first", "bad unit in the middle"]),
+    command=st.sampled_from(RANGE_COMMANDS),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_any_cuts_give_the_one_process_run(range_files, case, command, data):
+    # Ranges cut at any candidates, false ones among them, up to 8 ranges.
+    real = convert.range_bounds
+
+    def any_bounds(text: str, fmt: str, count: int) -> list[int]:
+        bounds = real(text, fmt, 2)
+        cut, offset = convert._CUTS[fmt]
+        found = (m.start() + offset for m in re.finditer(re.escape(cut), text))
+        candidates = [at for at in found if bounds[0] < at < bounds[-1]]
+        cuts = st.lists(st.sampled_from(candidates), min_size=1, max_size=7, unique=True)
+        cuts = data.draw(cuts)
+        return [bounds[0], *sorted(cuts), bounds[-1]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SPLIT_BYTES", 0)
+        mp.setattr(convert, "range_bounds", any_bounds)
+        runs = _runs(command + [range_files[case]], [1, 2])
+    assert runs[2][0] == runs[1][0]
+    assert runs[2][1] > 1
+
+
+@pytest.mark.parametrize("command", RANGE_COMMANDS, ids=" ".join)
+def test_one_file_below_the_range_size_or_inline_forks_nothing(tmp_path, golden_doc, command):
+    files = _files(tmp_path, golden_doc)
+    assert os.path.getsize(files["records"]) < cli._SPLIT_BYTES
+    for name in ("records", "columns"):
+        assert _runs(command + [files[name]], [2])[2][1] == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SPLIT_BYTES", 0)
+        for name in ("big", "golden"):  # inline, read in one process at any size
+            assert _runs(command + [files[name]], [2])[2][1] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", "{path}"], ["stats", "{path}.jsonl"], ["convert", "--to", "inline", "{path}.jsonl"]],
+)
+def test_a_one_file_run_below_the_range_size_does_not_load_the_workers(tmp_path, argv):
+    path = tmp_path / "empty.ann"
+    path.write_bytes(b"")
+    (tmp_path / "empty.ann.jsonl").write_text('{"id":"x","units":[{"text":"a"}]}\n')
+    code = (
+        "import sys; from phkit.cli import main; status = main(sys.argv[1:]); "
+        "sys.stdout.flush(); sys.exit(status if 'phkit.workers' not in sys.modules else 9)"
+    )
+    argv = [arg.format(path=path) for arg in argv]
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=child_env(), capture_output=True, timeout=60
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("files, cpus", [(2, 8), (3, 2), (4, 3)])
+def test_several_files_fork_a_worker_per_file_up_to_the_cpus(
+    range_files, monkeypatch, files, cpus
+):
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)  # the file fan-out, never ranges
+    paths = [range_files["standoff"], range_files["columns"]] * 2
+    for command in RANGE_COMMANDS[:4]:
+        runs = _runs(command + paths[:files], [1, cpus])
+        assert runs[cpus] == (runs[1][0], min(files, cpus))

@@ -2,17 +2,21 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phkit.convert
 from phkit.convert import (
     ConvertError,
     _unit_from_record,
+    columns_pieces,
     from_columns,
     from_standoff,
+    range_bounds,
     read_columns,
+    read_range,
     read_standoff,
+    standoff_pieces,
     to_columns,
     to_standoff,
 )
@@ -679,3 +683,96 @@ def test_deeply_nested_standoff_record_is_c004():
     with pytest.raises(ConvertError) as err:
         read_standoff('{"units":[[\n' + deep)
     assert err.value.message.startswith("record is not valid JSON: Expecting value")
+
+
+@given(doc=documents(), count=st.integers(2, 8))
+@settings(max_examples=150)
+def test_the_ranges_of_a_document_join_to_it(doc, count):
+    assume(doc.units)  # a range holds a unit
+    for fmt, write, pieces in (
+        ("standoff", to_standoff, standoff_pieces),
+        ("columns", to_columns, columns_pieces),
+    ):
+        text = write(doc)
+        bounds = range_bounds(text, fmt, count)
+        assert bounds[0] == 0 and bounds[-1] == len(text)
+        assert len(bounds) - 1 <= max(1, min(count, len(doc.units)))
+        last = len(bounds) - 2
+        parts = [read_range(text, fmt, bounds, k) for k in range(last + 1)]
+        assert (parts[0].id, parts[0].metadata) == (doc.id, doc.metadata)
+        assert all(not part.id and not part.metadata for part in parts[1:])
+        assert tuple(u for part in parts for u in part.units) == doc.units
+        joined = "".join(
+            piece for k, part in enumerate(parts) for piece in pieces(part, k == 0, k == last)
+        )
+        assert joined == text
+
+
+def test_a_range_that_does_not_end_at_a_unit_is_a_value_error(golden_doc):
+    # An element record that lists "text" first makes a false cut.
+    text = to_standoff(golden_doc).replace('{"kind":', '{"text":"y","kind":')
+    assert from_standoff(text) == golden_doc
+    true_cut = text.index(',{"text":"', text.index("]}") + 1)
+    false_cut = text.index(',{"text":"y"')
+    assert false_cut < true_cut
+    for cut in (false_cut, true_cut):
+        bounds = [0, cut, len(text)]
+        if cut == true_cut:
+            parts = [read_range(text, "standoff", bounds, k) for k in (0, 1)]
+            assert parts[0].units + parts[1].units == golden_doc.units
+        else:
+            with pytest.raises(ValueError):
+                read_range(text, "standoff", bounds, 0)
+    # A middle range that runs into a false cut at its end.
+    later_false = text.index(',{"text":"y"', true_cut)
+    with pytest.raises(ValueError):
+        read_range(text, "standoff", [0, true_cut, later_false, len(text)], 1)
+
+
+def test_a_column_range_without_a_unit_is_a_value_error():
+    text = "# doc a\n\n甲\tO\tO\n\n乙\tO\tO\n\n"
+    for cut in (text.index("\n\n") + 1, len(text) - 1):  # after the header, before the end
+        bounds = [0, cut, len(text)]
+        with pytest.raises(ValueError):
+            for k in (0, 1):
+                read_range(text, "columns", bounds, k)
+
+
+_UNITS = '"units":[' + ",".join(['{"text":"a"}'] * 6) + "]"
+
+
+@pytest.mark.parametrize(
+    "record, seen",
+    [
+        ("{" + _UNITS + ',"id":"x"}', True),
+        ('{"meta":["# m"],"id":"x",' + _UNITS + "}", True),
+        ('{"id":"x",' + _UNITS + ',"units":[{"text":"c"}]}', False),
+        ('{"id":"x",' + _UNITS + ',"x":1}', True),
+    ],
+    ids=["units first", "meta first", "units repeated", "key after units"],
+)
+def test_a_record_not_in_the_writer_form_is_not_read_in_ranges(record, seen):
+    # range_bounds declines what its line shows; read_range finds the rest.
+    assert (range_bounds(record, "standoff", 2) == []) == seen
+    bounds = [0, record.index(',{"text":', len(record) // 2), len(record)]
+    with pytest.raises(ValueError):
+        for k in (0, 1):
+            read_range(record, "standoff", bounds, k)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["# doc a\n甲\tO\tO\n\n乙\tO\tO\n# doc b\n丙\tO\tO\n", "# doc a\r\n甲\tO\tO\r\n\r\n乙\tO\tO\r\n"],
+    ids=["two documents", "crlf"],
+)
+def test_columns_that_are_not_one_lf_document_are_not_cut(text):
+    assert range_bounds(text, "columns", 2) == []
+
+
+def test_a_column_range_with_metadata_after_the_first_is_a_value_error():
+    text = "# doc a\n甲\tO\tO\n\n乙\tO\tO\n# meta\t# late\n丁\tO\tO\n"
+    bounds = [0, text.index("\n\n") + 1, len(text)]
+    assert read_columns(text)[0].metadata == ("# late",)
+    assert read_range(text, "columns", bounds, 0).units == read_columns(text)[0].units[:1]
+    with pytest.raises(ValueError):
+        read_range(text, "columns", bounds, 1)
