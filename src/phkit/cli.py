@@ -47,11 +47,12 @@ into ranges where a unit may start (a ``,{"text":`` in the record, a blank
 line between rows), and forks a worker per range, the same way. Each
 worker decodes its range into a document of its units, with every check
 of the whole-file reader, then writes or counts them. The parent writes
-nothing until every range has decoded. If one has not (a coded error, a
-cut inside an element record, record keys other than the writer's ``id``,
-``meta``, ``units``, a "\\r" in column input, a second document), it
+nothing until every range has decoded. At the first range that has not (a
+coded error, a cut inside an element record, a key after ``units``), it
 stops the workers and reads the file in this process from the text it
-holds, so stdout, stderr and the status are those of one process.
+holds, as it does when the text cannot be cut (a "\\r" in column input, a
+second document), so stdout, stderr and the status are those of one
+process.
 
 One file below that size or inline, one usable CPU, ``-`` among the
 files, a platform without ``fork`` or a process that runs other threads
@@ -254,11 +255,15 @@ def _each_file(
     or more, cut into ranges of its units: ``use`` then runs once for each
     range, in its worker, on a document of the range's units, and is told
     which ends of the whole document it holds, as ``use(path, EXIT_OK,
-    [(part, None)], (opens, closes))``; see the module docstring.
+    [(part, None)], (opens, closes))``. The parent reads that file's text
+    once; when it is not one document that can be cut, or a range does not
+    decode, the file runs in this process on that text, so that stdout,
+    stderr and the status are those of one process (see the module
+    docstring).
     """
 
-    def job(path: str) -> T:
-        return use(path, *_read(path, forced_format))
+    def job(path: str, fmt: str | None = forced_format, text: str | None = None) -> T:
+        return use(path, *_read(path, fmt, text=text))
 
     cpus = _usable_cpus()
     one = len(paths) == 1
@@ -270,12 +275,29 @@ def _each_file(
 
     if threading.active_count() > 1:  # a forked copy may find another thread's lock held
         return map(job, paths)
-    if one:
-        return _each_range(paths[0], forced_format, use, cpus)
+    if not one:
+        from . import workers
+
+        return workers.fan_out([(path, partial(job, path)) for path in paths], min(len(paths), cpus))
+    from . import convert as conv
+
+    path, text = paths[0], _read_text(paths[0])
+    fmt = forced_format or sniff_format(text)
+    bounds = [] if fmt == "inline" else conv.range_bounds(text, fmt, cpus)
+    count = len(bounds) - 1
+    if count < 2:
+        return map(job, paths, [fmt], [text])  # in this process, on the text read
     from . import workers
 
-    jobs = [(path, partial(job, path)) for path in paths]
-    return workers.fan_out(jobs, min(len(paths), cpus))
+    def run(k: int) -> T:
+        try:
+            part = conv.read_range(text, fmt, bounds, k)
+        except (ValueError, RecursionError) as exc:  # the parent runs the file itself
+            raise CliError(EXIT_PARSE, str(exc)) from None
+        return use(path, EXIT_OK, [(part, None)], (k == 0, k == count - 1))
+
+    jobs = [(path, partial(run, k)) for k in range(count)]
+    return workers.fan_out(jobs, count, partial(job, path, fmt, text))
 
 
 def _size(path: str) -> int:
@@ -284,43 +306,6 @@ def _size(path: str) -> int:
         return os.stat(path).st_size
     except OSError:  # reading the file reports it
         return 0
-
-
-def _each_range(
-    path: str, forced_format: str | None, use: Callable[..., T], cpus: int
-) -> Iterator[T]:
-    """``_each_file`` of the one file ``path``, in ranges when it is one
-    standoff or column document that can be cut. The parent reads the text
-    once, and every worker decodes its range of it. When a range cannot be
-    decoded, the file runs in this process on that text, so that stdout,
-    stderr and the status are those of one process."""
-    from . import convert as conv
-
-    text = _read_text(path)
-    fmt = forced_format or sniff_format(text)
-    bounds = [] if fmt == "inline" else conv.range_bounds(text, fmt, cpus)
-    count = len(bounds) - 1
-    if count > 1:
-        from . import workers
-
-        def run(k: int) -> T:
-            try:
-                part = conv.read_range(text, fmt, bounds, k)
-            except (ValueError, RecursionError) as exc:  # the parent runs the file itself
-                raise CliError(EXIT_PARSE, str(exc)) from None
-            return use(path, EXIT_OK, [(part, None)], (k == 0, k == count - 1))
-
-        jobs = [(path, partial(run, k)) for k in range(count)]
-        results = workers.fan_out(jobs, count, decoded=True)
-        try:
-            first = next(results)
-        except workers.Undecoded:
-            pass
-        else:
-            yield first
-            yield from results
-            return
-    yield use(path, *_read(path, fmt, text=text))
 
 
 def _write_files(paths: list[str], forced_format: str | None, to: str) -> int:

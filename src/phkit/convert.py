@@ -238,7 +238,8 @@ def _units(
     """Decode unit records from ``pos``, where ``opener`` matches the
     "units" array's "[" or the "," before a unit, through the array's "]",
     or up to ``hi`` if a unit ends there: the units, the first unit's
-    conversion error, the position after the last, and 1 if "]" closed."""
+    conversion error, the position after the last, and 1 if "]" closed.
+    With ``hi``, a range's end, that error is raised at once instead."""
     units: list[LabelingUnit] = []
     unit_error = None
     pos, closed = _step(opener, text, pos, end)
@@ -247,15 +248,13 @@ def _units(
         try:
             units.append(_unit_from_record(unit))
         except ConvertError as exc:
+            if hi is not None:  # the file is read again in one process
+                raise
             unit_error = unit_error or exc
         if pos == hi:
             break
         pos, closed = _step(_NEXT_UNIT, text, pos, end)
     return units, unit_error, pos, closed
-
-
-# The keys of a record up to its units, in the order the writer puts them.
-_WRITER_KEYS = (["id", "units"], ["id", "meta", "units"])
 
 
 def _record(text: str, start: int, end: int, hi: int | None = None) -> Document:
@@ -265,16 +264,14 @@ def _record(text: str, start: int, end: int, hi: int | None = None) -> Document:
     unit's conversion error is held until the whole record has parsed.
 
     With ``hi``, only the units before ``hi`` are read: the record's first
-    range (see ``read_range``). Its keys must then come in the writer's
-    order, and a unit must end at ``hi``; a ValueError says they do not."""
+    range (see ``read_range``). A unit must then end at ``hi``, before the
+    record closes, and an error is raised as it is found: a ValueError."""
     fields: dict[str, Any] = {"id": "", "meta": [], "units": []}
-    keys = []
     unit_error = None
     try:
         pos, closed = _step(_OPEN, text, start, end)
         while not closed:
             key, pos = _decode(text, pos)  # a string: it starts with a quote
-            keys.append(key)
             pos, _ = _step(_COLON, text, pos, end)
             if key == "units" and text.startswith("[", pos, end):
                 # An error of an earlier "units" goes with it.
@@ -285,13 +282,15 @@ def _record(text: str, start: int, end: int, hi: int | None = None) -> Document:
                 fields[key], pos = _decode(text, pos)
             pos, closed = _step(_NEXT_KEY, text, pos, end)
     except (ValueError, RecursionError):
+        if hi is not None:  # a range: the file is read again in one process
+            raise
         # A broken record, worded as json.loads words it for the line alone.
         try:
             json.loads(text[start:end])
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
         raise ConvertError("C004", "record must be a JSON object") from None
-    if hi is not None and (closed or keys not in _WRITER_KEYS):
+    if hi is not None and closed:
         raise ValueError("the record's first range does not end at a unit")
     doc_id, meta, units = fields["id"], fields["meta"], fields["units"]
     if type(doc_id) is not str:
@@ -543,8 +542,8 @@ def range_bounds(text: str, fmt: str, count: int) -> list[int]:
     into at most ``count`` ranges of its units, each range after the first
     starting at a cut candidate: ``[start, cut, …, end]``. Empty when the
     text is not one such document, holds "\\r" (columns), or is a record
-    whose line does not start with ``{"id":`` and end with ``]}`` as the
-    writer's does (standoff), so that it would surely fail in ranges.
+    whose line does not end with ``]}`` (standoff): such a record cannot
+    end with its units, as ``read_range`` requires.
 
     A standoff candidate is not checked here: ``read_range`` finds out
     whether a unit ends at it."""
@@ -557,7 +556,7 @@ def range_bounds(text: str, fmt: str, count: int) -> list[int]:
         if line is None or _RECORD_LINE.search(text, line.end()):
             return []
         start, end = line.span()
-        if not text.startswith('{"id":', start) or not text.endswith(("]}", "]}\r"), start, end):
+        if not text.endswith(("]}", "]}\r"), start, end):
             return []
     cut, offset = _CUTS[fmt]
     bounds = [start]
@@ -572,12 +571,15 @@ def range_bounds(text: str, fmt: str, count: int) -> list[int]:
 def read_range(text: str, fmt: str, bounds: list[int], k: int) -> Document:
     """Decode range ``k`` of ``range_bounds(text, fmt, …)``: a document of
     the units from ``bounds[k]`` to ``bounds[k + 1]``, with every check of
-    ``read_standoff`` or ``read_columns``; only the first range holds the
-    id and metadata. A range that is empty, holds a second document or
-    metadata (columns), or does not end where a unit does, the last at the
-    record's closing "]}" (standoff), is a ValueError; so is a ConvertError.
-    Only a standoff record whose keys up to ``units`` are the writer's
-    ``id`` and ``meta`` is read in ranges."""
+    ``read_standoff`` or ``read_columns``. A range that is empty, holds a
+    second document or metadata (columns), or does not end where a unit
+    does, the last at the record's closing "]}" (standoff), is a
+    ValueError; so is a ConvertError or a ModelError.
+
+    Only the first range holds the id and metadata. In standoff, every later
+    range must end at the next cut and the last must close the record, so
+    no key follows the ``units`` array in which the first range stops: the
+    keys it reads, in any order, are all the record's keys."""
     lo, hi, end = bounds[k], bounds[k + 1], bounds[-1]
     if fmt == "columns":
         docs = _column_docs(text, lo, hi)
@@ -587,17 +589,12 @@ def read_range(text: str, fmt: str, bounds: list[int], k: int) -> Document:
     last = hi == end
     if k == 0:
         return _record(text, lo, end, None if last else hi)
-    units, unit_error, pos, closed = _units(text, lo, end, None if last else hi, _NEXT_UNIT)
+    units, _, pos, closed = _units(text, lo, end, hi, _NEXT_UNIT)
     if last:
         _, closed = _step(_NEXT_KEY, text, pos, end)  # "}" and the line end
     if bool(closed) != last:  # stopped at hi, or closed the record
         raise ValueError("a standoff range does not end where a unit does")
-    if unit_error is not None:
-        raise unit_error
-    try:
-        return Document("", (), tuple(units))
-    except ModelError as exc:
-        raise ConvertError("C004", str(exc)) from None
+    return Document("", (), tuple(units))
 
 
 def from_columns(text: str) -> Document:

@@ -7,7 +7,9 @@ of one file. Worker ``w`` of ``count`` runs jobs ``w``, ``w + count``, …
 with its ``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a
 pipe. The parent walks the jobs in order: it writes job ``i``'s frames,
 taken from worker ``i % count``'s queue, through its own ``sys.stdout``
-and stderr, and stops at the first job that fails.
+and stderr, and stops at the first job that fails. The ranges of one file
+are all or nothing: at the first range that does not decode, the parent
+stops the workers and reads the file itself.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class _Stream:
         pass
 
 
-class Undecoded(Exception):
-    """A range of a file did not decode, and no output of it was written."""
-
-
 def _work(jobs: list[tuple[str, Callable[[], object]]], fd: int) -> NoReturn:
     """The life of a worker: each of ``jobs`` with its stdout and stderr sent
     over ``fd``, each job ended by its result or its CliError. It stops
@@ -137,8 +135,23 @@ def _read_frames(fds: list[int], queues: dict[int, deque], starts: dict[int, byt
     return queued
 
 
+def _stop(read_ends: list[int], pids: list[int]) -> None:
+    """Close the pipes, kill and reap the workers, and forget both, so that
+    a second call does nothing."""
+    for fd in read_ends:
+        os.close(fd)
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # the caller ignores SIGCHLD
+            pass
+    read_ends.clear()
+    pids.clear()
+
+
 def fan_out(
-    jobs: list[tuple[str, Callable[[], T]]], count: int, decoded: bool = False
+    jobs: list[tuple[str, Callable[[], T]]], count: int, whole: Callable[[], T] | None = None
 ) -> Iterator[T]:
     """``cli._each_file`` on ``count`` forked workers; worker ``w`` runs jobs
     ``w``, ``w + count``, … The parent walks the jobs in order: it writes
@@ -148,12 +161,14 @@ def fan_out(
     them, it reads only the due job's worker, so that a worker far ahead
     waits on its pipe.
 
-    ``decoded`` is for the ranges of one file, a job per worker, each of
-    which writes nothing before it has decoded its range. A worker's first
-    frame is then its verdict: output or a result says the range decoded,
-    a CliError or a pipe closed first says it did not. The parent writes
-    nothing until every worker has given its verdict, and raises Undecoded
-    if one did not; a worker that has decoded meanwhile waits on its pipe.
+    ``whole`` is given for the ranges of one file, a job per worker, each
+    of which writes nothing before it has decoded its range, and is that
+    file read in this process. A worker's first frame is then its verdict:
+    output or a result says the range decoded, a CliError or a pipe closed
+    first says it did not. The parent writes nothing until every worker has
+    given its verdict; a worker that has decoded meanwhile waits on its
+    pipe. At the first verdict that a range did not decode, the parent
+    stops waiting, kills and reaps the workers, and yields ``whole()``.
     """
     pids: list[int] = []
     read_ends: list[int] = []  # by worker
@@ -178,12 +193,16 @@ def fan_out(
         queues = {fd: deque() for fd in read_ends}  # (kind, payload) frames not written yet
         starts = {fd: bytearray() for fd in read_ends}  # of the open pipes: a frame's start
         held, out = 0, sys.stdout.write  # held: the bytes of the queued payloads
-        if decoded:
-            while waiting := [fd for fd in starts if not queues[fd]]:
-                held += _read_frames(waiting, queues, starts)
-            for queue in queues.values():
-                if not queue or queue[0][0] == _END and pickle.loads(queue[0][1])[1] is not None:
-                    raise Undecoded
+        while whole is not None and (waiting := [fd for fd in starts if not queues[fd]]):
+            held += _read_frames(waiting, queues, starts)
+            if any(  # a verdict that the range did not decode
+                queue[0][0] == _END and pickle.loads(queue[0][1])[1] is not None
+                if queue else fd not in starts
+                for fd, queue in queues.items()
+            ):
+                _stop(read_ends, pids)
+                yield whole()
+                return
         for i, (name, _) in enumerate(jobs):
             due = read_ends[i % count]
             while True:
@@ -205,11 +224,4 @@ def fan_out(
                 raise CliError(*error)
             yield result
     finally:
-        for fd in read_ends:
-            os.close(fd)
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # the caller ignores SIGCHLD
-                pass
+        _stop(read_ends, pids)

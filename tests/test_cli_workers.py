@@ -438,7 +438,10 @@ def range_files(tmp_path_factory) -> dict[str, str]:
 
 
 # The cases whose ranges all decode; the parent reads every other file itself.
-DECODED = {"standoff", "columns", "bom standoff", "bom columns"}
+DECODED = {
+    "standoff", "columns", "keys meta first", "units repeated, the last long", "bom standoff",
+    "bom columns",
+}
 
 
 @pytest.mark.parametrize("case", RANGE_CASES)
@@ -466,7 +469,12 @@ def test_any_worker_count_reads_one_file_as_one_process(range_files, monkeypatch
 
 
 @given(
-    case=st.sampled_from(["standoff", "columns", "element text first", "bad unit in the middle"]),
+    case=st.sampled_from([
+        "standoff", "columns", "element text first", "bad unit in the middle",
+        # The key orders that range_bounds does not decline.
+        "keys units first", "keys meta first", "units repeated, the last short",
+        "units repeated, the last long",
+    ]),
     command=st.sampled_from(RANGE_COMMANDS),
     data=st.data(),
 )
@@ -490,6 +498,63 @@ def test_any_cuts_give_the_one_process_run(range_files, case, command, data):
         runs = _runs(command + [range_files[case]], [1, 2])
     assert runs[2][0] == runs[1][0]
     assert runs[2][1] > 1
+
+
+def test_the_first_range_that_fails_stops_the_others(range_files, monkeypatch, tmp_path):
+    # Range 1 would take 30 s to decode; range 0 fails once range 1 has started.
+    real, started = convert.read_range, tmp_path / "started"
+
+    def stalled(text: str, fmt: str, bounds: list[int], k: int):
+        if k == 1:
+            (tmp_path / "pid").write_text(str(os.getpid()))
+            (tmp_path / "pid").rename(started)
+            time.sleep(30)
+            return real(text, fmt, bounds, k)
+        for _ in range(2000):
+            if started.exists():
+                break
+            time.sleep(0.01)
+        raise ValueError("range 0 does not decode")
+
+    parent, read, alive = os.getpid(), cli._read, []
+
+    def checked(*args, **kwargs):
+        if os.getpid() == parent and started.exists():  # the file read in one process
+            try:
+                os.kill(int(started.read_text()), 0)
+                alive.append(True)
+            except ProcessLookupError:  # killed and reaped
+                alive.append(False)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(convert, "read_range", stalled)
+    monkeypatch.setattr(cli, "_read", checked)
+    begun = time.monotonic()
+    runs = _runs(["stats", range_files["standoff"]], [1, 2])
+    assert time.monotonic() - begun < 10
+    assert runs[2] == (runs[1][0], 2)
+    assert runs[1][0][0] == 0
+    assert alive == [False]
+
+
+@pytest.mark.parametrize("case", ["standoff", "columns"])
+@pytest.mark.parametrize("command", RANGE_COMMANDS, ids=" ".join)
+def test_a_range_worker_that_dies_before_its_verdict_gives_the_one_process_run(
+    range_files, monkeypatch, command, case
+):
+    parent, real = os.getpid(), convert.read_range
+
+    def dying(text: str, fmt: str, bounds: list[int], k: int):
+        if k == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(text, fmt, bounds, k)
+
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(convert, "read_range", dying)
+    runs = _runs(command + [range_files[case]], [1, 2])
+    assert runs[2] == (runs[1][0], 2)
+    assert runs[1][0][0] == 0
 
 
 @pytest.mark.parametrize("command", RANGE_COMMANDS, ids=" ".join)

@@ -729,6 +729,29 @@ def test_a_range_that_does_not_end_at_a_unit_is_a_value_error(golden_doc):
         read_range(text, "standoff", [0, true_cut, later_false, len(text)], 1)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_range_stops_at_its_first_error(golden_doc, monkeypatch, k):
+    # A range that fails sends its file to the one-process read, which words
+    # the error: so the range decodes no unit after the bad one, and the
+    # first range does not parse its whole record again to word it (C004).
+    text = to_standoff(Document("x", (), golden_doc.units * 4))
+    bounds = range_bounds(text, "standoff", 2)
+    at = text.index('"kind":"', bounds[k]) + len('"kind":"')
+    text = text[:at] + "X" + text[at:]
+    bounds = [b + (b > at) for b in bounds]
+    decoded = []
+
+    def counted(rec):
+        decoded.append(rec)
+        return _unit_from_record(rec)
+
+    monkeypatch.setattr(phkit.convert, "_unit_from_record", counted)
+    with pytest.raises(ConvertError) as err:
+        read_range(text, "standoff", bounds, k)
+    assert err.value.code == "C003"
+    assert len(decoded) == text.count('{"text":', bounds[k], at)
+
+
 def test_a_column_range_without_a_unit_is_a_value_error():
     text = "# doc a\n\n甲\tO\tO\n\n乙\tO\tO\n\n"
     for cut in (text.index("\n\n") + 1, len(text) - 1):  # after the header, before the end
@@ -742,22 +765,30 @@ _UNITS = '"units":[' + ",".join(['{"text":"a"}'] * 6) + "]"
 
 
 @pytest.mark.parametrize(
-    "record, seen",
+    "record, seen, decodes",
     [
-        ("{" + _UNITS + ',"id":"x"}', True),
-        ('{"meta":["# m"],"id":"x",' + _UNITS + "}", True),
-        ('{"id":"x",' + _UNITS + ',"units":[{"text":"c"}]}', False),
-        ('{"id":"x",' + _UNITS + ',"x":1}', True),
+        ("{" + _UNITS + ',"id":"x"}', True, False),
+        ('{"meta":["# m"],"id":"x",' + _UNITS + "}", False, True),
+        ('{"id":"x",' + _UNITS + ',"units":[{"text":"c"}]}', False, False),
+        ('{"id":"x",' + _UNITS + ',"x":1}', True, False),
     ],
     ids=["units first", "meta first", "units repeated", "key after units"],
 )
-def test_a_record_not_in_the_writer_form_is_not_read_in_ranges(record, seen):
-    # range_bounds declines what its line shows; read_range finds the rest.
+def test_a_record_not_in_the_writer_form_is_not_read_in_ranges(record, seen, decodes):
+    # range_bounds declines what its line shows. In ranges, the rest either
+    # fails, or reads as one process reads it: keys before the units may
+    # come in any order.
     assert (range_bounds(record, "standoff", 2) == []) == seen
     bounds = [0, record.index(',{"text":', len(record) // 2), len(record)]
-    with pytest.raises(ValueError):
-        for k in (0, 1):
-            read_range(record, "standoff", bounds, k)
+    try:
+        parts = [read_range(record, "standoff", bounds, k) for k in (0, 1)]
+    except ValueError:
+        parts = None
+    assert (parts is not None) == decodes
+    if parts:
+        doc = from_standoff(record)
+        assert (parts[0].id, parts[0].metadata) == (doc.id, doc.metadata)
+        assert parts[0].units + parts[1].units == doc.units
 
 
 @pytest.mark.parametrize(
