@@ -30,16 +30,17 @@ stdout, and no output of later files is written.
 ``parse``, ``validate``, ``stats`` and ``convert --to standoff|columns``
 work file by file, and run their files on every usable CPU: with k =
 min(files, usable CPUs) of at least 2, ``main`` forks k workers, which
-read the files, and deals the files out round-robin. Each worker sends the
-stdout and stderr text of each of its files over a pipe, in frames of a
-few dozen KB, and then the file's result. The parent walks the files in
-order, writes each file's output, and stops at the first failing file,
-where the one-worker run stops, so stdout, stderr and the exit status are
-those of the one-worker run. A worker holds one document and one frame at
-a time; the parent keeps the frames the workers have sent, and once they
-reach 4 MB reads only the due file's worker. It folds each file's result
-into the command's as the file comes due. A worker that dies is one
-``phk:`` line and exit 2, and no worker outlives ``main``.
+read the files, and deals the files out round-robin; worker w starts on
+the w-th usable CPU. Each worker sends the stdout and stderr text of each
+of its files over a pipe, in frames of a few dozen KB, and then the
+file's result. The parent walks the files in order, writes each file's
+output, and stops at the first failing file, where the one-worker run
+stops, so stdout, stderr and the exit status are those of the one-worker
+run. A worker holds one document and one frame at a time; the parent
+keeps the frames the workers have sent, and once they reach 4 MB reads
+only the due file's worker. It folds each file's result into the
+command's as the file comes due. A worker that dies is one ``phk:`` line
+and exit 2, and no worker outlives ``main``.
 
 ``stats`` and ``convert`` given one standoff or column file of 512 KB or
 more run its units on every usable CPU. The parent reads the text, cuts it
@@ -54,14 +55,27 @@ holds, as it does when the text cannot be cut (a "\\r" in column input, a
 second document), so stdout, stderr and the status are those of one
 process.
 
-One file below that size or inline, one usable CPU, ``-`` among the
-files, a platform without ``fork`` or a process that runs other threads
-keeps the run in one process.
+``agree`` given two inline files of 512 KB or more together scores them
+in ranges of units the same way: the parent reads both texts and cuts
+them at the same unit indexes, each cut at the start of a unit line (one
+neither blank nor ``#``; ``workers.pair_bounds``). Worker k parses range k
+of each file and returns the range's counts (``metrics.AgreementCounts``),
+which the parent adds up. The counts are integers, so the report is the
+one-process report. At the first range that fails (a broken line, an
+AGR001 or AGR002 within the range), or when the pair cannot be cut
+(different numbers of unit lines, a ``#`` line after the first unit), the
+parent runs ``agree`` in this process on the texts it holds.
+
+One file below that size or inline (for ``agree``, a pair below it or
+not inline), one usable CPU, ``-`` among the files, a platform without
+``fork`` or a process that runs other threads keeps the run in one
+process.
 
 ``agree`` holds both of its documents, so it reads them through one map
 from unit line to unit: a line the two inline files share is parsed once,
-and both documents hold the same unit object for it. Both files are read,
-and their broken lines reported, before a parse failure ends ``agree``.
+and both documents hold the same unit object for it; a worker does so for
+its two ranges. Both files are read, and their broken lines reported,
+before a parse failure ends ``agree``.
 ``segment`` opens its ``--boundaries`` sidecar before any output and
 writes each line's pieces, and its boundary records, as the line is cut.
 
@@ -234,10 +248,12 @@ def _usable_cpus() -> int:
 _WHOLE = (True, True)
 
 # A standoff or column file of this many bytes or more is read in ranges
-# when it is the one file of a command that allows it. The break-even,
-# measured for `convert --to inline` of golden-like files on 2 shared vCPUs
-# (CPython 3.11): forking and the workers module cost 15-25 ms, and two
-# workers save about that much on 500 KB of standoff or columns.
+# when it is the one file of a command that allows it, and so is an inline
+# pair of this many bytes together by `agree`. The break-even, measured on 2
+# shared vCPUs (CPython 3.11): forking and the workers module cost 15-25 ms,
+# and two workers save about that much on 500 KB of standoff or columns for
+# `convert --to inline`, and on 220-370 KB of an inline pair for `agree`
+# (about 10% faster at 450 KB, 20% at 900 KB).
 _SPLIT_BYTES = 1 << 19
 
 
@@ -265,39 +281,48 @@ def _each_file(
     def job(path: str, fmt: str | None = forced_format, text: str | None = None) -> T:
         return use(path, *_read(path, fmt, text=text))
 
-    cpus = _usable_cpus()
     one = len(paths) == 1
     if one and not (split and forced_format != "inline" and _size(paths[0]) >= _SPLIT_BYTES):
         return map(job, paths)
-    if cpus < 2 or "-" in paths or not hasattr(os, "fork"):
-        return map(job, paths)
-    import threading
-
-    if threading.active_count() > 1:  # a forked copy may find another thread's lock held
+    cpus = _workers_for(paths)
+    if cpus < 2:
         return map(job, paths)
     if not one:
         from . import workers
 
         return workers.fan_out([(path, partial(job, path)) for path in paths], min(len(paths), cpus))
-    from . import convert as conv
-
     path, text = paths[0], _read_text(paths[0])
     fmt = forced_format or sniff_format(text)
-    bounds = [] if fmt == "inline" else conv.range_bounds(text, fmt, cpus)
-    count = len(bounds) - 1
+    count = 0
+    if fmt != "inline":
+        from . import workers
+
+        bounds = workers.range_bounds(text, fmt, cpus)
+        count = len(bounds) - 1
     if count < 2:
         return map(job, paths, [fmt], [text])  # in this process, on the text read
-    from . import workers
 
     def run(k: int) -> T:
         try:
-            part = conv.read_range(text, fmt, bounds, k)
+            part = workers.read_range(text, fmt, bounds, k)
         except (ValueError, RecursionError) as exc:  # the parent runs the file itself
             raise CliError(EXIT_PARSE, str(exc)) from None
         return use(path, EXIT_OK, [(part, None)], (k == 0, k == count - 1))
 
     jobs = [(path, partial(run, k)) for k in range(count)]
     return workers.fan_out(jobs, count, partial(job, path, fmt, text))
+
+
+def _workers_for(paths: list[str]) -> int:
+    """How many workers a run over ``paths`` may fork: the usable CPUs, or
+    1 when it must stay in this process (see the module docstring)."""
+    if "-" in paths or not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:  # a forked copy may find another thread's lock held
+        return 1
+    return _usable_cpus()
 
 
 def _size(path: str) -> int:
@@ -563,29 +588,54 @@ def cmd_agree(args: argparse.Namespace) -> int:
     normalize = args.normalize_rai
     if normalize is None:
         normalize = bool(_config_value(args, "agree", "normalize_rai", bool, "true or false"))
-    docs = []
-    known: dict = {}  # unit lines of both files; see the module docstring
-    status = EXIT_OK  # both files are read, and their broken lines reported, first
-    for path in (args.file_a, args.file_b):
-        file_status, loaded = _read(path, args.from_format, known)
-        status = max(status, file_status)
-        if len(loaded) != 1:
-            raise CliError(EXIT_USAGE, f"{path}: expected exactly one document")
-        docs.append(loaded.pop()[0])  # its unit lines go before the next file is read
-    if status != EXIT_OK:
-        return status
+    criterion = metrics.MatchCriterion(_MATCH_BY_FLAG[match])
+    paths = [args.file_a, args.file_b]
+
+    def show(report: metrics.AgreementReport) -> int:
+        if args.format == "records":
+            print(metrics.agreement_records(report))
+        else:
+            for row in metrics.agreement_table(report):
+                print(row)
+        return EXIT_OK
+
+    def whole(texts=(None, None)) -> int:
+        """The pair in this process, read from ``texts`` where given."""
+        docs = []
+        known: dict = {}  # unit lines of both files; see the module docstring
+        status = EXIT_OK  # both files are read, and their broken lines reported, first
+        for path, text in zip(paths, texts):
+            file_status, loaded = _read(path, args.from_format, known, text)
+            status = max(status, file_status)
+            if len(loaded) != 1:
+                raise CliError(EXIT_USAGE, f"{path}: expected exactly one document")
+            docs.append(loaded.pop()[0])  # its unit lines go before the next file is read
+        if status != EXIT_OK:
+            return status
+        try:
+            report = metrics.agree(docs[0], docs[1], criterion, normalize)
+        except metrics.AgreementError as exc:
+            raise CliError(EXIT_USAGE, f"{exc.code} {exc.message}") from None
+        return show(report)
+
+    if args.from_format not in (None, "inline") or sum(map(_size, paths)) < _SPLIT_BYTES:
+        return whole()
+    cpus = _workers_for(paths)
+    if cpus < 2:
+        return whole()
     try:
-        report = metrics.agree(
-            docs[0], docs[1], metrics.MatchCriterion(_MATCH_BY_FLAG[match]), normalize
-        )
-    except metrics.AgreementError as exc:
-        raise CliError(EXIT_USAGE, f"{exc.code} {exc.message}") from None
-    if args.format == "records":
-        print(metrics.agreement_records(report))
-    else:
-        for row in metrics.agreement_table(report):
-            print(row)
-    return EXIT_OK
+        texts = [_read_text(path) for path in paths]
+    except CliError:  # read again in this process, to fail where it fails
+        return whole()
+    if args.from_format is None and any(sniff_format(text) != "inline" for text in texts):
+        return whole(texts)
+    from . import workers
+
+    def done(parts: list[metrics.AgreementCounts]) -> int:
+        return show(metrics.AgreementCounts.total(parts).report(criterion))
+
+    score = partial(metrics.agreement_counts, criterion=criterion, normalize_rai=normalize)
+    return workers.score_pair(texts, cpus, score, done, partial(whole, texts))
 
 
 def build_parser() -> argparse.ArgumentParser:

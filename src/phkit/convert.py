@@ -92,7 +92,7 @@ def standoff_pieces(doc: Document, opens: bool = True, closes: bool = True) -> I
 
     The pieces join to ``compact_json`` of the whole record as a dict, with
     the keys in the order the module docstring gives. A document that holds
-    one range of a record's units (see ``read_range``) leaves out the
+    one range of a record's units (see ``workers.read_range``) leaves out the
     header unless it ``opens`` the record, then starts its first unit with
     a comma, and leaves out ``]}`` unless it ``closes`` the record.
     """
@@ -264,8 +264,9 @@ def _record(text: str, start: int, end: int, hi: int | None = None) -> Document:
     unit's conversion error is held until the whole record has parsed.
 
     With ``hi``, only the units before ``hi`` are read: the record's first
-    range (see ``read_range``). A unit must then end at ``hi``, before the
-    record closes, and an error is raised as it is found: a ValueError."""
+    range (see ``workers.read_range``). A unit must then end at ``hi``,
+    before the record closes, and an error is raised as it is found: a
+    ValueError."""
     fields: dict[str, Any] = {"id": "", "meta": [], "units": []}
     unit_error = None
     try:
@@ -361,9 +362,9 @@ def columns_pieces(doc: Document, opens: bool = True, closes: bool = True) -> It
     """Yield the column block of ``doc`` in pieces: the ``# doc`` and
     ``# meta`` rows, then one piece per unit (its rows, after a blank line
     from the second unit on). Every piece ends with a newline. A document
-    that holds one range of a block's units (see ``read_range``) leaves out
-    the header rows unless it ``opens`` the block, and then starts its
-    first unit with a blank line; a block has no closing piece."""
+    that holds one range of a block's units (see ``workers.read_range``)
+    leaves out the header rows unless it ``opens`` the block, and then
+    starts its first unit with a blank line; a block has no closing piece."""
     separator = "\n"
     if opens:
         header = "# doc " + doc.id if doc.id else "# doc"
@@ -530,71 +531,6 @@ def read_columns(text: str) -> list[Document]:
         if text.endswith("\r"):
             text = text[:-1]
     return _column_docs(text, 0, len(text))
-
-
-# Where a range of a one-document file may start: the "," before a unit
-# record, which can also open an element record, and a blank line.
-_CUTS = {"standoff": (',{"text":', 0), "columns": ("\n\n", 1)}  # (text, offset)
-
-
-def range_bounds(text: str, fmt: str, count: int) -> list[int]:
-    """Where to cut ``text``, one standoff record or one column document,
-    into at most ``count`` ranges of its units, each range after the first
-    starting at a cut candidate: ``[start, cut, …, end]``. Empty when the
-    text is not one such document, holds "\\r" (columns), or is a record
-    whose line does not end with ``]}`` (standoff): such a record cannot
-    end with its units, as ``read_range`` requires.
-
-    A standoff candidate is not checked here: ``read_range`` finds out
-    whether a unit ends at it."""
-    if fmt == "columns":
-        if "\r" in text or "\n# doc" in text:
-            return []
-        start, end = 0, len(text)
-    else:
-        line = _RECORD_LINE.search(text)
-        if line is None or _RECORD_LINE.search(text, line.end()):
-            return []
-        start, end = line.span()
-        if not text.endswith(("]}", "]}\r"), start, end):
-            return []
-    cut, offset = _CUTS[fmt]
-    bounds = [start]
-    for k in range(1, count):
-        at = text.find(cut, max(start + (end - start) * k // count, bounds[-1] + 1), end)
-        if at < 0:
-            break
-        bounds.append(at + offset)
-    return bounds + [end]
-
-
-def read_range(text: str, fmt: str, bounds: list[int], k: int) -> Document:
-    """Decode range ``k`` of ``range_bounds(text, fmt, …)``: a document of
-    the units from ``bounds[k]`` to ``bounds[k + 1]``, with every check of
-    ``read_standoff`` or ``read_columns``. A range that is empty, holds a
-    second document or metadata (columns), or does not end where a unit
-    does, the last at the record's closing "]}" (standoff), is a
-    ValueError; so is a ConvertError or a ModelError.
-
-    Only the first range holds the id and metadata. In standoff, every later
-    range must end at the next cut and the last must close the record, so
-    no key follows the ``units`` array in which the first range stops: the
-    keys it reads, in any order, are all the record's keys."""
-    lo, hi, end = bounds[k], bounds[k + 1], bounds[-1]
-    if fmt == "columns":
-        docs = _column_docs(text, lo, hi)
-        if len(docs) != 1 or not docs[0].units or k and (docs[0].id or docs[0].metadata):
-            raise ValueError("a column range holds no unit, or more than units")
-        return docs[0]
-    last = hi == end
-    if k == 0:
-        return _record(text, lo, end, None if last else hi)
-    units, _, pos, closed = _units(text, lo, end, hi, _NEXT_UNIT)
-    if last:
-        _, closed = _step(_NEXT_KEY, text, pos, end)  # "}" and the line end
-    if bool(closed) != last:  # stopped at hi, or closed the record
-        raise ValueError("a standoff range does not end where a unit does")
-    return Document("", (), tuple(units))
 
 
 def from_columns(text: str) -> Document:

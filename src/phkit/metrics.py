@@ -12,6 +12,11 @@ each codepoint is labeled with its covering element kind or "O". When the
 expected agreement is exactly 1 (degenerate marginals, e.g. two all-O
 annotations) kappa is undefined and reported as None.
 
+Both scores are sums over unit pairs: ``agreement_counts`` takes the counts
+of a run of pairs in one pass, and the counts of consecutive runs add up
+(``AgreementCounts.total``) to exactly those of the whole pair of
+documents, so a pair can be scored in ranges of its units.
+
 Each report renders from one field list as a table (a ``label: value`` row
 per field, a ``label key: value`` row per key of a map; an agree ``kind``
 row holds the six scores as ``name value`` cells) or as one JSON record.
@@ -29,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import attrgetter, is_
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .model import (
     TAG_NAMES,
@@ -46,6 +51,7 @@ from .model import (
 KIND_ORDER = [k.value for k in ElementType]
 _KIND = attrgetter("kind")
 _ENTRY = attrgetter("kind", "pattern", "form")
+R = TypeVar("R")
 
 
 class MatchCriterion(str, enum.Enum):
@@ -81,18 +87,24 @@ class StatsReport:
     def __add__(self, other: "StatsReport") -> "StatsReport":
         return StatsReport.total((self, other))
 
-    @staticmethod
-    def total(reports: Iterable["StatsReport"]) -> "StatsReport":
-        """The sum of ``reports``: counts add; maps merge key by key (keeping
-        positive counts), each report's keys visited once."""
-        sums = {f.name: 0 if isinstance(f.default, int) else Counter() for f in fields(StatsReport)}
-        for report in reports:
-            for name, total in sums.items():
-                if isinstance(total, Counter):
-                    total.update(getattr(report, name))
-                else:
-                    sums[name] = total + getattr(report, name)
-        return StatsReport(**{n: dict(+s) if isinstance(s, Counter) else s for n, s in sums.items()})
+    @classmethod
+    def total(cls, reports: Iterable["StatsReport"]) -> "StatsReport":
+        """The sum of ``reports`` (see ``_total``)."""
+        return _total(cls, reports)
+
+
+def _total(cls: type[R], parts: Iterable[R]) -> R:
+    """The sum of ``parts``, instances of the dataclass ``cls`` whose fields
+    are counts and maps of counts: counts add; maps merge key by key
+    (keeping positive counts), each part's keys visited once."""
+    sums = {f.name: 0 if isinstance(f.default, int) else Counter() for f in fields(cls)}
+    for part in parts:
+        for name, total in sums.items():
+            if isinstance(total, Counter):
+                total.update(getattr(part, name))
+            else:
+                sums[name] = total + getattr(part, name)
+    return cls(**{n: dict(+s) if isinstance(s, Counter) else s for n, s in sums.items()})
 
 
 # The fields of a stats rendering, in order: (record key, report attribute,
@@ -172,17 +184,6 @@ class AgreementReport:
     kappa: float | None
 
 
-def _check_alignment(a: Document, b: Document) -> None:
-    if len(a.units) != len(b.units):
-        raise AgreementError(
-            "AGR002",
-            f"unit count mismatch: {len(a.units)} vs {len(b.units)}",
-        )
-    for i, (ua, ub) in enumerate(zip(a.units, b.units)):
-        if ua.text != ub.text:
-            raise AgreementError("AGR001", f"unit text mismatch at index {i}")
-
-
 # Each kind as agreement counts it, without and with ``normalize_rai``.
 _KINDS = {k: k for k in ElementType}
 _KINDS_NORMALIZED = {**_KINDS, ElementType.RAI: ElementType.COM}
@@ -209,51 +210,61 @@ def _scores(m: int, na: int, nb: int) -> tuple:
     return m, na - m, nb - m, p, r, (2 * p * r / (p + r) if p + r else 0.0)
 
 
-def span_agreement(
-    a: Document,
-    b: Document,
-    criterion: MatchCriterion | str = MatchCriterion.EXACT,
-    normalize_rai: bool = False,
-) -> SpanAgreement:
-    """Greedy span matching between two aligned annotations.
+@dataclass(frozen=True, slots=True)
+class AgreementCounts:
+    """What agreement counts over a run of aligned unit pairs. Every field
+    is a sum over the pairs, so the counts of consecutive runs add up to
+    those of all of them (``total``), and both scores follow from the sum.
 
-    A unit object that both documents hold (see ``parse_document``) matches all
-    its elements under every criterion, unscanned: greedy matching of a list
-    against itself pairs each element with itself.
+    By counted kind: ``matched`` elements, each side's elements
+    (``total_a``, ``total_b``) and the characters they cover (``chars_a``,
+    ``chars_b``); ``n`` characters in all, on ``po_num`` of which the two
+    sides' labels agree.
     """
-    criterion = MatchCriterion(criterion)
-    _check_alignment(a, b)
-    kind_of = _KINDS_NORMALIZED if normalize_rai else _KINDS
-    matched: Counter[ElementType] = Counter()
-    total_a: Counter[ElementType] = Counter()
-    total_b: Counter[ElementType] = Counter()
-    shared = []  # the elements of each unit both documents hold
-    for ua, ub in zip(a.units, b.units):
-        if ua is ub:
-            shared.append(ua.elements)
-            continue
-        xs, ys = ua.elements, ub.elements
-        kinds_a = [kind_of[el.kind] for el in xs]
-        kinds_b = [kind_of[el.kind] for el in ys]
-        total_a.update(kinds_a)
-        total_b.update(kinds_b)
-        used = [False] * len(ys)
-        for x, kind in zip(xs, kinds_a):
-            for j, y in enumerate(ys):
-                if not used[j] and kinds_b[j] is kind and _matches(x, y, criterion):
-                    used[j] = True
-                    matched[kind] += 1
-                    break
-    both = Counter(kind_of[el.kind] for el in chain.from_iterable(shared))
-    for counts in (matched, total_a, total_b):
-        counts.update(both)
-    per_kind = {
-        kind.value: KindAgreement(*_scores(matched[kind], total_a[kind], total_b[kind]))
-        for kind in ElementType
-        if total_a[kind] or total_b[kind]
-    }
-    overall = _scores(matched.total(), total_a.total(), total_b.total())
-    return SpanAgreement(criterion, *overall, per_kind)
+
+    matched: Mapping[ElementType, int] = field(default_factory=dict)
+    total_a: Mapping[ElementType, int] = field(default_factory=dict)
+    total_b: Mapping[ElementType, int] = field(default_factory=dict)
+    chars_a: Mapping[ElementType, int] = field(default_factory=dict)
+    chars_b: Mapping[ElementType, int] = field(default_factory=dict)
+    n: int = 0
+    po_num: int = 0
+
+    @classmethod
+    def total(cls, parts: Iterable["AgreementCounts"]) -> "AgreementCounts":
+        """The sum of ``parts`` (see ``_total``)."""
+        return _total(cls, parts)
+
+    def spans(self, criterion: MatchCriterion) -> SpanAgreement:
+        """The span agreement of these counts, matched under ``criterion``."""
+        matched, total_a, total_b = self.matched, self.total_a, self.total_b
+        per_kind = {
+            kind.value: KindAgreement(
+                *_scores(matched.get(kind, 0), total_a.get(kind, 0), total_b.get(kind, 0))
+            )
+            for kind in ElementType
+            if kind in total_a or kind in total_b
+        }
+        overall = _scores(*(sum(c.values()) for c in (matched, total_a, total_b)))
+        return SpanAgreement(criterion, *overall, per_kind)
+
+    def kappa(self) -> float | None:
+        """Cohen's kappa of these counts (see ``char_kappa``)."""
+        n, po_num = self.n, self.po_num
+        # Characters per label, None for "O": what no element covers.
+        ca, cb = Counter(self.chars_a), Counter(self.chars_b)
+        for counts in (ca, cb):
+            counts[None] = n - counts.total()
+        pe_num = sum(ca[k] * cb[k] for k in ca)
+        if pe_num == n * n:  # also when there is no text (n == 0)
+            return None
+        if po_num == n:  # the two label sequences are equal
+            return 1.0
+        # kappa = (p_o - p_e) / (1 - p_e), computed over a common denominator.
+        return (po_num * n - pe_num) / (n * n - pe_num)
+
+    def report(self, criterion: MatchCriterion) -> AgreementReport:
+        return AgreementReport(self.spans(criterion), self.kappa())
 
 
 def _add_lengths(counts: Counter, elements: Iterable[Element], kind_of: dict) -> None:
@@ -272,6 +283,93 @@ def _char_labels(unit: LabelingUnit, kind_of: dict) -> list[ElementType | None]:
     return labels
 
 
+def agreement_counts(
+    units_a: Sequence[LabelingUnit],
+    units_b: Sequence[LabelingUnit],
+    criterion: MatchCriterion | str | None = MatchCriterion.EXACT,
+    normalize_rai: bool = False,
+    kappa: bool = True,
+) -> AgreementCounts:
+    """The counts of the pairs of ``units_a`` and ``units_b``, by index, in
+    one pass that also checks that they align: as many units on each side
+    (else AGR002), and each pair of the same text (else AGR001 at the first
+    that is not). Spans are matched under ``criterion`` unless it is None,
+    and characters are labeled if ``kappa``; counts not taken are empty.
+
+    A pair of distinct unit objects is matched greedily, element by element
+    in span order, and labeled character by character to count where its
+    labels agree. A unit object that both sides hold (see
+    ``parse_document``) is neither: every element of it matches itself
+    under every criterion, as greedy matching of a list against itself
+    pairs, and all of its characters agree.
+    """
+    if len(units_a) != len(units_b):
+        raise AgreementError(
+            "AGR002",
+            f"unit count mismatch: {len(units_a)} vs {len(units_b)}",
+        )
+    if criterion is not None:
+        criterion = MatchCriterion(criterion)
+    kind_of = _KINDS_NORMALIZED if normalize_rai else _KINDS
+    matched: Counter[ElementType] = Counter()
+    total_a: Counter[ElementType] = Counter()
+    total_b: Counter[ElementType] = Counter()
+    chars_a: Counter[ElementType] = Counter()
+    chars_b: Counter[ElementType] = Counter()
+    shared = []  # the units both sides hold
+    n = po_num = 0
+    for i, (ua, ub) in enumerate(zip(units_a, units_b)):
+        n += len(ua.text)
+        if ua is ub:
+            shared.append(ua)
+            continue
+        if ua.text != ub.text:
+            raise AgreementError("AGR001", f"unit text mismatch at index {i}")
+        xs, ys = ua.elements, ub.elements
+        if criterion is not None:
+            kinds_a = [kind_of[el.kind] for el in xs]
+            kinds_b = [kind_of[el.kind] for el in ys]
+            total_a.update(kinds_a)
+            total_b.update(kinds_b)
+            used = [False] * len(ys)
+            for x, kind in zip(xs, kinds_a):
+                for j, y in enumerate(ys):
+                    if not used[j] and kinds_b[j] is kind and _matches(x, y, criterion):
+                        used[j] = True
+                        matched[kind] += 1
+                        break
+        if kappa:
+            _add_lengths(chars_a, xs, kind_of)
+            _add_lengths(chars_b, ys, kind_of)
+            po_num += sum(map(is_, _char_labels(ua, kind_of), _char_labels(ub, kind_of)))
+    elements = list(chain.from_iterable(u.elements for u in shared))
+    if criterion is not None:
+        both = Counter(kind_of[el.kind] for el in elements)
+        for counts in (matched, total_a, total_b):
+            counts.update(both)
+    if kappa:
+        both = Counter()
+        _add_lengths(both, elements, kind_of)
+        for counts in (chars_a, chars_b):
+            counts.update(both)
+        po_num += sum(len(u.text) for u in shared)
+    counts = (matched, total_a, total_b, chars_a, chars_b)
+    return AgreementCounts(*map(dict, counts), n, po_num)
+
+
+def span_agreement(
+    a: Document,
+    b: Document,
+    criterion: MatchCriterion | str = MatchCriterion.EXACT,
+    normalize_rai: bool = False,
+) -> SpanAgreement:
+    """Greedy span matching between two aligned annotations (see
+    ``agreement_counts``)."""
+    criterion = MatchCriterion(criterion)
+    counts = agreement_counts(a.units, b.units, criterion, normalize_rai, kappa=False)
+    return counts.spans(criterion)
+
+
 def char_kappa(
     a: Document, b: Document, normalize_rai: bool = False
 ) -> float | None:
@@ -279,36 +377,9 @@ def char_kappa(
 
     Returns exactly 1.0 for identical label sequences and None when the
     expected agreement is 1 (kappa undefined). The label counts are sums
-    of element lengths; only a pair of distinct unit objects is labeled
-    character by character, to count the characters where it agrees.
+    of element lengths (see ``agreement_counts``).
     """
-    _check_alignment(a, b)
-    kind_of = _KINDS_NORMALIZED if normalize_rai else _KINDS
-    # Characters per label, None for "O" (set last, as what no element covers).
-    ca: Counter[ElementType | None] = Counter()
-    cb: Counter[ElementType | None] = Counter()
-    both: Counter[ElementType | None] = Counter()  # of the units both documents hold
-    n = po_num = 0
-    for ua, ub in zip(a.units, b.units):
-        size = len(ua.text)
-        n += size
-        if ua is ub:
-            _add_lengths(both, ua.elements, kind_of)
-            po_num += size
-        else:
-            _add_lengths(ca, ua.elements, kind_of)
-            _add_lengths(cb, ub.elements, kind_of)
-            po_num += sum(map(is_, _char_labels(ua, kind_of), _char_labels(ub, kind_of)))
-    for counts in (ca, cb):
-        counts.update(both)
-        counts[None] = n - counts.total()
-    pe_num = sum(ca[k] * cb[k] for k in ca)
-    if pe_num == n * n:  # also when there is no text (n == 0)
-        return None
-    if po_num == n:  # the two label sequences are equal
-        return 1.0
-    # kappa = (p_o - p_e) / (1 - p_e), computed over a common denominator.
-    return (po_num * n - pe_num) / (n * n - pe_num)
+    return agreement_counts(a.units, b.units, None, normalize_rai).kappa()
 
 
 def agree(
@@ -317,7 +388,10 @@ def agree(
     criterion: MatchCriterion | str = MatchCriterion.EXACT,
     normalize_rai: bool = False,
 ) -> AgreementReport:
-    """Combined span agreement and per-character kappa."""
+    """Combined span agreement and per-character kappa: the report of
+    ``agreement_counts`` of both, taken here in a pass for each through
+    ``span_agreement`` and ``char_kappa``, which the bench tracer times as
+    layers by those names."""
     spans = span_agreement(a, b, criterion, normalize_rai)
     kappa = char_kappa(a, b, normalize_rai)
     return AgreementReport(spans, kappa)

@@ -1,29 +1,35 @@
-"""The forked workers of ``phk``'s per-file commands.
+"""The forked workers of ``phk``'s per-file commands, and where and how
+the text of one file, or of ``agree``'s pair, is cut into ranges of units.
 
-``cli`` imports this module only for a run that fans out (see the ``cli``
-docstring), so that a one-file command below the range size does not
-compile it. A job is a name, for messages, and a call: a file, or a range
-of one file. Worker ``w`` of ``count`` runs jobs ``w``, ``w + count``, …
-with its ``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a
-pipe. The parent walks the jobs in order: it writes job ``i``'s frames,
-taken from worker ``i % count``'s queue, through its own ``sys.stdout``
-and stderr, and stops at the first job that fails. The ranges of one file
-are all or nothing: at the first range that does not decode, the parent
-stops the workers and reads the file itself.
+``cli`` imports this module only for a run that fans out or may read in
+ranges (see the ``cli`` docstring), so that a one-file command below the
+range size, or an ``agree`` pair below it, does not compile it. A job is
+a name, for messages, and a call: a file, or a range of one file or pair.
+Worker ``w`` of ``count`` runs jobs ``w``, ``w + count``, … with its
+``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a pipe.
+The parent walks the jobs in order: it writes job ``i``'s frames, taken
+from worker ``i % count``'s queue, through its own ``sys.stdout`` and
+stderr, and stops at the first job that fails. The ranges of one file are
+all or nothing: at the first range that does not decode, the parent stops
+the workers and reads the file itself.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import re
 import select
 import signal
 import sys
 from collections import deque
+from functools import partial
 from itertools import groupby
 from typing import Callable, Iterator, NoReturn, TypeVar
 
-from .cli import EXIT_USAGE, CliError, _to_stderr
+from .cli import EXIT_PARSE, EXIT_USAGE, CliError, _to_stderr
+from .inline import parse_document
+from .model import Document
 
 T = TypeVar("T")
 
@@ -87,12 +93,27 @@ class _Stream:
         pass
 
 
-def _work(jobs: list[tuple[str, Callable[[], object]]], fd: int) -> NoReturn:
-    """The life of a worker: each of ``jobs`` with its stdout and stderr sent
-    over ``fd``, each job ended by its result or its CliError. It stops
-    after a CliError, as the parent does, and never returns."""
+def _start_on(cpu: int) -> None:
+    """Move this process to the ``cpu``-th usable CPU, then let it run on
+    any of them again. Left to the kernel, a forked worker may stay on its
+    parent's CPU, beside the other workers, while another CPU idles; moved,
+    it still goes wherever the kernel sends it later."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[cpu % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no CPU affinity here: where the kernel puts it
+        pass
+
+
+def _work(jobs: list[tuple[str, Callable[[], object]]], fd: int, cpu: int) -> NoReturn:
+    """The life of a worker, started on the ``cpu``-th usable CPU: each of
+    ``jobs`` with its stdout and stderr sent over ``fd``, each job ended by
+    its result or its CliError. It stops after a CliError, as the parent
+    does, and never returns."""
     code = 1
     try:
+        _start_on(cpu)
         frames = _Frames(fd)
         sys.stdout, sys.stderr = _Stream(frames, _STDOUT), _Stream(frames, _STDERR)
         for _, job in jobs:
@@ -187,7 +208,7 @@ def fan_out(
             if pid == 0:
                 for fd in read_ends:  # its own included
                     os.close(fd)
-                _work(jobs[w::count], write_end)
+                _work(jobs[w::count], write_end, w)
             pids.append(pid)
             os.close(write_end)
         queues = {fd: deque() for fd in read_ends}  # (kind, payload) frames not written yet
@@ -225,3 +246,133 @@ def fan_out(
             yield result
     finally:
         _stop(read_ends, pids)
+
+
+# Where a range of a one-document file may start: the "," before a unit
+# record, which can also open an element record, and a blank line.
+_CUTS = {"standoff": (',{"text":', 0), "columns": ("\n\n", 1)}  # (text, offset)
+# A line end and the next line, if it is an inline unit line: neither blank
+# nor "#" (a "\r" at a line end is dropped, so a lone one makes a blank line).
+_UNIT_LINE = re.compile(r"\n(?:[^#\r\n]|\r.)")
+
+
+def range_bounds(text: str, fmt: str, count: int) -> list[int]:
+    """Where to cut ``text``, one standoff record or one column document,
+    into at most ``count`` ranges of its units, each range after the first
+    starting at a cut candidate: ``[start, cut, …, end]``. Empty when the
+    text is not one such document, holds "\\r" (columns), or is a record
+    whose line does not end with ``]}`` (standoff): such a record cannot
+    end with its units, as ``read_range`` requires.
+
+    A standoff candidate is not checked here: ``read_range`` finds out
+    whether a unit ends at it."""
+    # Imported here, before the workers fork, which all read with it.
+    from . import convert as conv
+
+    if fmt == "columns":
+        if "\r" in text or "\n# doc" in text:
+            return []
+        start, end = 0, len(text)
+    else:
+        line = conv._RECORD_LINE.search(text)
+        if line is None or conv._RECORD_LINE.search(text, line.end()):
+            return []
+        start, end = line.span()
+        if not text.endswith(("]}", "]}\r"), start, end):
+            return []
+    cut, offset = _CUTS[fmt]
+    bounds = [start]
+    for k in range(1, count):
+        at = text.find(cut, max(start + (end - start) * k // count, bounds[-1] + 1), end)
+        if at < 0:
+            break
+        bounds.append(at + offset)
+    return bounds + [end]
+
+
+def pair_bounds(texts: list[str], count: int) -> list[list[int]]:
+    """Where to cut each of ``texts``, inline, into the same at most
+    ``count`` ranges of unit indexes: for each text ``[0, cut, …, end]``,
+    each cut at the start of the same unit line of each (a line neither
+    blank nor ``#``). Empty when the texts do not hold as many unit lines
+    each, or fewer than two, or when one has a ``#`` line after its first
+    unit line: a metadata line belongs to the header, which only the first
+    range reads, whatever the cuts."""
+    # Found after a line end, so the first line is found after a "\n" put first.
+    starts = [[line.start() for line in _UNIT_LINE.finditer("\n" + text)] for text in texts]
+    units = len(starts[0])
+    count = min(count, units)
+    if count < 2 or any(len(at) != units or text.find("\n#", at[0]) >= 0
+                        for text, at in zip(texts, starts)):
+        return []
+    cuts = [units * k // count for k in range(1, count)]
+    return [[0, *(at[u] for u in cuts), len(text)] for text, at in zip(texts, starts)]
+
+
+def score_pair(
+    texts: list[str],
+    count: int,
+    score: Callable[..., object],
+    done: Callable[[list], T],
+    whole: Callable[[], T],
+) -> T:
+    """``done`` of the list, in range order, of ``score(units_a, units_b)``
+    of each range of ``pair_bounds(texts, count)``: the units of the two
+    inline texts in that range, scored on a worker per range. ``whole()``
+    instead when the texts cannot be cut, or at the first range that does
+    not decode: a line that does not parse, or ``score`` raising a
+    ValueError."""
+    bounds = pair_bounds(texts, count)
+    if not bounds:
+        return whole()
+
+    def run(k: int) -> object:
+        known: dict = {}  # unit lines of both ranges
+        try:
+            a, b = (read_range(text, "inline", at, k, known) for text, at in zip(texts, bounds))
+            return score(a.units, b.units)
+        except ValueError as exc:  # the parent runs the pair itself
+            raise CliError(EXIT_PARSE, str(exc)) from None
+
+    count = len(bounds[0]) - 1
+    parts = list(fan_out([(f"range {k}", partial(run, k)) for k in range(count)], count, whole))
+    return parts[0] if len(parts) < count else done(parts)  # fewer: whole() alone
+
+
+def read_range(
+    text: str, fmt: str, bounds: list[int], k: int, known: dict | None = None
+) -> Document:
+    """Decode range ``k`` of ``range_bounds(text, fmt, …)`` or, inline, of
+    ``pair_bounds``: a document of the units from ``bounds[k]`` to
+    ``bounds[k + 1]``, with every check of the reader of ``fmt``. A
+    ConvertError, a ModelError or an inline line that does not parse is a
+    ValueError, and so is a range that is empty, holds a second document or
+    metadata (columns), or does not end where a unit does, the last at the
+    record's closing "]}" (standoff). ``known`` goes to ``parse_document``.
+
+    Only the first range holds the id and metadata. In standoff, every later
+    range must end at the next cut and the last must close the record, so
+    no key follows the ``units`` array in which the first range stops: the
+    keys it reads, in any order, are all the record's keys."""
+    lo, hi, end = bounds[k], bounds[k + 1], bounds[-1]
+    if fmt == "inline":
+        result = parse_document(text[lo:hi], known)
+        if result.diagnostics:
+            raise ValueError("an inline range has a line that does not parse")
+        return result.document
+    from . import convert as conv
+
+    if fmt == "columns":
+        docs = conv._column_docs(text, lo, hi)
+        if len(docs) != 1 or not docs[0].units or k and (docs[0].id or docs[0].metadata):
+            raise ValueError("a column range holds no unit, or more than units")
+        return docs[0]
+    last = hi == end
+    if k == 0:
+        return conv._record(text, lo, end, None if last else hi)
+    units, _, pos, closed = conv._units(text, lo, end, hi, conv._NEXT_UNIT)
+    if last:
+        _, closed = conv._step(conv._NEXT_KEY, text, pos, end)  # "}" and the line end
+    if bool(closed) != last:  # stopped at hi, or closed the record
+        raise ValueError("a standoff range does not end where a unit does")
+    return Document("", (), tuple(units))

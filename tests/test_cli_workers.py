@@ -1,6 +1,7 @@
 """The per-file commands run their files on forked workers: the output,
 the exit status and the processes left behind must be those of one worker."""
 
+import errno
 import hashlib
 import io
 import os
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from phkit import cli, convert, workers
 from phkit.cli import main
 from phkit.convert import to_columns, to_standoff
-from phkit.inline import emit_document
+from phkit.inline import emit_document, emit_unit
 from phkit.model import Document, LabelingUnit
 
 from .conftest import GOLDEN_PATH, child_env
@@ -173,33 +174,48 @@ def test_the_files_are_dealt_round_robin(tmp_path, golden_doc, monkeypatch):
 
 def test_a_file_named_dash_keeps_the_run_in_one_process(tmp_path, golden_doc, monkeypatch):
     files = _files(tmp_path, golden_doc)
-    argv = ["validate", "--format", "records", files["golden"], "-", files["records"]]
-    runs = []
-    for count in (1, 2):
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO("[PRE-S 走][PRE-S 来]\n".encode())))
-        with _workers(count) as forked:
-            runs.append(_run(argv))
-        assert forked == []
-    assert runs[0] == runs[1]
-    assert '"file":"-"' in runs[0][1]
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)  # an agree pair of any size
+    inputs = {
+        "[PRE-S 走][PRE-S 来]\n": ["validate", "--format", "records", files["golden"], "-",
+                                  files["records"]],
+        GOLDEN_PATH.read_text(encoding="utf-8"): ["agree", files["golden"], "-"],
+    }
+    outputs = []
+    for stdin, argv in inputs.items():
+        runs = []
+        for count in (1, 2):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
+            with _workers(count) as forked:
+                runs.append(_run(argv))
+            assert forked == []
+        assert runs[0] == runs[1]
+        outputs.append(runs[0][1])
+    assert '"file":"-"' in outputs[0]
+    assert "kappa: 1.0000" in outputs[1]  # agree read the golden text from stdin
 
 
-def test_a_caller_running_other_threads_keeps_the_run_in_one_process(tmp_path, golden_doc):
+def test_a_caller_running_other_threads_keeps_the_run_in_one_process(
+    tmp_path, golden_doc, range_files, monkeypatch
+):
     files = _files(tmp_path, golden_doc)
-    argv = ["convert", "--to", "standoff", files["golden"], files["big"], files["records"]]
-    with _workers(1):
-        expected = _run(argv)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        with _workers(2) as forked:
-            assert _run(argv) == expected
-    finally:
-        release.set()
-        waiter.join(timeout=10)
-    assert forked == []
-    assert not waiter.is_alive()
+    monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)  # an agree pair of any size
+    for argv in (
+        ["convert", "--to", "standoff", files["golden"], files["big"], files["records"]],
+        ["agree", *range_files["pair"]],
+    ):
+        with _workers(1):
+            expected = _run(argv)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            with _workers(2) as forked:
+                assert _run(argv) == expected
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert forked == []
+        assert not waiter.is_alive()
 
 
 def test_a_worker_that_dies_is_one_line_and_exit_2(tmp_path, golden_doc, monkeypatch):
@@ -338,6 +354,36 @@ def test_no_more_workers_than_usable_cpus(tmp_path, golden_doc):
     assert len(forked) == 3
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_each_worker_starts_on_its_own_cpu_and_may_move(tmp_path, golden_doc, monkeypatch):
+    files = _files(tmp_path, golden_doc)
+    argv = ["stats", "--format", "records", *[files["golden"], files["big"]] * 2]
+    with _workers(1):
+        expected = _run(argv)
+    cpus, parent, log = sorted(os.sched_getaffinity(0)), os.getpid(), tmp_path / "moves.log"
+    set_affinity = os.sched_setaffinity
+
+    def logged(pid: int, mask) -> None:
+        if os.getpid() != parent:
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {sorted(mask)}\n")
+        set_affinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+    with _workers(4) as forked:
+        assert _run(argv) == expected
+    moves = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+    by_worker = [[mask for pid, mask in moves if pid == str(worker)] for worker in forked]
+    assert by_worker == [[str([cpus[w % len(cpus)]]), str(cpus)] for w in range(4)]
+
+    def refused(pid: int, mask) -> None:
+        raise OSError(errno.EINVAL, "no such CPU")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    with _workers(4):
+        assert _run(argv) == expected
+
+
 @given(first=_fuzz_inputs, second=_fuzz_inputs, command=st.sampled_from(COMMANDS))
 @settings(
     max_examples=100,
@@ -357,7 +403,6 @@ def test_any_bytes_in_several_files_give_the_one_worker_run(tmp_path, first, sec
     assert runs[1] == runs[0]
 
 
-
 # The commands that read one standoff or column file in ranges.
 RANGE_COMMANDS = [
     ["stats"],
@@ -365,6 +410,15 @@ RANGE_COMMANDS = [
     ["convert", "--to", "standoff"],
     ["convert", "--to", "columns"],
     ["convert", "--to", "inline"],
+]
+# ``agree``, which reads an inline pair in ranges: each match criterion,
+# ``--normalize-rai`` and both formats.
+AGREE_COMMANDS = [
+    ["agree"],
+    ["agree", "--format", "records"],
+    ["agree", "--match", "type"],
+    ["agree", "--match", "head", "--format", "records"],
+    ["agree", "--match", "exact", "--normalize-rai"],
 ]
 
 
@@ -412,6 +466,58 @@ def _range_inputs(golden_doc) -> dict[str, str]:
     }
 
 
+def _unmarked(element: re.Match) -> str:
+    return re.sub(r"[-()]", "", element[1]) + element[2]
+
+
+def _pair_inputs(golden_doc) -> dict[str, tuple[str, str]]:
+    """Inline pairs for ``agree`` in ranges, by case: annotators A and B on
+    40 units, B with other subtags, kinds, elements and heads in 4 units of
+    5, and the forms on which a range or the cut must fail."""
+    lines_a = [emit_unit(unit) for unit in golden_doc.units * 4]
+    changes = [
+        lambda line: line,
+        lambda line: line.replace("[PRE-M ", "[PRE-S ", 1),
+        lambda line: line.replace("[COM-W ", "[RAI-W "),
+        # The last element's markup dropped, and a head moved off its place.
+        lambda line: re.sub(r"\[[-A-Z]+ ([^]]*)\]([^[]*)$", _unmarked, line),
+        lambda line: re.sub(r"([^-[( ]+)\(([^)]+)\)", r"(\1)\2", line, count=1),
+    ]
+    lines_b = [changes[i % 5](line) for i, line in enumerate(lines_a)]
+    other = emit_unit(LabelingUnit("另一行"))
+    middle = len(lines_a) // 2
+
+    def text(lines: list[str], header: str = "#id: pair\n# note\n") -> str:
+        return header + "".join(line + "\n" for line in lines)
+
+    def at(lines: list[str], i: int, line: str, drop: int = 1) -> list[str]:
+        return lines[:i] + [line] + lines[i + drop :]
+
+    a, b = text(lines_a), text(lines_b)
+    return {
+        "pair": (a, b),
+        "pair, blank lines": (
+            "\n\n" + a.replace("]\n", "]\n\n"),
+            text(lines_b[:7] + ["", "\r"] + lines_b[7:] + ["", ""]),
+        ),
+        "pair, crlf": (a.replace("\n", "\r\n"), b),
+        "pair, bom": ("\ufeff" + a, "\ufeff" + b),
+        "broken line in a": (text(at(lines_a, middle + 5, "[PRE-S 走")), b),
+        "broken line in b": (a, text(at(lines_b, 3, "[PRE-S 走]]"))),
+        # At the same unit line, so that the ranges hold as many units.
+        "broken lines in both": (
+            text(at(lines_a, 30, "[PRE-S 走")), text(at(lines_b, 30, "x\ty")),
+        ),
+        "agr001 in a middle range": (a, text(at(lines_b, middle, other))),
+        "b one unit shorter": (a, text(lines_b[:-1])),
+        "b one unit longer": (a, text(lines_b + [other])),
+        "metadata after units": (text(at(lines_a, middle, "# late", 0)), b),
+        "id line after an empty id": (
+            a, text(at(lines_b, middle, "#id: late", 0), "#id:\n# note\n"),
+        ),
+    }
+
+
 RANGE_CASES = [
     "standoff", "columns", "element text first", "keys units first", "keys meta first",
     "units repeated, the last short", "units repeated, the last long", "key after units",
@@ -419,33 +525,56 @@ RANGE_CASES = [
     "bad row in the last range", "meta in a late unit", "blank lines after the header",
     "crlf columns", "bom standoff", "bom columns", "two records", "two column documents",
 ]
+PAIR_CASES = [
+    "pair", "pair, blank lines", "pair, crlf", "pair, bom", "broken line in a",
+    "broken line in b", "broken lines in both", "agr001 in a middle range",
+    "b one unit shorter", "b one unit longer", "metadata after units",
+    "id line after an empty id",
+]
+
+
+def _range_runs(commands: list[list[str]], cases: list[str]) -> list:
+    """Each of ``commands`` on each of ``cases``, with ids as a stacked
+    parametrization would give them."""
+    return [
+        pytest.param(command, case, id=f"{' '.join(command)}-{case}")
+        for case in cases
+        for command in commands
+    ]
+
+
+RANGE_RUNS = _range_runs(RANGE_COMMANDS, RANGE_CASES) + _range_runs(AGREE_COMMANDS, PAIR_CASES)
 
 
 @pytest.fixture(scope="module")
-def range_files(tmp_path_factory) -> dict[str, str]:
+def range_files(tmp_path_factory) -> dict[str, list[str]]:
+    """The files of each one-file case and each pair case, by case."""
     from phkit import parse_document
 
     golden_doc = parse_document(GOLDEN_PATH.read_text(encoding="utf-8")).document
     folder = tmp_path_factory.mktemp("ranges")
-    inputs = _range_inputs(golden_doc)
-    assert list(inputs) == RANGE_CASES
+    inputs = {case: (text,) for case, text in _range_inputs(golden_doc).items()}
+    pairs = _pair_inputs(golden_doc)
+    assert list(inputs) == RANGE_CASES and list(pairs) == PAIR_CASES
     paths = {}
-    for case, text in inputs.items():
-        path = folder / (case.replace(" ", "_").replace(",", "") + ".in")
-        path.write_text(text, encoding="utf-8", newline="")
-        paths[case] = str(path)
+    for case, texts in {**inputs, **pairs}.items():
+        paths[case] = []
+        for side, text in zip("ab", texts):
+            name = case.replace(" ", "_").replace(",", "")
+            path = folder / (f"{name}.in" if len(texts) == 1 else f"{name}.{side}.ann")
+            path.write_text(text, encoding="utf-8", newline="")
+            paths[case].append(str(path))
     return paths
 
 
 # The cases whose ranges all decode; the parent reads every other file itself.
 DECODED = {
     "standoff", "columns", "keys meta first", "units repeated, the last long", "bom standoff",
-    "bom columns",
+    "bom columns", "pair", "pair, blank lines", "pair, crlf", "pair, bom",
 }
 
 
-@pytest.mark.parametrize("case", RANGE_CASES)
-@pytest.mark.parametrize("command", RANGE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("command, case", RANGE_RUNS)
 def test_any_worker_count_reads_one_file_as_one_process(range_files, monkeypatch, command, case):
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
     parent, read, reads = os.getpid(), cli._read, []
@@ -456,53 +585,97 @@ def test_any_worker_count_reads_one_file_as_one_process(range_files, monkeypatch
         return read(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_read", logged)
-    runs = _runs(command + [range_files[case]], WORKERS)
+    files = range_files[case]
+    runs = _runs(command + files, WORKERS)
     for count, (run, forked) in runs.items():
         assert run == runs[1][0], count
         if case in DECODED:  # a worker per range, one range per CPU
             assert forked == (0 if count == 1 else count)
     if case == "element text first":  # 2 ranges decode; of 8, one is cut at an element
-        assert reads == [range_files[case]] * 2
+        assert reads == files * 2
     else:
-        assert len(reads) == (1 if case in DECODED else len(WORKERS))
+        assert reads == files * (1 if case in DECODED else len(WORKERS))
     assert "Traceback" not in runs[1][0][2]
 
 
+def _unit_lines(text: str) -> list[int]:
+    """Where each unit line of the inline ``text`` starts."""
+    return [line.start() for line in workers._UNIT_LINE.finditer("\n" + text)]
+
+
 @given(
-    case=st.sampled_from([
-        "standoff", "columns", "element text first", "bad unit in the middle",
-        # The key orders that range_bounds does not decline.
-        "keys units first", "keys meta first", "units repeated, the last short",
-        "units repeated, the last long",
+    run=st.sampled_from([
+        (command, case)
+        for command, case in (param.values for param in RANGE_RUNS)
+        if case in {
+            "standoff", "columns", "element text first", "bad unit in the middle",
+            # The key orders that range_bounds does not decline.
+            "keys units first", "keys meta first", "units repeated, the last short",
+            "units repeated, the last long",
+            # The pairs that pair_bounds cuts.
+            "pair", "pair, blank lines", "pair, crlf", "pair, bom", "broken line in a",
+            "broken lines in both", "agr001 in a middle range",
+        }
     ]),
-    command=st.sampled_from(RANGE_COMMANDS),
     data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
-def test_any_cuts_give_the_one_process_run(range_files, case, command, data):
-    # Ranges cut at any candidates, false ones among them, up to 8 ranges.
-    real = convert.range_bounds
+def test_any_cuts_give_the_one_process_run(range_files, run, data):
+    # Ranges cut at any candidates, false ones among them, up to 8 ranges;
+    # a pair at any unit lines, the same ones in A and B or, as often, not.
+    command, case = run
+    real = workers.range_bounds
 
     def any_bounds(text: str, fmt: str, count: int) -> list[int]:
         bounds = real(text, fmt, 2)
-        cut, offset = convert._CUTS[fmt]
+        cut, offset = workers._CUTS[fmt]
         found = (m.start() + offset for m in re.finditer(re.escape(cut), text))
         candidates = [at for at in found if bounds[0] < at < bounds[-1]]
         cuts = st.lists(st.sampled_from(candidates), min_size=1, max_size=7, unique=True)
         cuts = data.draw(cuts)
         return [bounds[0], *sorted(cuts), bounds[-1]]
 
+    def any_pair_bounds(texts: list[str], count: int) -> list[list[int]]:
+        starts = [_unit_lines(text) for text in texts]
+        units = min(map(len, starts))
+        size = data.draw(st.integers(1, 7))
+        indexes = st.lists(st.integers(1, units - 1), min_size=size, max_size=size, unique=True)
+        cuts = [sorted(data.draw(indexes))] * 2
+        if data.draw(st.booleans()):
+            cuts[1] = sorted(data.draw(indexes))
+        return [[0, *(at[u] for u in c), len(t)] for t, at, c in zip(texts, starts, cuts)]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_SPLIT_BYTES", 0)
-        mp.setattr(convert, "range_bounds", any_bounds)
-        runs = _runs(command + [range_files[case]], [1, 2])
-    assert runs[2][0] == runs[1][0]
+        mp.setattr(workers, "range_bounds", any_bounds)
+        mp.setattr(workers, "pair_bounds", any_pair_bounds)
+        runs = _runs(command + range_files[case], [1, 2, 8])
+    assert runs[2][0] == runs[8][0] == runs[1][0]
     assert runs[2][1] > 1
+
+
+def test_the_pair_is_cut_at_the_same_unit_lines(range_files):
+    for case in ("pair", "pair, blank lines", "pair, crlf", "pair, bom", "broken line in a"):
+        texts = [cli._read_text(path) for path in range_files[case]]
+        for count in (2, 3, 8):
+            bounds = workers.pair_bounds(texts, count)
+            assert [len(at) for at in bounds] == [count + 1] * 2
+            for text, at in zip(texts, bounds):
+                starts = _unit_lines(text)
+                assert at[0] == 0 and at[-1] == len(text)
+                assert [starts.index(cut) for cut in at[1:-1]] == [
+                    len(starts) * k // count for k in range(1, count)
+                ]
+    for case in ("b one unit shorter", "b one unit longer", "metadata after units",
+                 "id line after an empty id"):
+        texts = [cli._read_text(path) for path in range_files[case]]
+        assert workers.pair_bounds(texts, 2) == []
+    assert workers.pair_bounds(["x\n", "x\n"], 2) == []  # one unit: no second range
 
 
 def test_the_first_range_that_fails_stops_the_others(range_files, monkeypatch, tmp_path):
     # Range 1 would take 30 s to decode; range 0 fails once range 1 has started.
-    real, started = convert.read_range, tmp_path / "started"
+    real, started = workers.read_range, tmp_path / "started"
 
     def stalled(text: str, fmt: str, bounds: list[int], k: int):
         if k == 1:
@@ -528,31 +701,33 @@ def test_the_first_range_that_fails_stops_the_others(range_files, monkeypatch, t
         return read(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(convert, "read_range", stalled)
+    monkeypatch.setattr(workers, "read_range", stalled)
     monkeypatch.setattr(cli, "_read", checked)
     begun = time.monotonic()
-    runs = _runs(["stats", range_files["standoff"]], [1, 2])
+    runs = _runs(["stats", *range_files["standoff"]], [1, 2])
     assert time.monotonic() - begun < 10
     assert runs[2] == (runs[1][0], 2)
     assert runs[1][0][0] == 0
     assert alive == [False]
 
 
-@pytest.mark.parametrize("case", ["standoff", "columns"])
-@pytest.mark.parametrize("command", RANGE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize(
+    "command, case",
+    _range_runs(RANGE_COMMANDS, ["standoff", "columns"]) + _range_runs(AGREE_COMMANDS, ["pair"]),
+)
 def test_a_range_worker_that_dies_before_its_verdict_gives_the_one_process_run(
     range_files, monkeypatch, command, case
 ):
-    parent, real = os.getpid(), convert.read_range
+    parent, real = os.getpid(), workers.read_range
 
-    def dying(text: str, fmt: str, bounds: list[int], k: int):
+    def dying(text: str, fmt: str, bounds: list[int], k: int, *known):
         if k == 1 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(text, fmt, bounds, k)
+        return real(text, fmt, bounds, k, *known)
 
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(convert, "read_range", dying)
-    runs = _runs(command + [range_files[case]], [1, 2])
+    monkeypatch.setattr(workers, "read_range", dying)
+    runs = _runs(command + range_files[case], [1, 2])
     assert runs[2] == (runs[1][0], 2)
     assert runs[1][0][0] == 0
 
@@ -571,7 +746,12 @@ def test_one_file_below_the_range_size_or_inline_forks_nothing(tmp_path, golden_
 
 @pytest.mark.parametrize(
     "argv",
-    [["parse", "{path}"], ["stats", "{path}.jsonl"], ["convert", "--to", "inline", "{path}.jsonl"]],
+    [
+        ["parse", "{path}"],
+        ["stats", "{path}.jsonl"],
+        ["convert", "--to", "inline", "{path}.jsonl"],
+        ["agree", "{path}", "{path}"],
+    ],
 )
 def test_a_one_file_run_below_the_range_size_does_not_load_the_workers(tmp_path, argv):
     path = tmp_path / "empty.ann"
@@ -593,7 +773,7 @@ def test_several_files_fork_a_worker_per_file_up_to_the_cpus(
     range_files, monkeypatch, files, cpus
 ):
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)  # the file fan-out, never ranges
-    paths = [range_files["standoff"], range_files["columns"]] * 2
+    paths = [*range_files["standoff"], *range_files["columns"]] * 2
     for command in RANGE_COMMANDS[:4]:
         runs = _runs(command + paths[:files], [1, cpus])
         assert runs[cpus] == (runs[1][0], min(files, cpus))

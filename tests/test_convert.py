@@ -12,9 +12,7 @@ from phkit.convert import (
     columns_pieces,
     from_columns,
     from_standoff,
-    range_bounds,
     read_columns,
-    read_range,
     read_standoff,
     standoff_pieces,
     to_columns,
@@ -22,6 +20,7 @@ from phkit.convert import (
 )
 from phkit.inline import emit_document, parse_document
 from phkit.model import Document, ElementType, LabelingUnit, ModelError
+from phkit.workers import range_bounds, read_range
 
 from .strategies import JSON_ESCAPE_ALPHABET, documents, json_escape_ids
 

@@ -5,23 +5,25 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import phkit
 import phkit.metrics
-from phkit.inline import parse_unit
+from phkit.inline import emit_unit, parse_unit
 from phkit.metrics import (
     KIND_ORDER,
     SCORE_FIELDS,
     STATS_FIELDS,
+    AgreementCounts,
     AgreementError,
     KindAgreement,
     MatchCriterion,
     SpanAgreement,
     StatsReport,
-    _check_alignment,
     _scores,
     agree,
+    agreement_counts,
     agreement_records,
     agreement_table,
     char_kappa,
@@ -32,6 +34,7 @@ from phkit.metrics import (
 )
 from phkit.model import TAGS, Document, Element, ElementType, LabelingUnit
 
+from .conftest import GOLDEN_PATH
 from .strategies import documents, labeling_units
 
 
@@ -478,6 +481,17 @@ def test_swap_symmetry(doc_a, doc_b):
 # read through one map of known lines do) must score exactly as it scores.
 
 
+def reference_check_alignment(a: Document, b: Document) -> None:
+    if len(a.units) != len(b.units):
+        raise AgreementError(
+            "AGR002",
+            f"unit count mismatch: {len(a.units)} vs {len(b.units)}",
+        )
+    for i, (ua, ub) in enumerate(zip(a.units, b.units)):
+        if ua.text != ub.text:
+            raise AgreementError("AGR001", f"unit text mismatch at index {i}")
+
+
 def reference_kind_of(el: Element, normalize_rai: bool) -> ElementType:
     if normalize_rai and el.kind is ElementType.RAI:
         return ElementType.COM
@@ -508,7 +522,7 @@ def reference_span_agreement(
 ) -> SpanAgreement:
     """Greedy span matching between two aligned annotations."""
     criterion = MatchCriterion(criterion)
-    _check_alignment(a, b)
+    reference_check_alignment(a, b)
     matched: Counter[str] = Counter()
     total_a: Counter[str] = Counter()
     total_b: Counter[str] = Counter()
@@ -555,7 +569,7 @@ def reference_char_kappa(
     Returns exactly 1.0 for identical label sequences and None when the
     expected agreement is 1 (kappa undefined).
     """
-    _check_alignment(a, b)
+    reference_check_alignment(a, b)
     la = reference_char_labels(a, normalize_rai)
     lb = reference_char_labels(b, normalize_rai)
     n = len(la)
@@ -622,3 +636,36 @@ def test_agreement_over_shared_units_equals_the_reference(pair):
                 assert list(got.per_kind) == list(expected.per_kind)
             # Equal floats, not close ones: the same integers in the same formula.
             assert char_kappa(x, y, normalize) == reference_char_kappa(x, y, normalize)
+
+
+# --- agreement in ranges of unit pairs ---------------------------------------
+
+GOLDEN = phkit.parse_document(GOLDEN_PATH.read_text(encoding="utf-8")).document
+ALL_O = Document(units=(LabelingUnit("请开门"), LabelingUnit("走")))
+
+
+@given(
+    shared_pairs(),
+    st.lists(st.integers(0, 40), max_size=4),
+    st.sampled_from(list(MatchCriterion)),
+    st.booleans(),
+)
+@example((Document(), Document()), [0], MatchCriterion.EXACT, False)  # no text: kappa None
+@example((ALL_O, ALL_O), [1], MatchCriterion.EXACT, False)  # all "O": kappa None
+@example((GOLDEN, GOLDEN), [3, 7], MatchCriterion.HEAD_OVERLAP, True)  # kappa 1.0
+@example((GOLDEN, doc_of(*map(emit_unit, GOLDEN.units))), [5], MatchCriterion.TYPE_ONLY, True)
+@settings(max_examples=200)
+def test_the_counts_of_any_ranges_add_up_to_the_agreement(pair, cuts, criterion, normalize):
+    # Equal reports, floats included: the same integers in the same formulas.
+    a, b = pair
+    units = len(a.units)
+    bounds = [0, *sorted(min(cut, units) for cut in cuts), units]
+    for x, y in (pair, (b, a)):
+        parts = [
+            agreement_counts(x.units[lo:hi], y.units[lo:hi], criterion, normalize)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        got = AgreementCounts.total(parts).report(criterion)
+        expected = agree(x, y, criterion, normalize)
+        assert got == expected
+        assert list(got.spans.per_kind) == list(expected.spans.per_kind)
