@@ -101,7 +101,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
@@ -456,7 +455,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             findings = validation.validate_document(doc)
             if args.strict:
                 findings = [
-                    replace(d, severity=Severity.ERROR) if d.severity is Severity.WARNING else d
+                    validation.Diagnostic(d.code, Severity.ERROR, d.unit_index, d.span, d.message)
+                    if d.severity is Severity.WARNING
+                    else d
                     for d in findings
                 ]
             if any(d.severity is Severity.ERROR for d in findings):

@@ -44,7 +44,6 @@ P012  ``#id:`` line after an ``#id:`` line with an empty id
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import partial
 
 from .model import (
@@ -58,6 +57,7 @@ from .model import (
     PredicatePattern,
     Segment,
     Span,
+    Value,
 )
 
 RESERVED_CHARS = "[]()-\\"
@@ -91,25 +91,26 @@ _TAG_END = re.compile(r"[ \]]|\Z")
 _SKIP_ELEMENT = re.compile(r"(?:\\.?|[^\]\\])*\]?")
 
 
-@dataclass(frozen=True, slots=True)
-class ParseDiagnostic:
+class ParseDiagnostic(Value):
     """One parse finding, located by 1-based line and codepoint column."""
 
     code: str
     line: int
     column: int
     message: str
+    __slots__ = _fields = tuple(__annotations__)
 
 
-@dataclass
-class ParseResult:
+class ParseResult(Value):
     """Outcome of parsing one inline source: the document built from the
     lines that parsed cleanly, the diagnostics for the lines that did not,
     and the 1-based source line of every accepted unit."""
 
     document: Document
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-    unit_lines: list[int] = field(default_factory=list)
+    diagnostics: list[ParseDiagnostic]
+    unit_lines: list[int]
+    __slots__ = _fields = tuple(__annotations__)
+    _defaults = (list, list)
 
     @property
     def ok(self) -> bool:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from itertools import chain
 from operator import attrgetter, is_
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -44,7 +43,9 @@ from .model import (
     ElementType,
     LabelingUnit,
     PredicatePattern,
+    Span,
     TagEntry,
+    Value,
     compact_json,
 )
 
@@ -69,16 +70,17 @@ class AgreementError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True, slots=True)
-class StatsReport:
-    unit_count: int = 0
-    unc_unit_count: int = 0
-    by_kind: Mapping[str, int] = field(default_factory=dict)
-    by_pattern: Mapping[str, int] = field(default_factory=dict)
-    by_form: Mapping[str, int] = field(default_factory=dict)
-    by_tag: Mapping[str, int] = field(default_factory=dict)
-    unit_length_hist: Mapping[int, int] = field(default_factory=dict)
-    elements_per_unit_hist: Mapping[int, int] = field(default_factory=dict)
+class StatsReport(Value):
+    unit_count: int
+    unc_unit_count: int
+    by_kind: Mapping[str, int]
+    by_pattern: Mapping[str, int]
+    by_form: Mapping[str, int]
+    by_tag: Mapping[str, int]
+    unit_length_hist: Mapping[int, int]
+    elements_per_unit_hist: Mapping[int, int]
+    __slots__ = _fields = tuple(__annotations__)
+    _defaults = (int,) * 2 + (dict,) * 6
 
     @property
     def element_count(self) -> int:
@@ -94,10 +96,10 @@ class StatsReport:
 
 
 def _total(cls: type[R], parts: Iterable[R]) -> R:
-    """The sum of ``parts``, instances of the dataclass ``cls`` whose fields
-    are counts and maps of counts: counts add; maps merge key by key
+    """The sum of ``parts``, instances of ``cls`` whose fields are counts
+    and maps of counts (``_defaults``): counts add; maps merge key by key
     (keeping positive counts), each part's keys visited once."""
-    sums = {f.name: 0 if isinstance(f.default, int) else Counter() for f in fields(cls)}
+    sums = {n: 0 if make is int else Counter() for n, make in zip(cls._fields, cls._defaults)}
     for part in parts:
         for name, total in sums.items():
             if isinstance(total, Counter):
@@ -156,18 +158,17 @@ def corpus_stats(docs: Iterable[Document]) -> StatsReport:
 SCORE_FIELDS = ("matched", "only_a", "only_b", "precision", "recall", "f1")
 
 
-@dataclass(frozen=True, slots=True)
-class KindAgreement:
+class KindAgreement(Value):
     matched: int
     only_a: int
     only_b: int
     precision: float
     recall: float
     f1: float
+    __slots__ = _fields = tuple(__annotations__)
 
 
-@dataclass(frozen=True, slots=True)
-class SpanAgreement:
+class SpanAgreement(Value):
     criterion: MatchCriterion
     matched: int
     only_a: int
@@ -176,12 +177,13 @@ class SpanAgreement:
     recall: float
     f1: float
     per_kind: Mapping[str, KindAgreement]
+    __slots__ = _fields = tuple(__annotations__)
 
 
-@dataclass(frozen=True, slots=True)
-class AgreementReport:
+class AgreementReport(Value):
     spans: SpanAgreement
     kappa: float | None
+    __slots__ = _fields = tuple(__annotations__)
 
 
 # Each kind as agreement counts it, without and with ``normalize_rai``.
@@ -189,17 +191,16 @@ _KINDS = {k: k for k in ElementType}
 _KINDS_NORMALIZED = {**_KINDS, ElementType.RAI: ElementType.COM}
 
 
+def _key(el: Element, head: bool) -> Span:
+    """The head of ``el``'s body if ``head`` and it has one, else its span."""
+    return el.body.head if head and el.body.head is not None else el.span
+
+
 def _matches(x: Element, y: Element, criterion: MatchCriterion) -> bool:
-    """Whether ``x`` and ``y``, of the same counted kind, match."""
-    if criterion is MatchCriterion.HEAD_OVERLAP:
-        kx = x.body.head if x.body.head is not None else x.span
-        ky = y.body.head if y.body.head is not None else y.span
-        return kx.overlaps(ky)
-    if x.span != y.span:
-        return False
-    if criterion is MatchCriterion.TYPE_ONLY:
-        return True
-    return x.pattern is y.pattern and x.form is y.form
+    """Whether ``x`` and ``y``, of one counted kind and overlapping keys, match."""
+    return criterion is MatchCriterion.HEAD_OVERLAP or x.span == y.span and (
+        criterion is MatchCriterion.TYPE_ONLY or x.pattern is y.pattern and x.form is y.form
+    )
 
 
 def _scores(m: int, na: int, nb: int) -> tuple:
@@ -210,8 +211,7 @@ def _scores(m: int, na: int, nb: int) -> tuple:
     return m, na - m, nb - m, p, r, (2 * p * r / (p + r) if p + r else 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class AgreementCounts:
+class AgreementCounts(Value):
     """What agreement counts over a run of aligned unit pairs. Every field
     is a sum over the pairs, so the counts of consecutive runs add up to
     those of all of them (``total``), and both scores follow from the sum.
@@ -222,13 +222,15 @@ class AgreementCounts:
     sides' labels agree.
     """
 
-    matched: Mapping[ElementType, int] = field(default_factory=dict)
-    total_a: Mapping[ElementType, int] = field(default_factory=dict)
-    total_b: Mapping[ElementType, int] = field(default_factory=dict)
-    chars_a: Mapping[ElementType, int] = field(default_factory=dict)
-    chars_b: Mapping[ElementType, int] = field(default_factory=dict)
-    n: int = 0
-    po_num: int = 0
+    matched: Mapping[ElementType, int]
+    total_a: Mapping[ElementType, int]
+    total_b: Mapping[ElementType, int]
+    chars_a: Mapping[ElementType, int]
+    chars_b: Mapping[ElementType, int]
+    n: int
+    po_num: int
+    __slots__ = _fields = tuple(__annotations__)
+    _defaults = (dict,) * 5 + (int,) * 2
 
     @classmethod
     def total(cls, parts: Iterable["AgreementCounts"]) -> "AgreementCounts":
@@ -297,11 +299,11 @@ def agreement_counts(
     and characters are labeled if ``kappa``; counts not taken are empty.
 
     A pair of distinct unit objects is matched greedily, element by element
-    in span order, and labeled character by character to count where its
-    labels agree. A unit object that both sides hold (see
-    ``parse_document``) is neither: every element of it matches itself
-    under every criterion, as greedy matching of a list against itself
-    pairs, and all of its characters agree.
+    in span order, in time linear in its elements, and labeled character by
+    character to count where its labels agree. A unit object that both
+    sides hold (see ``parse_document``) is neither: every element of it
+    matches itself under every criterion, as greedy matching of a list
+    against itself pairs, and all of its characters agree.
     """
     if len(units_a) != len(units_b):
         raise AgreementError(
@@ -310,6 +312,7 @@ def agreement_counts(
         )
     if criterion is not None:
         criterion = MatchCriterion(criterion)
+    head = criterion is MatchCriterion.HEAD_OVERLAP
     kind_of = _KINDS_NORMALIZED if normalize_rai else _KINDS
     matched: Counter[ElementType] = Counter()
     total_a: Counter[ElementType] = Counter()
@@ -331,10 +334,19 @@ def agreement_counts(
             kinds_b = [kind_of[el.kind] for el in ys]
             total_a.update(kinds_a)
             total_b.update(kinds_b)
+            # A side's keys (``_key``) are sorted and disjoint, so the ys whose
+            # keys overlap x's, its candidates, are a window moving forward.
+            keys_b = [_key(y, head) for y in ys]
             used = [False] * len(ys)
+            lo = 0
             for x, kind in zip(xs, kinds_a):
-                for j, y in enumerate(ys):
-                    if not used[j] and kinds_b[j] is kind and _matches(x, y, criterion):
+                key = _key(x, head)
+                while lo < len(ys) and keys_b[lo].end <= key.start:
+                    lo += 1
+                for j in range(lo, len(ys)):
+                    if keys_b[j].start >= key.end:
+                        break
+                    if not used[j] and kinds_b[j] is kind and _matches(x, ys[j], criterion):
                         used[j] = True
                         matched[kind] += 1
                         break

@@ -8,14 +8,15 @@ serialization (brackets, tags, parentheses, separators) never appear in
 the text itself.
 
 Every type here is an immutable value: safe to share between threads and
-usable as a dict key where hashable fields allow.
+usable as a dict key where hashable fields allow. Each phkit value class
+derives from ``Value``: ``dataclasses.fields`` and ``replace`` do not apply.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from json import JSONEncoder
+from operator import attrgetter
 
 
 #: The one JSON encoder of every phkit writer: compact separators, non-ASCII
@@ -27,6 +28,53 @@ compact_json = JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 class ModelError(ValueError):
     """A constructed object violates a model invariant."""
+
+
+class Value:
+    """An immutable value with slots. A subclass annotates its fields, then
+    sets ``__slots__ = _fields = tuple(__annotations__)``, from which come eq
+    and hash (through one ``attrgetter``), repr, ``__match_args__``, and
+    copies and pickles through the constructor. That takes the fields in
+    order or by keyword; ``_defaults`` are factories for the last fields."""
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+        cls._values = attrgetter(*cls._fields)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names, defaults = self._fields, self._defaults
+        for name in names[len(args) :]:
+            if name not in kwargs and len(names) - len(args) > len(defaults):
+                raise TypeError(f"{type(self).__qualname__}() missing argument {name!r}")
+            args += (kwargs.pop(name) if name in kwargs else defaults[len(args) - len(names)](),)
+        if kwargs or len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {names}")
+        for set_slot, value in zip(self._setters, args):
+            set_slot(self, value)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
 
 
 class ElementType(str, enum.Enum):
@@ -91,19 +139,17 @@ _FORBIDDEN_TEXT_CHARS = ("\n", "\r", "\t")
 
 
 # Span, Segment, Element and LabelingUnit are built once per element on
-# every read path, so each has one hand-written __init__ (init=False): the
-# generated frozen __init__ pays one object.__setattr__ per field plus a
-# separate __post_init__ call. Fields are stored through the slot
-# descriptors' setters, bound once below each class; they bypass the frozen
-# __setattr__ without weakening it for anyone else.
+# every read path, so each has its own __init__, which stores the fields
+# through its slots' setters (``_setters``), bound to names below the class:
+# they bypass Value.__setattr__ without weakening it for anyone else.
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Span:
+class Span(Value):
     """Half-open codepoint interval [start, end); always non-empty."""
 
     start: int
     end: int
+    __slots__ = _fields = tuple(__annotations__)
 
     def __init__(self, start: int, end: int) -> None:
         if not (0 <= start < end):
@@ -121,12 +167,10 @@ class Span:
         return self.start <= other.start and other.end <= self.end
 
 
-_set_span_start = Span.start.__set__
-_set_span_end = Span.end.__set__
+_set_span_start, _set_span_end = Span._setters
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Segment:
+class Segment(Value):
     """A contiguous stretch of element content with an optional head.
 
     The head marks the core word of the segment. It must be a proper
@@ -134,7 +178,8 @@ class Segment:
     """
 
     span: Span
-    head: Span | None = None
+    head: Span | None
+    __slots__ = _fields = tuple(__annotations__)
 
     def __init__(self, span: Span, head: Span | None = None) -> None:
         if head is not None and not (
@@ -147,12 +192,10 @@ class Segment:
         _set_segment_head(self, head)
 
 
-_set_segment_span = Segment.span.__set__
-_set_segment_head = Segment.head.__set__
+_set_segment_span, _set_segment_head = Segment._setters
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Element:
+class Element(Value):
     """One annotated element of a labeling unit.
 
     An element is a body segment, optionally preceded by a trigger segment
@@ -171,10 +214,12 @@ class Element:
 
     kind: ElementType
     body: Segment
-    trigger: Segment | None = None
-    pattern: PredicatePattern | None = None
-    form: ElementForm | None = None
-    span: Span = field(init=False, repr=False, compare=False)
+    trigger: Segment | None
+    pattern: PredicatePattern | None
+    form: ElementForm | None
+    _fields = tuple(__annotations__)  # all but span
+    span: Span
+    __slots__ = tuple(__annotations__)
 
     def __init__(
         self,
@@ -212,16 +257,11 @@ class Element:
         return TAG_NAMES[(self.kind, self.pattern, self.form)]
 
 
-_set_element_kind = Element.kind.__set__
-_set_element_body = Element.body.__set__
-_set_element_trigger = Element.trigger.__set__
-_set_element_pattern = Element.pattern.__set__
-_set_element_form = Element.form.__set__
-_set_element_span = Element.span.__set__
+_set_element_kind, _set_element_body, _set_element_trigger = Element._setters[:3]
+_set_element_pattern, _set_element_form, _set_element_span = Element._setters[3:]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LabelingUnit:
+class LabelingUnit(Value):
     """One segmented sentence or clause with its annotated elements.
 
     Element spans are pairwise disjoint and sorted by start offset.
@@ -230,7 +270,8 @@ class LabelingUnit:
     """
 
     text: str
-    elements: tuple[Element, ...] = ()
+    elements: tuple[Element, ...]
+    __slots__ = _fields = tuple(__annotations__)
 
     def __init__(self, text: str, elements: tuple[Element, ...] = ()) -> None:
         if not isinstance(elements, tuple):
@@ -256,12 +297,10 @@ class LabelingUnit:
         _set_unit_elements(self, elements)
 
 
-_set_unit_text = LabelingUnit.text.__set__
-_set_unit_elements = LabelingUnit.elements.__set__
+_set_unit_text, _set_unit_elements = LabelingUnit._setters
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(Value):
     """An ordered collection of labeling units with optional metadata.
 
     ``metadata`` holds raw comment lines (each starting with "#"). The
@@ -270,23 +309,21 @@ class Document:
     the inline format.
     """
 
-    id: str = ""
-    metadata: tuple[str, ...] = ()
-    units: tuple[LabelingUnit, ...] = ()
+    id: str
+    metadata: tuple[str, ...]
+    units: tuple[LabelingUnit, ...]
+    __slots__ = _fields = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.metadata, tuple):
-            object.__setattr__(self, "metadata", tuple(self.metadata))
-        if not isinstance(self.units, tuple):
-            object.__setattr__(self, "units", tuple(self.units))
-        if self.id != self.id.strip() or "\n" in self.id or "\r" in self.id:
-            raise ModelError(f"invalid document id {self.id!r}")
-        for line in self.metadata:
+    def __init__(self, id: str = "", metadata: tuple = (), units: tuple = ()) -> None:
+        metadata, units = tuple(metadata), tuple(units)
+        if id != id.strip() or "\n" in id or "\r" in id:
+            raise ModelError(f"invalid document id {id!r}")
+        for line in metadata:
             if not line.startswith("#") or "\n" in line or "\r" in line:
                 raise ModelError(f"metadata line must be a single '#' comment: {line!r}")
-            if not self.id and line.startswith("#id:"):
+            if not id and line.startswith("#id:"):
                 raise ModelError("metadata '#id:' line conflicts with an empty document id")
-        for unit in self.units:
+        for unit in units:
             if not unit.text:
                 raise ModelError("documents cannot contain units with empty text")
             if unit.text.startswith("#") and (
@@ -295,6 +332,7 @@ class Document:
                 # Such a unit would serialize to a line starting with "#",
                 # which the inline format reserves for metadata.
                 raise ModelError("unit text may not start with '#' outside an element")
+        super().__init__(id, metadata, units)
 
 
 def span_surface(unit: LabelingUnit, span: Span) -> str:

@@ -24,11 +24,10 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable
 
-from .model import ModelError
+from .model import ModelError, Value
 
 END_MARKS = "。；！？"  # 。 ； ！ ？
 CLOSING_QUOTES = "”』」"  # ” 』 」
@@ -71,28 +70,29 @@ class CommaPolicy(str, enum.Enum):
     IGNORE = "ignore"
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentBoundary:
+class SegmentBoundary(Value):
     """A proposed cut falling after the character at ``position``."""
 
     position: int
     kind: BoundaryKind
     cause: BoundaryCause
+    __slots__ = _fields = tuple(__annotations__)
 
 
-@dataclass(frozen=True, slots=True)
-class SegmenterConfig:
-    conjunctions: tuple[str, ...] = DEFAULT_CONJUNCTIONS
-    comma_policy: CommaPolicy = CommaPolicy.CANDIDATE
+class SegmenterConfig(Value):
+    conjunctions: tuple[str, ...]
+    comma_policy: CommaPolicy
+    __slots__ = _fields = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
-        seen: dict[str, None] = {}
-        for entry in self.conjunctions:
-            if not entry:
-                raise ModelError("conjunction lexicon entries must be nonempty")
-            seen.setdefault(entry)
-        object.__setattr__(self, "conjunctions", tuple(seen))
-        object.__setattr__(self, "comma_policy", CommaPolicy(self.comma_policy))
+    def __init__(
+        self,
+        conjunctions: tuple[str, ...] = DEFAULT_CONJUNCTIONS,
+        comma_policy: CommaPolicy = CommaPolicy.CANDIDATE,
+    ) -> None:
+        conjunctions = tuple(dict.fromkeys(conjunctions))
+        if not all(conjunctions):
+            raise ModelError("conjunction lexicon entries must be nonempty")
+        super().__init__(conjunctions, CommaPolicy(comma_policy))
 
 
 def propose_boundaries(

@@ -25,7 +25,6 @@ I041   info     SUB element positioned after the PRE element
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import (
@@ -35,6 +34,7 @@ from .model import (
     LabelingUnit,
     PredicatePattern,
     Span,
+    Value,
     compact_json,
 )
 
@@ -59,13 +59,13 @@ RULES: dict[str, tuple[Severity, str]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(Value):
     code: str
     severity: Severity
     unit_index: int
     span: Span | None
     message: str
+    __slots__ = _fields = tuple(__annotations__)
 
 
 def validate_unit(unit: LabelingUnit, unit_index: int = 0) -> list[Diagnostic]:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from phkit.metrics import (
     stats_records,
     stats_table,
 )
-from phkit.model import TAGS, Document, Element, ElementType, LabelingUnit
+from phkit.model import TAGS, Document, Element, ElementType, LabelingUnit, Segment, Span
 
 from .conftest import GOLDEN_PATH
 from .strategies import documents, labeling_units
@@ -669,3 +670,163 @@ def test_the_counts_of_any_ranges_add_up_to_the_agreement(pair, cuts, criterion,
         expected = agree(x, y, criterion, normalize)
         assert got == expected
         assert list(got.spans.per_kind) == list(expected.spans.per_kind)
+
+
+# --- the linear matcher against the greedy loop it replaced -----------------
+#
+# The reference below is the matcher of ``agreement_counts`` before it took
+# linear time, copied verbatim: for each element of A, every element of B in
+# order until an unused one of the same counted kind matches.
+
+REFERENCE_KINDS = {k: k for k in ElementType}
+REFERENCE_KINDS_NORMALIZED = {**REFERENCE_KINDS, ElementType.RAI: ElementType.COM}
+
+
+def _matches(x: Element, y: Element, criterion: MatchCriterion) -> bool:
+    """Whether ``x`` and ``y``, of the same counted kind, match."""
+    if criterion is MatchCriterion.HEAD_OVERLAP:
+        kx = x.body.head if x.body.head is not None else x.span
+        ky = y.body.head if y.body.head is not None else y.span
+        return kx.overlaps(ky)
+    if x.span != y.span:
+        return False
+    if criterion is MatchCriterion.TYPE_ONLY:
+        return True
+    return x.pattern is y.pattern and x.form is y.form
+
+
+def reference_greedy_matched(xs, ys, criterion, kind_of) -> Counter:
+    matched: Counter[ElementType] = Counter()
+    kinds_a = [kind_of[el.kind] for el in xs]
+    kinds_b = [kind_of[el.kind] for el in ys]
+    used = [False] * len(ys)
+    for x, kind in zip(xs, kinds_a):
+        for j, y in enumerate(ys):
+            if not used[j] and kinds_b[j] is kind and _matches(x, y, criterion):
+                used[j] = True
+                matched[kind] += 1
+                break
+    return matched
+
+
+# Few tags, so that kinds meet often; RAI and COM for ``normalize_rai``,
+# two tags of one kind for ``exact`` against ``type_only``.
+MATCH_TAGS = ["PRE-S", "PRE-M", "SUB-W", "COM-P", "COM-W", "RAI-P", "UNC"]
+
+
+@st.composite
+def _elements(draw, length: int) -> tuple[Element, ...]:
+    """Disjoint sorted elements in a text of ``length``: the pieces between
+    random cut points are elements or gaps; an element may have a trigger,
+    and a body of two or more characters a head of any proper part of it."""
+    cuts = sorted(draw(st.sets(st.integers(1, length), max_size=length)) | {0, length})
+    elements = []
+    for start, end in zip(cuts, cuts[1:]):
+        if not draw(st.booleans()):
+            continue
+        kind, pattern, form = TAGS[draw(st.sampled_from(MATCH_TAGS))]
+        trigger = None
+        body_start = draw(st.integers(start, end - 1)) if kind is not ElementType.UNC else start
+        if body_start > start:
+            trigger = Segment(Span(start, body_start))
+        head = None
+        if end - body_start >= 2 and draw(st.booleans()):
+            head_start = draw(st.integers(body_start, end - 1))
+            head_end = draw(st.integers(head_start + 1, end))
+            if head_end - head_start < end - body_start:
+                head = Span(head_start, head_end)
+        elements.append(Element(kind, Segment(Span(body_start, end), head), trigger, pattern, form))
+    return tuple(elements)
+
+
+@st.composite
+def aligned_unit_pairs(draw):
+    """Two distinct units of one text. B's elements are drawn on their own
+    (so a long head of A may overlap several of them), or are A's, some
+    dropped and some retagged."""
+    length = draw(st.integers(1, 16))
+    text = "甲" * length
+    xs = draw(_elements(length))
+    if draw(st.booleans()):
+        ys = draw(_elements(length))
+    else:
+        ys = []
+        for el in xs:
+            action = draw(st.sampled_from(["keep", "drop", "retag"]))
+            if action == "retag":
+                kind, pattern, form = TAGS[draw(st.sampled_from(MATCH_TAGS))]
+                if el.trigger is None or kind is not ElementType.UNC:
+                    el = Element(kind, el.body, el.trigger, pattern, form)
+            if action != "drop":
+                ys.append(el)
+    return LabelingUnit(text, xs), LabelingUnit(text, tuple(ys))
+
+
+def _unit(text: str, *elements: Element) -> LabelingUnit:
+    return LabelingUnit(text, elements)
+
+
+def _el(tag: str, start: int, end: int, head: tuple[int, int] | None = None) -> Element:
+    kind, pattern, form = TAGS[tag]
+    return Element(kind, Segment(Span(start, end), head and Span(*head)), None, pattern, form)
+
+
+@given(aligned_unit_pairs())
+# One head of A over three B elements of its kind; the first unused one is taken.
+@example((
+    _unit("甲" * 6, _el("SUB-W", 0, 5, (1, 4)), _el("COM-W", 5, 6)),
+    _unit("甲" * 6, *(_el("SUB-W", i, i + 1) for i in range(6))),
+))
+@example((  # two heads of A over one B element
+    _unit("甲" * 4, _el("SUB-W", 0, 2, (1, 2)), _el("SUB-W", 2, 4, (2, 3))),
+    _unit("甲" * 4, _el("SUB-W", 0, 4, (1, 3))),
+))
+@settings(max_examples=400)
+def test_linear_matching_counts_equal_the_greedy_reference(pair):
+    for ua, ub in (pair, pair[::-1]):
+        for normalize, kind_of in ((False, REFERENCE_KINDS), (True, REFERENCE_KINDS_NORMALIZED)):
+            for criterion in MatchCriterion:
+                got = agreement_counts([ua], [ub], criterion, normalize, kappa=False)
+                expected = reference_greedy_matched(ua.elements, ub.elements, criterion, kind_of)
+                assert got.matched == dict(expected)
+
+
+def _lines_run_in_metrics(call) -> int:
+    """How many lines of ``phkit.metrics`` run during ``call()``: a count
+    that bounds the comparisons its matcher makes, and no timing."""
+    path = phkit.metrics.__file__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == path else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("criterion", list(MatchCriterion))
+def test_matching_runs_a_bounded_number_of_lines_per_element(criterion):
+    # The greedy loop ran about n * n / 2 comparisons on each of these pairs
+    # of n elements: all matching, none of one kind, and every head of A
+    # over three elements of B.
+    n = 600
+    text = "甲" * (4 * n)
+    a = [_el("SUB-W", 4 * i, 4 * i + 4, (4 * i, 4 * i + 3)) for i in range(n)]
+    pairs = {
+        "all match": (a, [_el("SUB-W", 4 * i, 4 * i + 4, (4 * i, 4 * i + 3)) for i in range(n)]),
+        "no kind in common": (a, [_el("COM-W", 4 * i, 4 * i + 4) for i in range(n)]),
+        "heads over several": (a, [_el("SUB-W", i, i + 1) for i in range(4 * n)]),
+    }
+    for xs, ys in pairs.values():
+        ua, ub = LabelingUnit(text, xs), LabelingUnit(text, ys)
+        lines = _lines_run_in_metrics(
+            lambda: agreement_counts([ua], [ub], criterion, kappa=False)
+        )
+        assert lines <= 20 * (len(xs) + len(ys))

@@ -1,10 +1,18 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given
 
+from phkit.inline import ParseDiagnostic, ParseResult
+from phkit.metrics import (
+    AgreementCounts,
+    AgreementReport,
+    KindAgreement,
+    MatchCriterion,
+    SpanAgreement,
+    StatsReport,
+)
 from phkit.model import (
     Document,
     Element,
@@ -16,9 +24,12 @@ from phkit.model import (
     PredicatePattern,
     Segment,
     Span,
+    Value,
     element_surface,
 )
 from phkit.inline import parse_unit
+from phkit.segmentation import BoundaryCause, BoundaryKind, SegmentBoundary, SegmenterConfig
+from phkit.validation import Diagnostic, Severity
 
 from .strategies import labeling_units
 
@@ -171,20 +182,122 @@ def test_model_values_are_immutable():
     unit = LabelingUnit("甲乙丙丁", [element])
     assert unit.elements == (element,)
     for value in (span, element.body, element, unit):
-        for f in dataclasses.fields(value):
+        for name in type(value).__slots__:  # Element's derived span too
             with pytest.raises(AttributeError):
-                setattr(value, f.name, getattr(value, f.name))
-        assert dataclasses.replace(value) == value
+                setattr(value, name, getattr(value, name))
         for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value
             assert hash(twin) == hash(value)
     for twin in (copy.deepcopy(element), pickle.loads(pickle.dumps(element))):
         assert twin.span == Span(0, 4)
-    moved = dataclasses.replace(element, trigger=None, form=ElementForm.WORD)
+    moved = Element(element.kind, element.body, trigger=None, form=ElementForm.WORD)
     assert moved.span == Span(1, 4)
-    assert dataclasses.replace(element.body, head=None).head is None
+    assert Segment(element.body.span, head=None).head is None
     with pytest.raises(ModelError):
-        dataclasses.replace(unit, text="甲")
+        LabelingUnit("甲", unit.elements)
+
+
+def _one_value_of_each_class() -> list:
+    element = _adv_element()
+    finding = ParseDiagnostic("P001", 2, 3, "m")
+    kind = KindAgreement(1, 0, 1, 1.0, 0.5, 0.75)
+    spans = SpanAgreement(MatchCriterion.EXACT, 1, 0, 1, 1.0, 0.5, 0.75, {"ADV": kind})
+    adv = {ElementType.ADV: 1}
+    return [
+        Span(0, 1),
+        element.body,
+        element,
+        LabelingUnit("甲乙丙丁", (element,)),
+        Document("d", ("# m",), (LabelingUnit("乙"),)),
+        finding,
+        ParseResult(Document(), [finding], [2]),
+        Diagnostic("W010", Severity.WARNING, 0, Span(1, 4), "m"),
+        StatsReport(1, 0, {"ADV": 1}, {}, {"P": 1}, {"ADV-P": 1}, {4: 1}, {1: 1}),
+        kind,
+        spans,
+        AgreementReport(spans, None),
+        AgreementCounts(adv, adv, adv, {ElementType.ADV: 4}, {}, 4, 1),
+        SegmentBoundary(2, BoundaryKind.HARD, BoundaryCause.END_MARK),
+        SegmenterConfig(("并", "和", "并"), "hard"),
+    ]
+
+
+# The reprs of ``_one_value_of_each_class()`` as the dataclass-generated
+# reprs wrote them, before the classes moved onto ``Value``.
+_ELEMENT = (
+    "Element(kind=<ElementType.ADV: 'ADV'>, body=Segment(span=Span(start=1, end=4), "
+    "head=Span(start=2, end=3)), trigger=Segment(span=Span(start=0, end=1), head=None), "
+    "pattern=None, form=<ElementForm.PHRASE: 'P'>)"
+)
+_KIND = "KindAgreement(matched=1, only_a=0, only_b=1, precision=1.0, recall=0.5, f1=0.75)"
+_SPANS = (
+    "SpanAgreement(criterion=<MatchCriterion.EXACT: 'exact'>, matched=1, only_a=0, only_b=1, "
+    f"precision=1.0, recall=0.5, f1=0.75, per_kind={{'ADV': {_KIND}}})"
+)
+_ADV = "{<ElementType.ADV: 'ADV'>: 1}"
+PARENT_REPRS = [
+    "Span(start=0, end=1)",
+    "Segment(span=Span(start=1, end=4), head=Span(start=2, end=3))",
+    _ELEMENT,
+    f"LabelingUnit(text='甲乙丙丁', elements=({_ELEMENT},))",
+    "Document(id='d', metadata=('# m',), units=(LabelingUnit(text='乙', elements=()),))",
+    "ParseDiagnostic(code='P001', line=2, column=3, message='m')",
+    "ParseResult(document=Document(id='', metadata=(), units=()), diagnostics="
+    "[ParseDiagnostic(code='P001', line=2, column=3, message='m')], unit_lines=[2])",
+    "Diagnostic(code='W010', severity=<Severity.WARNING: 'warning'>, unit_index=0, "
+    "span=Span(start=1, end=4), message='m')",
+    "StatsReport(unit_count=1, unc_unit_count=0, by_kind={'ADV': 1}, by_pattern={}, "
+    "by_form={'P': 1}, by_tag={'ADV-P': 1}, unit_length_hist={4: 1}, "
+    "elements_per_unit_hist={1: 1})",
+    _KIND,
+    _SPANS,
+    f"AgreementReport(spans={_SPANS}, kappa=None)",
+    f"AgreementCounts(matched={_ADV}, total_a={_ADV}, total_b={_ADV}, "
+    "chars_a={<ElementType.ADV: 'ADV'>: 4}, chars_b={}, n=4, po_num=1)",
+    "SegmentBoundary(position=2, kind=<BoundaryKind.HARD: 'hard'>, "
+    "cause=<BoundaryCause.END_MARK: 'end_mark'>)",
+    "SegmenterConfig(conjunctions=('并', '和'), comma_policy=<CommaPolicy.HARD: 'hard'>)",
+]
+
+
+def test_every_value_class_keeps_the_value_contract():
+    values = _one_value_of_each_class()
+    assert {type(v) for v in values} == set(Value.__subclasses__())
+    assert len(values) == 15
+    for value, expected in zip(values, PARENT_REPRS, strict=True):
+        cls = type(value)
+        assert repr(value) == expected
+        # The positional pattern names the fields in repr order.
+        names = [f"{name}=" for name in cls.__match_args__]
+        assert sorted(names, key=expected.index) == names
+        assert expected.startswith(f"{cls.__name__}({names[0]}")
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert not hasattr(value, "__dict__")
+        assert value == cls(*(getattr(value, name) for name in cls.__match_args__))
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is cls
+            assert twin == value
+            assert repr(twin) == expected
+            try:
+                assert hash(twin) == hash(value)
+            except TypeError:  # a field holds a dict or a list
+                assert cls in (ParseResult, StatsReport, SpanAgreement, AgreementReport,
+                               AgreementCounts)
+    match values[0]:
+        case Span(start, end):
+            assert (start, end) == (0, 1)
+    assert StatsReport() == StatsReport(0, 0, {}, {}, {}, {}, {}, {})
+    assert StatsReport().by_kind is not StatsReport().by_kind
+    assert AgreementCounts(n=3).po_num == 0
+    assert ParseResult(Document()).diagnostics == []
+    with pytest.raises(TypeError):
+        Diagnostic("W010", Severity.WARNING, 0, None)
+    with pytest.raises(TypeError):
+        ParseDiagnostic("P001", 2, 3, "m", code="P002")
 
 
 @given(labeling_units())

@@ -84,21 +84,55 @@ def test_public_import_surface():
         phkit.nonexistent
 
 
-# Per subcommand: its input, what its stdout starts with, the modules it
-# imports and the modules it must not import.
+# Per subcommand: its arguments (FILE is the input file), its input (None
+# for the golden file), what its stdout starts with, the modules it imports
+# and the modules it must not import. No command imports ``dataclasses``,
+# which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+NO_DATACLASSES = {"dataclasses", "inspect"}
 CHILD_IMPORTS = {
     "parse": (
+        ["FILE"],
         None,
         b'{"id":"golden"',
         {"phkit.cli", "phkit.inline", "phkit.convert"},
         # One file runs in one process: nothing of the workers' is imported.
-        {"phkit.metrics", "phkit.segmentation", "phkit.validation", "phkit.workers", "pickle"},
+        {"phkit.metrics", "phkit.segmentation", "phkit.validation", "phkit.workers", "pickle"}
+        | NO_DATACLASSES,
     ),
     "segment": (
+        ["FILE"],
         "甲，乙。丙\n",
         "甲，\n乙。\n丙\n".encode("utf-8"),
         {"phkit.cli", "phkit.inline", "phkit.segmentation"},
-        {"phkit.metrics", "phkit.validation", "phkit.convert"},
+        {"phkit.metrics", "phkit.validation", "phkit.convert"} | NO_DATACLASSES,
+    ),
+    "validate": (
+        ["--format", "records", "FILE"],
+        None,
+        b'{"file":',
+        {"phkit.cli", "phkit.inline", "phkit.validation"},
+        {"phkit.metrics", "phkit.segmentation", "phkit.convert"} | NO_DATACLASSES,
+    ),
+    "stats": (
+        ["--format", "records", "FILE"],
+        None,
+        b'{"units":10,',
+        {"phkit.cli", "phkit.inline", "phkit.metrics"},
+        {"phkit.validation", "phkit.segmentation", "phkit.convert"} | NO_DATACLASSES,
+    ),
+    "convert": (
+        ["--to", "columns", "FILE"],
+        None,
+        b"# doc golden\n",
+        {"phkit.cli", "phkit.inline", "phkit.convert"},
+        {"phkit.metrics", "phkit.segmentation", "phkit.validation"} | NO_DATACLASSES,
+    ),
+    "agree": (
+        ["--format", "records", "FILE", "FILE"],
+        None,
+        b'{"criterion":"exact","matched":32,',
+        {"phkit.cli", "phkit.inline", "phkit.metrics"},
+        {"phkit.validation", "phkit.segmentation", "phkit.convert"} | NO_DATACLASSES,
     ),
 }
 
@@ -107,23 +141,24 @@ CHILD_IMPORTS = {
 def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(
     golden_path, tmp_path, command
 ):
-    # Runs ``python -m phkit COMMAND FILE`` through runpy, then lists what it imported.
-    raw, stdout, imported, not_imported = CHILD_IMPORTS[command]
+    # Runs ``python -m phkit COMMAND ARGS`` through runpy, then lists what it imported.
+    args, raw, stdout, imported, not_imported = CHILD_IMPORTS[command]
     path = golden_path
     if raw is not None:
         path = tmp_path / "raw.txt"
         path.write_text(raw, encoding="utf-8")
     code = (
         "import runpy, sys\n"
-        "sys.argv = ['phkit', sys.argv[1], sys.argv[2]]\n"
+        "sys.argv = ['phkit', *sys.argv[1:]]\n"
         "try:\n"
         "    runpy.run_module('phkit', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    status = exc.code\n"
         "sys.stderr.write(f'{status} ' + ' '.join(sorted(sys.modules)))\n"
     )
+    argv = [str(path) if arg == "FILE" else arg for arg in args]
     child = subprocess.run(
-        [sys.executable, "-c", code, command, str(path)], capture_output=True, env=child_env()
+        [sys.executable, "-c", code, command, *argv], capture_output=True, env=child_env()
     )
     status, *modules = child.stderr.decode().split()
     assert status == "0"
