@@ -28,48 +28,27 @@ coded read error), the complete output of the earlier files is already on
 stdout, and no output of later files is written.
 
 ``parse``, ``validate``, ``stats`` and ``convert --to standoff|columns``
-work file by file, and run their files on every usable CPU: with k =
-min(files, usable CPUs) of at least 2, ``main`` forks k workers, which
-read the files, and deals the files out round-robin; worker w starts on
-the w-th usable CPU. Each worker sends the stdout and stderr text of each
-of its files over a pipe, in frames of a few dozen KB, and then the
-file's result. The parent walks the files in order, writes each file's
-output, and stops at the first failing file, where the one-worker run
-stops, so stdout, stderr and the exit status are those of the one-worker
-run. A worker holds one document and one frame at a time; the parent
-keeps the frames the workers have sent, and once they reach 4 MB reads
-only the due file's worker. It folds each file's result into the
-command's as the file comes due. A worker that dies is one ``phk:`` line
-and exit 2, and no worker outlives ``main``.
+work file by file, and with k = min(files, usable CPUs) of at least 2
+``main`` forks k workers, which read the files (``workers``). The parent
+writes each file's output in file order and stops at the first failing
+file, so stdout, stderr and the exit status are those of one process. A
+worker holds one document and one frame of output at a time, and the
+parent holds at most about 4 MB of frames. A worker that dies is one
+``phk:`` line and exit 2, and no worker outlives ``main``.
 
 ``stats`` and ``convert`` given one standoff or column file of 512 KB or
-more run its units on every usable CPU. The parent reads the text, cuts it
-into ranges where a unit may start (a ``,{"text":`` in the record, a blank
-line between rows), and forks a worker per range, the same way. Each
-worker decodes its range into a document of its units, with every check
-of the whole-file reader, then writes or counts them. The parent writes
-nothing until every range has decoded. At the first range that has not (a
-coded error, a cut inside an element record, a key after ``units``), it
-stops the workers and reads the file in this process from the text it
-holds, as it does when the text cannot be cut (a "\\r" in column input, a
-second document), so stdout, stderr and the status are those of one
-process.
-
-``agree`` given two inline files of 512 KB or more together scores them
-in ranges of units the same way: the parent reads both texts and cuts
-them at the same unit indexes, each cut at the start of a unit line (one
-neither blank nor ``#``; ``workers.pair_bounds``). Worker k parses range k
-of each file and returns the range's counts (``metrics.AgreementCounts``),
-which the parent adds up. The counts are integers, so the report is the
-one-process report. At the first range that fails (a broken line, an
-AGR001 or AGR002 within the range), or when the pair cannot be cut
-(different numbers of unit lines, a ``#`` line after the first unit), the
-parent runs ``agree`` in this process on the texts it holds.
-
-One file below that size or inline (for ``agree``, a pair below it or
-not inline), one usable CPU, ``-`` among the files, a platform without
-``fork`` or a process that runs other threads keeps the run in one
-process.
+more, and ``agree`` given two inline files of that size together, run the
+units in ranges on the workers the same way: a range is cut where a unit
+starts, at the same unit index in both of ``agree``'s files, and ``agree``
+adds up the ranges' counts (``metrics.AgreementCounts``), which are
+integers. The parent writes nothing until every range has decoded. At the
+first range that has not, or when the text cannot be cut (a "\\r" in
+column input, a second document, a ``#`` line after an inline file's
+first unit), the parent reads the text it holds in this process, so
+stdout, stderr and the status are those of one process. One file below
+that size or inline (for ``agree``, a pair below it or not inline), one
+usable CPU, ``-`` among the files, a platform without ``fork`` or a
+process that runs other threads keeps the run in one process.
 
 ``agree`` holds both of its documents, so it reads them through one map
 from unit line to unit: a line the two inline files share is parsed once,
@@ -79,10 +58,16 @@ before a parse failure ends ``agree``.
 ``segment`` opens its ``--boundaries`` sidecar before any output and
 writes each line's pieces, and its boundary records, as the line is cut.
 
-Each subcommand imports the library modules it runs when it runs, so that
-start-up stays small: ``phk parse`` never imports the metrics,
-segmentation or validation code. Library functions are looked up through
-their module at call time.
+A command compiles only the code it runs. ``main`` builds the parser of
+the chosen subcommand alone and imports the module of its ``cmd_<name>``:
+this one for ``parse`` and ``convert``, ``validation``, ``segmentation``
+or ``metrics`` for the others. Every command loads ``inline`` and
+``model``; output in standoff or columns loads the writers (``convert``),
+input in them the readers (``readers``), a run that forks ``workers``, and
+an inline line that does not parse the diagnoser (in ``validation``). So
+``phk parse`` on valid input compiles ``cli``, ``inline``, ``model`` and
+``convert`` only. Library functions are looked up through their module at
+call time.
 
 ``main`` pauses Python's cyclic garbage collector while the subcommand
 runs and restores the caller's setting afterwards. The values phkit builds
@@ -102,6 +87,7 @@ import os
 import re
 import sys
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -156,15 +142,13 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-# From the first non-whitespace character to the end of its line.
+# A character that is not whitespace; from one to the end of its line.
+_NON_BLANK = re.compile(r"\S")
 _NEXT_LINE = re.compile(r"\S[^\n]*")
 # A line that opens a JSON object: "{", then a key or the closing brace.
 _JSON_OBJECT = re.compile(r'\{[^\S\n]*["}]')
-
-
-def _is_doc_header(line: str) -> bool:
-    line = line.rstrip()
-    return line == "# doc" or line.startswith("# doc ")
+# A "# doc" header from its "#": the line right-stripped is "# doc" or starts "# doc ".
+_DOC_HEADER = re.compile(r"# doc(?: |[^\S\n]*(?:\n|\Z))")
 
 
 def sniff_format(text: str) -> str:
@@ -176,19 +160,19 @@ def sniff_format(text: str) -> str:
     other line holds a tab (a row or a ``# meta`` line; inline text cannot
     hold one). Anything else is inline, where a line may start with ``{``
     and ``# doc …`` is a metadata line. The first line is never parsed: in
-    standoff input it can be a whole document.
+    standoff input it can be a whole document, so it is read to its end
+    only when it is a ``# doc`` header.
     """
-    match = _NEXT_LINE.search(text)
-    if match is None:
+    first = _NON_BLANK.search(text)
+    if first is None:
         return "inline"
-    if _JSON_OBJECT.match(text, match.start()):
+    if _JSON_OBJECT.match(text, first.start()):
         return "standoff"
-    if not _is_doc_header(match.group()):
+    if not _DOC_HEADER.match(text, first.start()):
         return "inline"
-    for match in _NEXT_LINE.finditer(text, match.end()):
-        line = match.group()
-        if not _is_doc_header(line):
-            return "columns" if "\t" in line else "inline"
+    for line in _NEXT_LINE.finditer(text, first.start()):
+        if not _DOC_HEADER.match(text, line.start()):
+            return "columns" if "\t" in line.group() else "inline"
     return "columns"
 
 
@@ -407,32 +391,6 @@ def _config_choice(args: argparse.Namespace, section: str, key: str, choices, wh
     return choices[0] if value is None else value
 
 
-def _conjunctions(args: argparse.Namespace, default: tuple[str, ...]) -> tuple[str, ...]:
-    # Precedence: --conj flag, PHK_CONJ_LEXICON, config file, built-in default.
-    if args.conj:
-        return _load_lexicon(args.conj)
-    env_path = os.environ.get(ENV_CONJ_LEXICON)
-    if env_path:
-        return _load_lexicon(env_path)
-    from_config = _config_value(args, "segment", "conjunctions", list, "a list of strings")
-    if from_config:
-        if not all(isinstance(c, str) for c in from_config):
-            raise CliError(EXIT_USAGE, "segment.conjunctions entries must be strings")
-        return tuple(from_config)
-    return default
-
-
-def _load_lexicon(path: str) -> tuple[str, ...]:
-    entries = []
-    for line in _read_text(path).split("\n"):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    if not entries:
-        raise CliError(EXIT_USAGE, f"conjunction lexicon {path} has no entries")
-    return tuple(entries)
-
-
 def cmd_parse(args: argparse.Namespace) -> int:
     if not args.check:
         return _write_files(args.files, "inline", "standoff")
@@ -441,79 +399,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
         return status  # the file is read for its diagnostics only
 
     return max(_each_file(args.files, "inline", check))
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    from . import validation
-    from .validation import Severity
-
-    render = validation.render_records if args.format == "records" else validation.render_text
-
-    def check(path: str, status: int, docs: list) -> tuple[int, bool]:
-        errors = False
-        for doc, unit_lines in docs:
-            findings = validation.validate_document(doc)
-            if args.strict:
-                findings = [
-                    validation.Diagnostic(d.code, Severity.ERROR, d.unit_index, d.span, d.message)
-                    if d.severity is Severity.WARNING
-                    else d
-                    for d in findings
-                ]
-            if any(d.severity is Severity.ERROR for d in findings):
-                errors = True
-            for line in render(findings, path, unit_lines):
-                print(line)
-        return status, errors
-
-    status, errors = EXIT_OK, False
-    for file_status, file_errors in _each_file(args.files, args.from_format, check):
-        status, errors = max(status, file_status), errors or file_errors
-    if status == EXIT_PARSE:
-        return EXIT_PARSE
-    return EXIT_VALIDATION if errors else EXIT_OK
-
-
-def cmd_segment(args: argparse.Namespace) -> int:
-    from . import segmentation as seg
-
-    commas = [p.value for p in seg.CommaPolicy]
-    comma_policy = args.commas or _config_choice(args, "segment", "commas", commas, "comma policy")
-    policy = args.policy or _config_choice(
-        args, "segment", "policy", ("all", "hard_only"), "segment policy"
-    )
-    try:
-        config = seg.SegmenterConfig(
-            _conjunctions(args, seg.DEFAULT_CONJUNCTIONS), seg.CommaPolicy(comma_policy)
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
-    text = _read_text(args.rawfile)
-    path = args.boundaries
-    # Opened before the first line, so an unwritable path fails before any output.
-    sidecar = _write_to(path, open, path, "wb") if path else None
-    write = sys.stdout.write
-    try:
-        for line_no, line in enumerate(text.split("\n"), start=1):
-            line = line.removesuffix("\r")  # a CRLF line end is an LF one
-            if not line:
-                continue
-            boundaries = seg.propose_boundaries(line, config)
-            # A nonempty line is cut into nonempty pieces, one per output line.
-            write("\n".join(seg.split_at(line, boundaries, policy)) + "\n")
-            if sidecar:
-                # The kind and cause members are str, so they concatenate as
-                # their values, which are ASCII words: no JSON escaping.
-                records = "".join(
-                    f'{{"line":{line_no},"position":{b.position},"kind":"'
-                    + b.kind + '","cause":"' + b.cause + '"}\n'
-                    for b in boundaries
-                )
-                _write_to(path, sidecar.write, records.encode())
-    finally:
-        if sidecar:
-            _write_to(path, sidecar.close)
-    return EXIT_OK
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
@@ -553,90 +438,31 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return _write_files(args.files, args.from_format, args.to)
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    from . import metrics
-
-    def count(path: str, status: int, docs: list, ends=_WHOLE) -> tuple[metrics.StatsReport, int]:
-        return metrics.corpus_stats(doc for doc, _ in docs), status
-
-    status = EXIT_OK
-
-    def reports() -> Iterator[metrics.StatsReport]:
-        nonlocal status
-        for report, file_status in _each_file(args.files, args.from_format, count, split=True):
-            status = max(status, file_status)
-            yield report
-
-    report = metrics.StatsReport.total(reports())
-    if args.format == "records":
-        print(metrics.stats_records(report))
-    else:
-        for row in metrics.stats_table(report):
-            print(row)
-    return status
+# The module of each ``cmd_<name>`` that is not in this one.
+_MODULES = dict(validate="validation", segment="segmentation", stats="metrics", agree="metrics")
 
 
-# ``--match`` values to ``metrics.MatchCriterion`` values.
-_MATCH_BY_FLAG = {"exact": "exact", "type": "type_only", "head": "head_overlap"}
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, made and given its arguments (in the order
+    added) only when it parses: ``argparse`` stores the others untouched,
+    so a run builds the parser of the one subcommand it runs."""
 
+    def __init__(self, **options):
+        self.pending = options, []
 
-def cmd_agree(args: argparse.Namespace) -> int:
-    from . import metrics
+    def add_argument(self, *names, **settings):
+        if self.pending is None:
+            return super().add_argument(*names, **settings)
+        self.pending[1].append((names, settings))
 
-    match = args.match or _config_choice(
-        args, "agree", "match", list(_MATCH_BY_FLAG), "match criterion"
-    )
-    normalize = args.normalize_rai
-    if normalize is None:
-        normalize = bool(_config_value(args, "agree", "normalize_rai", bool, "true or false"))
-    criterion = metrics.MatchCriterion(_MATCH_BY_FLAG[match])
-    paths = [args.file_a, args.file_b]
-
-    def show(report: metrics.AgreementReport) -> int:
-        if args.format == "records":
-            print(metrics.agreement_records(report))
-        else:
-            for row in metrics.agreement_table(report):
-                print(row)
-        return EXIT_OK
-
-    def whole(texts=(None, None)) -> int:
-        """The pair in this process, read from ``texts`` where given."""
-        docs = []
-        known: dict = {}  # unit lines of both files; see the module docstring
-        status = EXIT_OK  # both files are read, and their broken lines reported, first
-        for path, text in zip(paths, texts):
-            file_status, loaded = _read(path, args.from_format, known, text)
-            status = max(status, file_status)
-            if len(loaded) != 1:
-                raise CliError(EXIT_USAGE, f"{path}: expected exactly one document")
-            docs.append(loaded.pop()[0])  # its unit lines go before the next file is read
-        if status != EXIT_OK:
-            return status
-        try:
-            report = metrics.agree(docs[0], docs[1], criterion, normalize)
-        except metrics.AgreementError as exc:
-            raise CliError(EXIT_USAGE, f"{exc.code} {exc.message}") from None
-        return show(report)
-
-    if args.from_format not in (None, "inline") or sum(map(_size, paths)) < _SPLIT_BYTES:
-        return whole()
-    cpus = _workers_for(paths)
-    if cpus < 2:
-        return whole()
-    try:
-        texts = [_read_text(path) for path in paths]
-    except CliError:  # read again in this process, to fail where it fails
-        return whole()
-    if args.from_format is None and any(sniff_format(text) != "inline" for text in texts):
-        return whole(texts)
-    from . import workers
-
-    def done(parts: list[metrics.AgreementCounts]) -> int:
-        return show(metrics.AgreementCounts.total(parts).report(criterion))
-
-    score = partial(metrics.agreement_counts, criterion=criterion, normalize_rai=normalize)
-    return workers.score_pair(texts, cpus, score, done, partial(whole, texts))
+    def parse_known_args(self, args=None, namespace=None):
+        if self.pending is not None:
+            options, arguments = self.pending
+            self.pending = None
+            super().__init__(**options)
+            for names, settings in arguments:
+                self.add_argument(*names, **settings)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,19 +474,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config", metavar="FILE", help="JSON config file with flag defaults"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("parse", help="parse inline files to a standoff stream")
     p.add_argument("files", nargs="+")
     p.add_argument("--check", action="store_true", help="suppress output, only report")
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("validate", help="check files against the annotation rules")
     p.add_argument("files", nargs="+")
     p.add_argument("--strict", action="store_true", help="treat warnings as errors")
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.add_argument("--from", dest="from_format", choices=("inline", "standoff", "columns"))
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("segment", help="propose labeling-unit boundaries in raw text")
     p.add_argument("rawfile")
@@ -670,19 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--boundaries", metavar="FILE", help="write boundary records to a sidecar file"
     )
-    p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("convert", help="convert between storage formats")
     p.add_argument("--to", required=True, choices=("inline", "standoff", "columns"))
     p.add_argument("--from", dest="from_format", choices=("inline", "standoff", "columns"))
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("stats", help="corpus statistics")
     p.add_argument("files", nargs="+")
     p.add_argument("--format", choices=("table", "records"), default="table")
     p.add_argument("--from", dest="from_format", choices=("inline", "standoff", "columns"))
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("agree", help="inter-annotator agreement between two files")
     p.add_argument("file_a")
@@ -691,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize-rai", action="store_true", default=None)
     p.add_argument("--format", choices=("table", "records"), default="table")
     p.add_argument("--from", dest="from_format", choices=("inline", "standoff", "columns"))
-    p.set_defaults(func=cmd_agree)
 
     return parser
 
@@ -719,7 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args._config = _load_config(args.config) if args.config else {}
-        status = args.func(args)
+        module = import_module("." + _MODULES.get(args.command, "cli"), __package__)
+        status = getattr(module, "cmd_" + args.command)(args)
         sys.stdout.flush()  # a write error shows here, not at interpreter exit
         return status
     except CliError as exc:

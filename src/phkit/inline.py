@@ -19,8 +19,9 @@ resolved only in lines that hold a backslash. A line the regex does not
 take, whose tag is unknown, or whose pieces the model constructors reject
 (an empty segment, a head covering its segment), goes to a diagnoser
 that makes one token pass, builds nothing and reports every fault with
-its code and column. The diagnoser runs only on broken lines, so its
-cost is off the path of valid input.
+its code and column. The diagnoser runs only on broken lines and lives in
+``validation``, imported only then, so its cost is off the path of valid
+input, compile included.
 
 Diagnostic codes:
 
@@ -50,11 +51,8 @@ from .model import (
     TAGS,
     Document,
     Element,
-    ElementForm,
-    ElementType,
     LabelingUnit,
     ModelError,
-    PredicatePattern,
     Segment,
     Span,
     Value,
@@ -83,14 +81,6 @@ _PLAIN_ELEMENT = _element_regex("")
 _ESCAPED_ELEMENT = _element_regex(rf"|\\[{_RESERVED}]")
 _unescape = partial(re.compile(r"\\(.)").sub, r"\1")
 
-# The diagnoser's pieces: a token is an escape with its character (empty
-# when dangling), one markup character, or a run of text; a tag ends at a
-# space, a "]" or the end; a broken element is skipped past its "]".
-_TOKEN = re.compile(rf"\\(.?)|[{_RESERVED}]|[^{_RESERVED}]+")
-_TAG_END = re.compile(r"[ \]]|\Z")
-_SKIP_ELEMENT = re.compile(r"(?:\\.?|[^\]\\])*\]?")
-
-
 class ParseDiagnostic(Value):
     """One parse finding, located by 1-based line and codepoint column."""
 
@@ -115,26 +105,6 @@ class ParseResult(Value):
     @property
     def ok(self) -> bool:
         return not self.diagnostics
-
-
-def _tag_message(tag: str) -> str:
-    kind, _, sub = tag.partition("-")
-    kinds = {k.value for k in ElementType}
-    if kind in kinds and sub:
-        return f"illegal subtag '{sub}' for element type '{kind}'"
-    if tag not in kinds:
-        return f"unknown tag '{tag}'"
-    what, subtags = ("pattern", PredicatePattern) if tag == "PRE" else ("form", ElementForm)
-    *rest, last = (s.value for s in subtags)
-    return f"tag '{tag}' requires a {what} subtag ({', '.join(rest)}, or {last})"
-
-
-def _p011(line: str, line_no: int, chars: str) -> list[ParseDiagnostic]:
-    return [
-        ParseDiagnostic("P011", line_no, i + 1, f"unit text may not contain {ch!r}")
-        for i, ch in enumerate(line)
-        if ch in chars
-    ]
 
 
 def _segment(
@@ -196,111 +166,8 @@ def parse_unit(
         elements.append(Element(kind, body, trigger, pattern, form))
         tlen = body.span.end
         pos = m.end()
+    from .validation import _diagnose  # imported for a broken line only
     return None, _diagnose(line, line_no)
-
-
-def _diagnose(line: str, line_no: int) -> list[ParseDiagnostic]:
-    """Every diagnostic of a line that ``parse_unit`` does not accept.
-
-    One pass over the line's tokens reports each fault where it is found
-    and resumes after a broken element's ``]``. ``opened`` is the index of
-    the open ``[`` (-1 in gap text); inside an element, ``tlen`` is the text
-    length of the current segment and ``head``/``head_open`` its head group.
-    """
-    if "\t" in line or "\r" in line:
-        return _p011(line, line_no, "\t\r")
-    diags: list[ParseDiagnostic] = []
-    at, n = 0, len(line)
-    opened = tlen = -1
-
-    def report(code: str, column: int, message: str) -> None:
-        diags.append(ParseDiagnostic(code, line_no, column, message))
-
-    while at < n:
-        token = _TOKEN.match(line, at)
-        i, at = at, token.end()
-        tok, escaped = token.group(), token.group(1)
-        fault = None
-        if escaped is not None:
-            if not escaped:
-                report("P008", i + 1, "dangling '\\' at end of line")
-            elif escaped in RESERVED_CHARS:
-                tlen += 1
-            else:
-                report("P008", i + 1, f"invalid escape '\\{escaped}'")
-        elif opened < 0:
-            if tok == "]":
-                report("P007", i + 1, "']' without a matching '['")
-            elif tok == "[":
-                end = _TAG_END.search(line, at).start()
-                tag = line[at:end]
-                if end == n:
-                    report("P001", i + 1, "element is never closed")
-                    at = n
-                elif line[end] == "]":
-                    if not tag:
-                        report("P010", i + 1, "empty tag")
-                    elif tag in TAGS:
-                        report("P003", end + 1, "expected one space between tag and content")
-                    else:
-                        report("P002", at + 1, _tag_message(tag))
-                    at = end + 1
-                elif not tag:
-                    report("P010", i + 1, "empty tag")
-                    at = _SKIP_ELEMENT.match(line, end).end()
-                elif tag not in TAGS:
-                    report("P002", at + 1, _tag_message(tag))
-                    at = _SKIP_ELEMENT.match(line, end).end()
-                else:
-                    opened, at, tlen = i, end + 1, 0
-                    separated, head, head_open = False, None, None
-        elif tok == "]":
-            opened = -1
-            if head_open is not None:
-                report("P006", i + 1, "'(' is never closed")
-            elif tlen == 0:
-                what = "body segment after separator" if separated else "element content"
-                report("P009", i + 1, f"empty {what}")
-            elif head == (0, tlen):
-                report("P009", i + 1, "head group must not cover its whole segment")
-        elif tok == "[":
-            fault = "P001", "'[' inside an element: elements cannot nest"
-        elif tok == "(":
-            if head_open is not None:
-                fault = "P006", "'(' nested inside another '('"
-            elif head is not None:
-                fault = "P005", "more than one head group in one segment"
-            else:
-                head_open = tlen
-        elif tok == ")":
-            if head_open is None:
-                fault = "P006", "')' without a matching '('"
-            elif tlen == head_open:
-                fault = "P009", "empty head group"
-            else:
-                head, head_open = (head_open, tlen), None
-        elif tok == "-":
-            if head_open is not None:
-                fault = "P004", "separator inside a head group"
-            elif separated:
-                fault = "P004", "more than one separator in an element"
-            elif tlen == 0:
-                fault = "P009", "empty trigger segment before separator"
-            elif head == (0, tlen):
-                fault = "P009", "head group must not cover its whole segment"
-            else:
-                separated, tlen, head = True, 0, None
-        else:
-            tlen += len(tok)
-        if fault:
-            report(fault[0], i + 1, fault[1])
-            opened, at = -1, _SKIP_ELEMENT.match(line, i).end()
-    if opened >= 0:
-        if head_open is not None:
-            report("P006", n, "'(' is never closed")
-        else:
-            report("P001", opened + 1, "element is never closed")
-    return diags
 
 
 def parse_document(source: str, known: dict[str, LabelingUnit] | None = None) -> ParseResult:
@@ -330,6 +197,7 @@ def parse_document(source: str, known: dict[str, LabelingUnit] | None = None) ->
             continue
         if line.startswith("#"):
             if "\r" in line:
+                from .validation import _p011
                 diags += _p011(line, line_no, "\r")
             elif not line.startswith("#id:"):
                 metadata.append(line)

@@ -15,7 +15,8 @@ annotations) kappa is undefined and reported as None.
 Both scores are sums over unit pairs: ``agreement_counts`` takes the counts
 of a run of pairs in one pass, and the counts of consecutive runs add up
 (``AgreementCounts.total``) to exactly those of the whole pair of
-documents, so a pair can be scored in ranges of its units.
+documents, so a pair can be scored in ranges of its units. ``phk stats``
+and ``phk agree`` are here too (``cmd_stats``, ``cmd_agree``).
 
 Each report renders from one field list as a table (a ``label: value`` row
 per field, a ``label key: value`` row per key of a map; an agree ``kind``
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from functools import partial
 from itertools import chain
 from operator import attrgetter, is_
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .model import (
     TAG_NAMES,
@@ -464,3 +466,89 @@ def agreement_records(report: AgreementReport) -> str:
     """Agreement report as a single JSON record."""
     per_kind = {kind: _score_values(k) for kind, k in sorted(report.spans.per_kind.items())}
     return compact_json({**_overall(report), "per_kind": per_kind})
+
+
+def cmd_stats(args) -> int:
+    from . import cli
+
+    def count(path: str, status: int, docs: list, ends=cli._WHOLE) -> tuple[StatsReport, int]:
+        return corpus_stats(doc for doc, _ in docs), status
+
+    status = cli.EXIT_OK
+
+    def reports() -> Iterator[StatsReport]:
+        nonlocal status
+        for report, file_status in cli._each_file(args.files, args.from_format, count, split=True):
+            status = max(status, file_status)
+            yield report
+
+    report = StatsReport.total(reports())
+    if args.format == "records":
+        print(stats_records(report))
+    else:
+        for row in stats_table(report):
+            print(row)
+    return status
+
+
+# ``--match`` values to ``MatchCriterion`` values.
+_MATCH_BY_FLAG = {"exact": "exact", "type": "type_only", "head": "head_overlap"}
+
+
+def cmd_agree(args) -> int:
+    from . import cli
+
+    match = args.match or cli._config_choice(
+        args, "agree", "match", list(_MATCH_BY_FLAG), "match criterion"
+    )
+    normalize = args.normalize_rai
+    if normalize is None:
+        normalize = bool(cli._config_value(args, "agree", "normalize_rai", bool, "true or false"))
+    criterion = MatchCriterion(_MATCH_BY_FLAG[match])
+    paths = [args.file_a, args.file_b]
+
+    def show(report: AgreementReport) -> int:
+        if args.format == "records":
+            print(agreement_records(report))
+        else:
+            for row in agreement_table(report):
+                print(row)
+        return cli.EXIT_OK
+
+    def whole(texts=(None, None)) -> int:
+        """The pair in this process, read from ``texts`` where given."""
+        docs = []
+        known: dict = {}  # unit lines of both files; see the cli docstring
+        status = cli.EXIT_OK  # both files are read, and their broken lines reported, first
+        for path, text in zip(paths, texts):
+            file_status, loaded = cli._read(path, args.from_format, known, text)
+            status = max(status, file_status)
+            if len(loaded) != 1:
+                raise cli.CliError(cli.EXIT_USAGE, f"{path}: expected exactly one document")
+            docs.append(loaded.pop()[0])  # its unit lines go before the next file is read
+        if status != cli.EXIT_OK:
+            return status
+        try:
+            report = agree(docs[0], docs[1], criterion, normalize)
+        except AgreementError as exc:
+            raise cli.CliError(cli.EXIT_USAGE, f"{exc.code} {exc.message}") from None
+        return show(report)
+
+    if args.from_format not in (None, "inline") or sum(map(cli._size, paths)) < cli._SPLIT_BYTES:
+        return whole()
+    cpus = cli._workers_for(paths)
+    if cpus < 2:
+        return whole()
+    try:
+        texts = [cli._read_text(path) for path in paths]
+    except cli.CliError:  # read again in this process, to fail where it fails
+        return whole()
+    if args.from_format is None and any(cli.sniff_format(text) != "inline" for text in texts):
+        return whole(texts)
+    from . import workers
+
+    def done(parts: list[AgreementCounts]) -> int:
+        return show(AgreementCounts.total(parts).report(criterion))
+
+    score = partial(agreement_counts, criterion=criterion, normalize_rai=normalize)
+    return workers.score_pair(texts, cpus, score, done, partial(whole, texts))

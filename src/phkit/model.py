@@ -139,9 +139,10 @@ _FORBIDDEN_TEXT_CHARS = ("\n", "\r", "\t")
 
 
 # Span, Segment, Element and LabelingUnit are built once per element on
-# every read path, so each has its own __init__, which stores the fields
-# through its slots' setters (``_setters``), bound to names below the class:
-# they bypass Value.__setattr__ without weakening it for anyone else.
+# every read path (and segmentation.SegmentBoundary and validation.Diagnostic
+# once per boundary and finding), so each has its own __init__, which stores
+# the fields through its slots' setters (``_setters``), bound to names below
+# the class: they bypass Value.__setattr__ without weakening it for anyone else.
 
 
 class Span(Value):

@@ -16,14 +16,17 @@ trailing comma is not proposed as a boundary.
 The punctuation cuts come from one pattern scan: an end mark with the
 closing quotes after it, or a comma (end marks only when commas are
 ignored). Conjunctions are a second scan, matched by plain substring,
-longest entry first; no word segmentation is attempted.
+longest entry first; no word segmentation is attempted. ``phk segment``
+is here too (``cmd_segment``), with the loading of its lexicon.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import os
 import re
+import sys
 from itertools import pairwise
 from typing import Iterable
 
@@ -77,6 +80,14 @@ class SegmentBoundary(Value):
     kind: BoundaryKind
     cause: BoundaryCause
     __slots__ = _fields = tuple(__annotations__)
+
+    def __init__(self, position: int, kind: BoundaryKind, cause: BoundaryCause) -> None:
+        _set_position(self, position)
+        _set_kind(self, kind)
+        _set_cause(self, cause)
+
+
+_set_position, _set_kind, _set_cause = SegmentBoundary._setters
 
 
 class SegmenterConfig(Value):
@@ -175,3 +186,76 @@ def split_at(text: str, boundaries: Iterable[SegmentBoundary], policy: str) -> l
     ]
     # Positions increase and stop short of the text's end, so no piece is empty.
     return [text[i:j] for i, j in pairwise([0, *cuts, len(text)])] if text else []
+
+
+def _conjunctions(args) -> tuple[str, ...]:
+    # Precedence: --conj flag, PHK_CONJ_LEXICON, config file, built-in default.
+    from . import cli
+
+    if args.conj:
+        return _load_lexicon(args.conj)
+    env_path = os.environ.get(cli.ENV_CONJ_LEXICON)
+    if env_path:
+        return _load_lexicon(env_path)
+    from_config = cli._config_value(args, "segment", "conjunctions", list, "a list of strings")
+    if from_config is None:
+        return DEFAULT_CONJUNCTIONS
+    if not all(isinstance(c, str) for c in from_config):
+        raise cli.CliError(cli.EXIT_USAGE, "segment.conjunctions entries must be strings")
+    if not from_config:
+        raise cli.CliError(cli.EXIT_USAGE, "segment.conjunctions has no entries")
+    return tuple(from_config)
+
+
+def _load_lexicon(path: str) -> tuple[str, ...]:
+    from . import cli
+
+    entries = []
+    for line in cli._read_text(path).split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            entries.append(line)
+    if not entries:
+        raise cli.CliError(cli.EXIT_USAGE, f"conjunction lexicon {path} has no entries")
+    return tuple(entries)
+
+
+def cmd_segment(args) -> int:
+    from . import cli
+
+    comma_policy = args.commas or cli._config_choice(
+        args, "segment", "commas", [p.value for p in CommaPolicy], "comma policy"
+    )
+    policy = args.policy or cli._config_choice(
+        args, "segment", "policy", ("all", "hard_only"), "segment policy"
+    )
+    try:
+        config = SegmenterConfig(_conjunctions(args), CommaPolicy(comma_policy))
+    except ValueError as exc:
+        raise cli.CliError(cli.EXIT_USAGE, str(exc)) from None
+    text = cli._read_text(args.rawfile)
+    path = args.boundaries
+    # Opened before the first line, so an unwritable path fails before any output.
+    sidecar = cli._write_to(path, open, path, "wb") if path else None
+    write = sys.stdout.write
+    try:
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            line = line.removesuffix("\r")  # a CRLF line end is an LF one
+            if not line:
+                continue
+            boundaries = propose_boundaries(line, config)
+            # A nonempty line is cut into nonempty pieces, one per output line.
+            write("\n".join(split_at(line, boundaries, policy)) + "\n")
+            if sidecar:
+                # The kind and cause members are str, so they concatenate as
+                # their values, which are ASCII words: no JSON escaping.
+                records = "".join(
+                    f'{{"line":{line_no},"position":{b.position},"kind":"'
+                    + b.kind + '","cause":"' + b.cause + '"}\n'
+                    for b in boundaries
+                )
+                cli._write_to(path, sidecar.write, records.encode())
+    finally:
+        if sidecar:
+            cli._write_to(path, sidecar.close)
+    return cli.EXIT_OK

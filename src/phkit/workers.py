@@ -27,7 +27,7 @@ from functools import partial
 from itertools import groupby
 from typing import Callable, Iterator, NoReturn, TypeVar
 
-from .cli import EXIT_PARSE, EXIT_USAGE, CliError, _to_stderr
+from .cli import _NON_BLANK, EXIT_PARSE, EXIT_USAGE, CliError, _to_stderr
 from .inline import parse_document
 from .model import Document
 
@@ -267,18 +267,20 @@ def range_bounds(text: str, fmt: str, count: int) -> list[int]:
     A standoff candidate is not checked here: ``read_range`` finds out
     whether a unit ends at it."""
     # Imported here, before the workers fork, which all read with it.
-    from . import convert as conv
+    from . import readers  # noqa: F401
 
     if fmt == "columns":
         if "\r" in text or "\n# doc" in text:
             return []
         start, end = 0, len(text)
-    else:
-        line = conv._RECORD_LINE.search(text)
-        if line is None or conv._RECORD_LINE.search(text, line.end()):
+    else:  # the one record's line, found without a regex scan of it
+        line = _NON_BLANK.search(text)
+        if line is None:
             return []
-        start, end = line.span()
-        if not text.endswith(("]}", "]}\r"), start, end):
+        start = text.rfind("\n", 0, line.start()) + 1
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        if _NON_BLANK.search(text, end) or not text.endswith(("]}", "]}\r"), start, end):
             return []
     cut, offset = _CUTS[fmt]
     bounds = [start]
@@ -360,19 +362,19 @@ def read_range(
         if result.diagnostics:
             raise ValueError("an inline range has a line that does not parse")
         return result.document
-    from . import convert as conv
+    from . import readers
 
     if fmt == "columns":
-        docs = conv._column_docs(text, lo, hi)
+        docs = readers._column_docs(text, lo, hi)
         if len(docs) != 1 or not docs[0].units or k and (docs[0].id or docs[0].metadata):
             raise ValueError("a column range holds no unit, or more than units")
         return docs[0]
     last = hi == end
     if k == 0:
-        return conv._record(text, lo, end, None if last else hi)
-    units, _, pos, closed = conv._units(text, lo, end, hi, conv._NEXT_UNIT)
+        return readers._record(text, lo, end, None if last else hi)
+    units, _, pos, closed = readers._units(text, lo, end, hi, readers._NEXT_UNIT)
     if last:
-        _, closed = conv._step(conv._NEXT_KEY, text, pos, end)  # "}" and the line end
+        _, closed = readers._step(readers._NEXT_KEY, text, pos, end)  # "}" and the line end
     if bool(closed) != last:  # stopped at hi, or closed the record
         raise ValueError("a standoff range does not end where a unit does")
     return Document("", (), tuple(units))

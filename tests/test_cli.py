@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from phkit import cli, metrics
+from phkit import cli, metrics, validation
 from phkit.cli import main, sniff_format
 from phkit.convert import read_columns, read_standoff, to_columns, to_standoff
 from phkit.inline import emit_document, parse_document
@@ -177,6 +177,29 @@ def test_validate_ignores_leading_bom(capsys, tmp_path):
     ],
 )
 def test_sniff_format_reads_first_non_blank_line(text, expected):
+    assert sniff_format(text) == expected
+
+
+LONG = 200_000
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("\n \u3000" + '{"id":"' + "x" * LONG + '"}\n', "standoff"),
+        ("{" + "x" * LONG + "\n", "inline"),
+        ("[PRE-S 走]" + "甲" * LONG + "\n# doc\n", "inline"),
+        ("# doc " + "x" * LONG + "\n\n甲\tO\tO\n", "columns"),
+        ("# doc\n" + "甲" * LONG + "\tO\tO\n", "columns"),
+        ("# doc " + "x" * LONG, "columns"),
+        ("# doc" + " " * LONG + "\t\n", "columns"),
+        ("# doc" + "\t" * LONG + "x\n", "inline"),
+    ],
+    ids=["standoff", "inline brace", "inline", "doc id", "row", "doc only", "spaces", "tabs"],
+)
+def test_sniff_format_reads_a_long_first_line(text, expected):
+    # The first line may be a whole document: sniff_format tells its format
+    # from its first characters, and a header line from its end.
     assert sniff_format(text) == expected
 
 
@@ -706,6 +729,17 @@ def test_null_conjunctions_in_config_is_the_default(capsys, tmp_path):
     )
 
 
+def test_empty_conjunctions_in_config_is_exit_2(capsys, tmp_path):
+    # An empty list was read as unset, and the default lexicon cut at 然后;
+    # an empty --conj or PHK_CONJ_LEXICON file is exit 2 too.
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我们吃饭然后他们睡觉。\n", encoding="utf-8")
+    config = tmp_path / "phk.json"
+    config.write_text(json.dumps({"segment": {"conjunctions": []}}), encoding="utf-8")
+    status, out, err = run_cli(capsys, "--config", str(config), "segment", str(raw))
+    assert (status, out, err) == (2, "", "phk: segment.conjunctions has no entries\n")
+
+
 @pytest.mark.parametrize("value", [0, False, "", [], {}, 1, "both"], ids=repr)
 @pytest.mark.parametrize(
     "section, key, what",
@@ -1045,6 +1079,29 @@ def test_usage_error_is_exit_2():
     assert err.value.code == 2
 
 
+USAGE = json.loads((GOLDEN_PATH.parent / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != USAGE["python"],
+    reason="argparse words its help and errors differently in other Python versions",
+)
+@pytest.mark.parametrize("case", USAGE["cases"], ids=lambda case: " ".join(case["argv"]) or "-")
+def test_help_and_usage_errors_are_byte_identical(tmp_path, case):
+    # Recorded before the subcommands' arguments were added lazily: every
+    # --help, every usage error and an abbreviated option keep their bytes.
+    for name, text in USAGE["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    env = {**child_env(), "COLUMNS": "80", "LINES": "24"}
+    env.pop(cli.ENV_CONJ_LEXICON, None)
+    child = subprocess.run(
+        [sys.executable, "-m", "phkit", *case["argv"]], cwd=tmp_path, capture_output=True, env=env
+    )
+    assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == (
+        case["status"], case["stdout"], case["stderr"]
+    )
+
+
 # --- the collector pause ----------------------------------------------------
 
 
@@ -1085,7 +1142,7 @@ def test_main_pauses_the_gc_while_the_subcommand_runs(monkeypatch, golden_path):
         seen.append(gc.isenabled())
         return 0
 
-    monkeypatch.setattr(cli, "cmd_validate", cmd_validate)
+    monkeypatch.setattr(validation, "cmd_validate", cmd_validate)  # looked up when it runs
     with _gc_state(True):
         assert main(["validate", str(golden_path)]) == 0
         assert gc.isenabled()

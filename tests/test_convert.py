@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import phkit.convert
+import phkit.readers
 from phkit.convert import (
     ConvertError,
-    _unit_from_record,
     columns_pieces,
     from_columns,
     from_standoff,
@@ -20,6 +19,7 @@ from phkit.convert import (
 )
 from phkit.inline import emit_document, parse_document
 from phkit.model import Document, ElementType, LabelingUnit, ModelError
+from phkit.readers import _unit_from_record
 from phkit.workers import range_bounds, read_range
 
 from .strategies import JSON_ESCAPE_ALPHABET, documents, json_escape_ids
@@ -651,7 +651,7 @@ def test_standoff_reader_never_decodes_a_whole_record(monkeypatch, golden_doc):
     def refuse(*args, **kwargs):
         raise AssertionError("json.loads called on a valid record")
 
-    monkeypatch.setattr(phkit.convert.json, "loads", refuse)
+    monkeypatch.setattr(phkit.readers.json, "loads", refuse)
     assert read_standoff(stream) == docs
     assert from_standoff(" " + to_standoff(golden_doc) + "\r") == golden_doc
 
@@ -744,7 +744,7 @@ def test_a_range_stops_at_its_first_error(golden_doc, monkeypatch, k):
         decoded.append(rec)
         return _unit_from_record(rec)
 
-    monkeypatch.setattr(phkit.convert, "_unit_from_record", counted)
+    monkeypatch.setattr(phkit.readers, "_unit_from_record", counted)
     with pytest.raises(ConvertError) as err:
         read_range(text, "standoff", bounds, k)
     assert err.value.code == "C003"

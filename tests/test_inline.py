@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from phkit.inline import (
     ParseDiagnostic,
-    _tag_message,
     emit_document,
     emit_unit,
     parse_bytes,
@@ -15,6 +14,7 @@ from phkit.inline import (
     parse_unit,
 )
 from phkit.model import TAGS, Document, Element, LabelingUnit, Segment, Span
+from phkit.validation import _tag_message
 
 from .strategies import TEXT_ALPHABET, documents, labeling_units
 

@@ -96,43 +96,48 @@ CHILD_IMPORTS = {
         b'{"id":"golden"',
         {"phkit.cli", "phkit.inline", "phkit.convert"},
         # One file runs in one process: nothing of the workers' is imported.
+        # The readers and the broken-line diagnoser (validation) are not either.
         {"phkit.metrics", "phkit.segmentation", "phkit.validation", "phkit.workers", "pickle"}
-        | NO_DATACLASSES,
+        | NO_DATACLASSES | {"phkit.readers"},
     ),
     "segment": (
         ["FILE"],
         "甲，乙。丙\n",
         "甲，\n乙。\n丙\n".encode("utf-8"),
         {"phkit.cli", "phkit.inline", "phkit.segmentation"},
-        {"phkit.metrics", "phkit.validation", "phkit.convert"} | NO_DATACLASSES,
+        {"phkit.metrics", "phkit.validation", "phkit.convert", "phkit.readers"} | NO_DATACLASSES,
     ),
     "validate": (
         ["--format", "records", "FILE"],
         None,
         b'{"file":',
         {"phkit.cli", "phkit.inline", "phkit.validation"},
-        {"phkit.metrics", "phkit.segmentation", "phkit.convert"} | NO_DATACLASSES,
+        {"phkit.metrics", "phkit.segmentation", "phkit.convert", "phkit.readers"} | NO_DATACLASSES,
     ),
     "stats": (
         ["--format", "records", "FILE"],
         None,
         b'{"units":10,',
         {"phkit.cli", "phkit.inline", "phkit.metrics"},
-        {"phkit.validation", "phkit.segmentation", "phkit.convert"} | NO_DATACLASSES,
+        {"phkit.validation", "phkit.segmentation", "phkit.convert", "phkit.readers"}
+        | NO_DATACLASSES,
     ),
     "convert": (
         ["--to", "columns", "FILE"],
         None,
         b"# doc golden\n",
         {"phkit.cli", "phkit.inline", "phkit.convert"},
-        {"phkit.metrics", "phkit.segmentation", "phkit.validation"} | NO_DATACLASSES,
+        # Writing columns needs no reader.
+        {"phkit.metrics", "phkit.segmentation", "phkit.validation", "phkit.readers"}
+        | NO_DATACLASSES,
     ),
     "agree": (
         ["--format", "records", "FILE", "FILE"],
         None,
         b'{"criterion":"exact","matched":32,',
         {"phkit.cli", "phkit.inline", "phkit.metrics"},
-        {"phkit.validation", "phkit.segmentation", "phkit.convert"} | NO_DATACLASSES,
+        {"phkit.validation", "phkit.segmentation", "phkit.convert", "phkit.readers"}
+        | NO_DATACLASSES,
     ),
 }
 
@@ -165,6 +170,37 @@ def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(
     assert child.stdout.startswith(stdout)
     assert imported <= set(modules)
     assert not not_imported & set(modules)
+
+
+@pytest.mark.parametrize(
+    "code, not_imported",
+    [
+        # The commands moved into these modules import cli when they run.
+        ("import phkit.metrics", {"phkit.cli", "argparse"}),
+        ("import phkit.segmentation", {"phkit.cli", "argparse"}),
+        ("import phkit.validation", {"phkit.cli", "argparse"}),
+        # The writers alone, and the readers' names only once used.
+        ("import phkit.convert", {"phkit.cli", "argparse", "phkit.readers"}),
+        ("from phkit.convert import to_standoff, to_columns", {"phkit.readers"}),
+    ],
+)
+def test_a_library_module_imports_neither_cli_nor_what_it_does_not_run(code, not_imported):
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=child_env(), check=True
+    )
+    assert not not_imported & set(child.stdout.decode().split())
+
+
+def test_the_convert_module_names_the_readers(golden_doc):
+    import phkit.convert
+    import phkit.readers
+
+    for name in ("from_columns", "from_standoff", "read_columns", "read_standoff"):
+        assert getattr(phkit.convert, name) is getattr(phkit.readers, name)
+    assert phkit.convert.read_standoff(phkit.convert.to_standoff(golden_doc)) == [golden_doc]
+    with pytest.raises(AttributeError, match="no attribute '_record'"):
+        phkit.convert._record
 
 
 def test_the_package_imports_the_standard_library_only():
