@@ -96,7 +96,6 @@ def to_standoff(doc: Document) -> str:
     return "".join(standoff_pieces(doc))
 
 
-
 def _unit_rows(unit: LabelingUnit) -> str:
     """The unit's rows, each with its newline."""
     n = len(unit.text)

@@ -316,7 +316,7 @@ class Document(Value):
     __slots__ = _fields = tuple(__annotations__)
 
     def __init__(self, id: str = "", metadata: tuple = (), units: tuple = ()) -> None:
-        metadata, units = tuple(metadata), tuple(units)
+        metadata = tuple(metadata)
         if id != id.strip() or "\n" in id or "\r" in id:
             raise ModelError(f"invalid document id {id!r}")
         for line in metadata:
@@ -324,16 +324,26 @@ class Document(Value):
                 raise ModelError(f"metadata line must be a single '#' comment: {line!r}")
             if not id and line.startswith("#id:"):
                 raise ModelError("metadata '#id:' line conflicts with an empty document id")
-        for unit in units:
-            if not unit.text:
-                raise ModelError("documents cannot contain units with empty text")
-            if unit.text.startswith("#") and (
-                not unit.elements or unit.elements[0].span.start > 0
-            ):
-                # Such a unit would serialize to a line starting with "#",
-                # which the inline format reserves for metadata.
-                raise ModelError("unit text may not start with '#' outside an element")
-        super().__init__(id, metadata, units)
+        super().__init__(id, metadata, tuple(map(document_unit, units)))
+
+
+def document_unit(unit: LabelingUnit) -> LabelingUnit:
+    """``unit``, or a ModelError if its text is empty or starts with "#" outside an element."""
+    if not unit.text:
+        raise ModelError("documents cannot contain units with empty text")
+    if unit.text.startswith("#") and (not unit.elements or unit.elements[0].span.start > 0):
+        # Such a unit would serialize to a line starting with "#", which
+        # the inline format reserves for metadata.
+        raise ModelError("unit text may not start with '#' outside an element")
+    return unit
+
+
+def read_document(id: str, metadata: tuple, units: tuple) -> Document:
+    """``Document(id, metadata, units)`` of units that have each passed
+    ``document_unit``, as a reader checks a unit when it decodes it."""
+    doc = Document(id, metadata)
+    Document._setters[2](doc, units)  # the units slot
+    return doc
 
 
 def span_surface(unit: LabelingUnit, span: Span) -> str:

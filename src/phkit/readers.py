@@ -8,6 +8,10 @@ gets C004 with ``json.loads``' own message for it, and so does a lone
 surrogate escape (of U+D800 to U+DFFF, without its pair) in ``text``,
 ``id`` or ``meta``, which UTF-8 cannot encode.
 
+Both readers raise the first error in text order: each value, unit (with
+the document's rules for it) and column header or metadata line is checked
+as it is decoded. Only the model's rules on a record's id and metadata wait.
+
 Error codes: C001 bad span geometry, C002 overlapping elements, C003
 illegal kind/subtag combination, C004 malformed standoff record, C010
 I-tag without a matching B, C011 role flag inconsistent with the
@@ -26,6 +30,7 @@ from typing import Any
 
 from .convert import ConvertError
 from .model import STANDOFF_TAGS, TAGS, Document, Element, LabelingUnit, ModelError, Segment, Span
+from .model import document_unit, read_document
 
 
 def _offset_type_error(rec: dict[str, Any], *keys: str) -> ConvertError | None:
@@ -141,87 +146,69 @@ def _step(pattern: re.Pattern[str], text: str, pos: int, end: int) -> tuple[int,
 
 def _units(
     text: str, pos: int, end: int, hi: int | None, opener: re.Pattern[str]
-) -> tuple[list[LabelingUnit], ConvertError | None, int, int | None]:
+) -> tuple[list[LabelingUnit], int, int | None]:
     """Decode unit records from ``pos``, where ``opener`` matches the
     "units" array's "[" or the "," before a unit, through the array's "]",
-    or up to ``hi`` if a unit ends there: the units, the first unit's
-    conversion error, the position after the last, and 1 if "]" closed.
-    With ``hi``, a range's end, that error is raised at once instead."""
+    or up to ``hi`` if a unit ends there: the units, the position after the
+    last, and 1 if "]" closed."""
     units: list[LabelingUnit] = []
-    unit_error = None
     pos, closed = _step(opener, text, pos, end)
     while not closed:
         unit, pos = _decode(text, pos)
-        try:
-            units.append(_unit_from_record(unit))
-        except ConvertError as exc:
-            if hi is not None:  # the file is read again in one process
-                raise
-            unit_error = unit_error or exc
+        units.append(document_unit(_unit_from_record(unit)))
         if pos == hi:
             break
         pos, closed = _step(_NEXT_UNIT, text, pos, end)
-    return units, unit_error, pos, closed
+    return units, pos, closed
 
 
-def _record(text: str, start: int, end: int, hi: int | None = None) -> Document:
+def _record(text: str, start: int, end: int, hi: int | None = None) -> tuple[Document, int | None]:
     """Decode the standoff record ``text[start:end]`` one unit at a time, so
-    that one unit's dicts are alive at a time. Keys may come in any order and
-    the last of a repeated key wins. Errors come in ``json.loads`` order, so a
-    unit's conversion error is held until the whole record has parsed.
-
-    With ``hi``, only the units before ``hi`` are read: the record's first
-    range (see ``workers.read_range``). A unit must then end at ``hi``,
-    before the record closes, and an error is raised as it is found: a
-    ValueError."""
+    that one unit's dicts are alive at a time: its document, and 1 if it
+    closed. Keys may come in any order and the last of a repeated key wins.
+    The model's rules on the id and metadata are checked last; any error is
+    a ConvertError, C004 but a unit's own, and a broken record is worded as
+    ``json.loads`` words it. With ``hi``, it stops after a unit that ends at
+    ``hi``, if one does: the record's first range (see ``workers``)."""
     fields: dict[str, Any] = {"id": "", "meta": [], "units": []}
-    unit_error = None
     try:
         pos, closed = _step(_OPEN, text, start, end)
         while not closed:
             key, pos = _decode(text, pos)  # a string: it starts with a quote
             pos, _ = _step(_COLON, text, pos, end)
             if key == "units" and text.startswith("[", pos, end):
-                # An error of an earlier "units" goes with it.
-                fields[key], unit_error, pos, closed = _units(text, pos, end, hi, _UNITS)
+                fields[key], pos, closed = _units(text, pos, end, hi, _UNITS)
                 if not closed:  # it stopped at hi
                     break
             else:
-                fields[key], pos = _decode(text, pos)
+                value, pos = _decode(text, pos)
+                if key == "id" and type(value) is not str:
+                    raise ConvertError("C004", "'id' must be a string")
+                strings = type(value) is list and all(type(m) is str for m in value)
+                if key == "meta" and not strings:
+                    raise ConvertError("C004", "'meta' must be a list of strings")
+                if key in ("id", "meta") and _LONE_SURROGATE.search("".join(value)):
+                    raise _lone_surrogate(key)  # "".join(id) is the id
+                if key == "units":  # a value that does not start with "["
+                    raise ConvertError("C004", "'units' must be a list")
+                fields[key] = value
             pos, closed = _step(_NEXT_KEY, text, pos, end)
+        return read_document(fields["id"], tuple(fields["meta"]), tuple(fields["units"])), closed
+    except ModelError as exc:  # a unit's document rule, or the id's and metadata's
+        raise ConvertError("C004", str(exc)) from None
+    except ConvertError:
+        raise
     except (ValueError, RecursionError):
-        if hi is not None:  # a range: the file is read again in one process
-            raise
-        # A broken record, worded as json.loads words it for the line alone.
         try:
             json.loads(text[start:end])
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
         raise ConvertError("C004", "record must be a JSON object") from None
-    if hi is not None and closed:
-        raise ValueError("the record's first range does not end at a unit")
-    doc_id, meta, units = fields["id"], fields["meta"], fields["units"]
-    if type(doc_id) is not str:
-        raise ConvertError("C004", "'id' must be a string")
-    if type(meta) is not list or not all(type(m) is str for m in meta):
-        raise ConvertError("C004", "'meta' must be a list of strings")
-    if _LONE_SURROGATE.search(doc_id):
-        raise _lone_surrogate("id")
-    if any(map(_LONE_SURROGATE.search, meta)):
-        raise _lone_surrogate("meta")
-    if type(units) is not list:
-        raise ConvertError("C004", "'units' must be a list")
-    if unit_error is not None:
-        raise unit_error
-    try:
-        return Document(doc_id, tuple(meta), tuple(units))
-    except ModelError as exc:
-        raise ConvertError("C004", str(exc)) from None
 
 
 def from_standoff(line: str) -> Document:
     """Reconstruct a document from one standoff JSON line."""
-    return _record(line, 0, len(line))
+    return _record(line, 0, len(line))[0]
 
 
 def read_standoff(text: str, lines: list[int] | None = None) -> list[Document]:
@@ -235,7 +222,7 @@ def read_standoff(text: str, lines: list[int] | None = None) -> list[Document]:
         pos = line.start()
         if lines is not None:
             lines.append(number)
-        docs.append(_record(text, pos, line.end()))
+        docs.append(_record(text, pos, line.end())[0])
     return docs
 
 
@@ -327,9 +314,7 @@ def _column_docs(text: str, lo: int, hi: int) -> list[Document]:
     unit's first row, a document's first line (its ``# doc`` header if it
     has one), or the malformed row."""
     docs: list[Document] = []
-    doc_id = ""
-    meta: list[str] = []
-    units: list[LabelingUnit] = []
+    doc_id, meta, units = "", [], []  # of the open document
     blocks: list[str] = []  # row runs of the open unit, split by "# meta" lines
     started = False
     doc_at = unit_at = lo  # where the open document and the open unit start
@@ -337,7 +322,7 @@ def _column_docs(text: str, lo: int, hi: int) -> list[Document]:
     def close_unit() -> None:
         if blocks:
             try:
-                units.append(_unit_from_rows("".join(blocks)))
+                units.append(document_unit(_unit_from_rows("".join(blocks))))
             except ConvertError as exc:
                 raise _at_line(text, unit_at, exc) from None
             blocks.clear()
@@ -346,39 +331,39 @@ def _column_docs(text: str, lo: int, hi: int) -> list[Document]:
         nonlocal doc_id, meta, units
         close_unit()
         if started:
-            try:
-                docs.append(Document(doc_id, tuple(meta), tuple(units)))
-            except ModelError as exc:
-                raise _at_line(text, doc_at, ConvertError("C012", str(exc))) from None
-        doc_id = ""
-        meta = []
-        units = []
+            docs.append(read_document(doc_id, tuple(meta), tuple(units)))
+        doc_id, meta, units = "", [], []
 
-    for token in _COLUMN_TOKEN.finditer(text, lo, hi):
-        kind = token.lastgroup
-        if kind == "rows":
-            if not blocks:
-                unit_at = token.start()
-            started = True
-            blocks.append(token.group())
-        elif kind == "blank":
-            close_unit()
-        elif kind == "doc":
-            close_doc()
-            started = True
-            doc_id = token.group(kind)[6:]
-            doc_at = token.start()
-        elif kind == "meta":
-            started = True
-            meta.append(token.group(kind))
-        else:
-            line = token.group()
-            if line.count("\t") != 2:
-                error = ConvertError("C013", "expected 3 tab-separated fields")
+    try:
+        for token in _COLUMN_TOKEN.finditer(text, lo, hi):
+            kind = token.lastgroup
+            if kind == "rows":
+                if not blocks:
+                    unit_at = token.start()
+                started = True
+                blocks.append(token.group())
+            elif kind == "blank":
+                close_unit()
+            elif kind == "doc":
+                close_doc()
+                started = True
+                doc_id = token.group(kind)[6:]
+                doc_at = token.start()
+                Document(doc_id)
+            elif kind == "meta":
+                started = True
+                meta.append(token.group(kind))
+                Document(doc_id, meta[-1:])
             else:
-                error = ConvertError("C013", "first field must be a single character")
-            raise _at_line(text, token.start(), error)
-    close_doc()
+                line = token.group()
+                if line.count("\t") != 2:
+                    error = ConvertError("C013", "expected 3 tab-separated fields")
+                else:
+                    error = ConvertError("C013", "first field must be a single character")
+                raise _at_line(text, token.start(), error)
+        close_doc()
+    except ModelError as exc:  # a document's rule, checked as what it covers is read
+        raise _at_line(text, doc_at, ConvertError("C012", str(exc))) from None
     return docs
 
 

@@ -371,10 +371,12 @@ def read_range(
         return docs[0]
     last = hi == end
     if k == 0:
-        return readers._record(text, lo, end, None if last else hi)
-    units, _, pos, closed = readers._units(text, lo, end, hi, readers._NEXT_UNIT)
-    if last:
-        _, closed = readers._step(readers._NEXT_KEY, text, pos, end)  # "}" and the line end
+        doc, closed = readers._record(text, lo, end, None if last else hi)
+    else:
+        units, pos, closed = readers._units(text, lo, end, hi, readers._NEXT_UNIT)
+        if last:
+            _, closed = readers._step(readers._NEXT_KEY, text, pos, end)  # "}" and the line end
+        doc = readers.read_document("", (), tuple(units))
     if bool(closed) != last:  # stopped at hi, or closed the record
         raise ValueError("a standoff range does not end where a unit does")
-    return Document("", (), tuple(units))
+    return doc

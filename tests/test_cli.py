@@ -843,9 +843,9 @@ def test_deeply_nested_standoff_record_is_c004_exit_3(capsys, tmp_path):
             "C003 line 4: illegal kind/subtag combination 'PRE'/'X'",
         ),
         (
-            '{"id": 1, x}',
+            '{"id": "c", x}',
             "C004 line 4: record is not valid JSON: Expecting property name enclosed in double"
-            " quotes: line 1 column 11 (char 10)",
+            " quotes: line 1 column 13 (char 12)",
         ),
     ],
     ids=["C003", "C004"],

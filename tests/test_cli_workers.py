@@ -438,6 +438,10 @@ def _range_inputs(golden_doc) -> dict[str, str]:
     assert record == "{" + header + "," + units + "}"
     last_kind = record.rindex('"kind":"') + len('"kind":"')
     middle = record.index('"end":', len(record) // 2) + len('"end":')
+    bad_middle = record[:middle] + "99" + record[middle:]
+    bad_last = record[:last_kind] + "X" + record[last_kind:]
+    last_start = bad_middle.rindex('"start":')
+    first_row = columns.index("\n", columns.index("# meta")) + 1
     last_unit = columns.rindex("\n\n") + 2
     second_row = columns.index("\n", last_unit) + 1
     last_row = columns.rindex("\n", 0, -1) + 1
@@ -452,9 +456,24 @@ def _range_inputs(golden_doc) -> dict[str, str]:
         "units repeated, the last long": "{" + header + "," + one_unit + "," + units + "}\n",
         "key after units": "{" + header + "," + units + ',"x":1}\n',
         "broken record end": record[:-1] + "\n",
-        "bad unit in the last range": record[:last_kind] + "X" + record[last_kind:] + "\n",
-        "bad unit in the middle": record[:middle] + "99" + record[middle:] + "\n",
+        "bad unit in the last range": bad_last + "\n",
+        "bad unit in the middle": bad_middle + "\n",
         "bad row in the last range": columns[:last_row] + "甲\tO\tB\n",
+        # Each error comes first in the text, and would not in json.loads order.
+        "bad unit, then a syntax error": bad_middle[:last_start] + '"start" '
+        + bad_middle[last_start + len('"start":') :] + "\n",
+        "bad unit, then a key after units": bad_middle[:-1] + ',"meta":[1]}\n',
+        "id repeated, the first bad": '{"id":5,' + record[1:] + "\n",
+        "units repeated, the first bad": '{"units":[{"text":""}],' + record[1:] + "\n",
+        "# unit first, bad row later": columns[:first_row] + "#\tO\tO\n"
+        + columns[first_row:last_row] + "甲\tO\tB\n",
+        # The id and metadata rules are checked when the record closes, so the
+        # bad unit's error is the file's, though range 0 fails on the rule.
+        "#id: without an id, bad unit later": '{"meta":["#id: x"],'
+        + bad_last[bad_last.index('"units":') :] + "\n",
+        # Each element record after the first of its unit makes a false cut,
+        # and a range from one fails with C004: its "text" is not a string.
+        "element text a number": record.replace('{"kind":', '{"text":5,"kind":') + "\n",
         "meta in a late unit": columns[:second_row] + "# meta\t# late\n" + columns[second_row:],
         # The first range is the header and blank lines, with no unit.
         "blank lines after the header": columns.replace("\n", "\n" * len(columns), 1),
@@ -522,8 +541,12 @@ RANGE_CASES = [
     "standoff", "columns", "element text first", "keys units first", "keys meta first",
     "units repeated, the last short", "units repeated, the last long", "key after units",
     "broken record end", "bad unit in the last range", "bad unit in the middle",
-    "bad row in the last range", "meta in a late unit", "blank lines after the header",
-    "crlf columns", "bom standoff", "bom columns", "two records", "two column documents",
+    "bad row in the last range", "bad unit, then a syntax error",
+    "bad unit, then a key after units", "id repeated, the first bad",
+    "units repeated, the first bad", "# unit first, bad row later",
+    "#id: without an id, bad unit later", "element text a number",
+    "meta in a late unit", "blank lines after the header", "crlf columns", "bom standoff",
+    "bom columns", "two records", "two column documents",
 ]
 PAIR_CASES = [
     "pair", "pair, blank lines", "pair, crlf", "pair, bom", "broken line in a",
@@ -591,8 +614,8 @@ def test_any_worker_count_reads_one_file_as_one_process(range_files, monkeypatch
         assert run == runs[1][0], count
         if case in DECODED:  # a worker per range, one range per CPU
             assert forked == (0 if count == 1 else count)
-    if case == "element text first":  # 2 ranges decode; of 8, one is cut at an element
-        assert reads == files * 2
+    if case in ("element text first", "element text a number"):
+        assert reads == files * 2  # 2 ranges decode; of 8, one is cut at an element
     else:
         assert reads == files * (1 if case in DECODED else len(WORKERS))
     assert "Traceback" not in runs[1][0][2]
@@ -608,7 +631,8 @@ def _unit_lines(text: str) -> list[int]:
         (command, case)
         for command, case in (param.values for param in RANGE_RUNS)
         if case in {
-            "standoff", "columns", "element text first", "bad unit in the middle",
+            "standoff", "columns", "element text first", "element text a number",
+            "bad unit in the middle", "bad unit, then a syntax error",
             # The key orders that range_bounds does not decline.
             "keys units first", "keys meta first", "units repeated, the last short",
             "units repeated, the last long",

@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+from typing import Any
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +21,22 @@ from phkit.convert import (
 )
 from phkit.inline import emit_document, parse_document
 from phkit.model import Document, ElementType, LabelingUnit, ModelError
-from phkit.readers import _unit_from_record
+from phkit.readers import (
+    _COLON,
+    _COLUMN_TOKEN,
+    _LONE_SURROGATE,
+    _NEXT_KEY,
+    _NEXT_UNIT,
+    _OPEN,
+    _RECORD_LINE,
+    _UNITS,
+    _at_line,
+    _decode,
+    _lone_surrogate,
+    _step,
+    _unit_from_record,
+    _unit_from_rows,
+)
 from phkit.workers import range_bounds, read_range
 
 from .strategies import JSON_ESCAPE_ALPHABET, documents, json_escape_ids
@@ -534,8 +551,9 @@ def test_columns_corrupted_row_raises_only_convert_error(doc, data):
 
 # --- the unit-at-a-time standoff reader against the whole-record one --------
 #
-# The reference below is the earlier standoff reader, copied verbatim: one
-# json.loads of each whole line, after splitting the stream into lines.
+# The reference below is the earlier standoff reader, copied verbatim but
+# for ``lines``: one json.loads of each whole line, after splitting the
+# stream into lines.
 
 
 def whole_record_from_standoff(line: str) -> Document:
@@ -562,9 +580,16 @@ def whole_record_from_standoff(line: str) -> Document:
         raise ConvertError("C004", str(exc)) from None
 
 
-def whole_record_read_standoff(text: str) -> list[Document]:
-    """Parse a standoff stream: one JSON record per nonempty line."""
-    return [whole_record_from_standoff(line) for line in text.split("\n") if line.strip()]
+def whole_record_read_standoff(text: str, lines: list[int] | None = None) -> list[Document]:
+    """Parse a standoff stream: one JSON record per nonempty line, whose
+    number is appended to ``lines``, if given, before it is read."""
+    docs = []
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            if lines is not None:
+                lines.append(number)
+            docs.append(whole_record_from_standoff(line))
+    return docs
 
 
 # JSON whitespace between tokens; "\n" ends a standoff line, so it is rarer.
@@ -625,23 +650,99 @@ def _outcome(read, text):
 
 
 _C001_UNIT = '{"text":"ab","elements":[{"kind":"PRE","sub":"S","start":1,"end":1}]}'
+_C001_MESSAGE = "invalid span [1, 1)"
+
+
+def _repeats_a_key(record: str) -> bool:
+    keys = [key for key, _ in json.loads(record, object_pairs_hook=list)]
+    return len(set(keys)) < len(keys)
+
+
+def _is_broken(outcome) -> bool:
+    """Whether ``outcome`` is the C004 of a record that is not a JSON object."""
+    return isinstance(outcome, tuple) and outcome[1].startswith(
+        ("record is not valid JSON", "record must be a JSON object")
+    )
+
+
+# Streams that each hold one fault, which both readers find.
+_ONE_FAULT_STREAMS = [
+    '{"units":[{"text":"a"}],"units":{}}',  # a good first units, a bad second one
+    '{"id":"x"} {"id":"y"}',  # trailing data
+    '{"id":"a","units":[\n{"text":"b"}]}\n{"id":"c"}',  # units run onto the next line
+    '{"id":"a","units":[]}\n \u3000\n{}\n[]',
+    '{"id":"a"}\n{"id":"b","units":[{"text":"c","elements":[{"kind":"X"}]}]}',
+    '{"id":"a"}\n\n{"meta":["x"]}',
+    '{"units":[' + _C001_UNIT + "]}",
+]
 
 
 @given(standoff_streams())
 @settings(max_examples=150)
-@example('{"id":"x","units":[' + _C001_UNIT + "],}")  # a syntax error after a C001 unit
-@example('{"units":[' + _C001_UNIT + '],"id":5}')  # a bad id after a bad unit
 @example('{"units":[5],"units":[{"text":"a"}]}')  # a bad first units, a good second one
-@example('{"units":[{"text":"a"}],"units":{}}')  # a good first units, a bad second one
-@example('{"id":"x"} {"id":"y"}')  # trailing data
 @example('\ufeff{"id":"x"}')  # a BOM-prefixed line
-@example('{"id":"a","units":[\n{"text":"b"}]}\n{"id":"c"}')  # units run onto the next line
 @example('{"id":"a","units":[{"text":"b"},\n{"text":"c"}]}')
-@example('{"id":"a","units":[]}\n \u3000\n{}\n[]')
-def test_standoff_reader_equals_the_whole_record_reader(text):
-    expected = _outcome(whole_record_read_standoff, text)
-    assert _outcome(read_standoff, text) == expected
-    assert _outcome(from_standoff, text) == _outcome(whole_record_from_standoff, text)
+@example('{"units":[' + _C001_UNIT + '],"id":5}')  # a bad unit, then a bad id
+@example('{"id":"x","units":[' + _C001_UNIT + "],}")  # a bad unit, then a syntax error
+@example(_ONE_FAULT_STREAMS[0])
+@example(_ONE_FAULT_STREAMS[1])
+@example(_ONE_FAULT_STREAMS[2])
+@example(_ONE_FAULT_STREAMS[3])
+def test_standoff_reader_agrees_with_the_whole_record_reader(text):
+    # The readers differ only where the reader finds an error first: on a
+    # record that holds two faults, it names the first in the text, which
+    # json.loads order may not, and it fails on a bad value that a repeated
+    # key replaces (see test_a_file_fails_at_its_first_error_in_text_order).
+    lines: list[int] = []
+    expected_lines: list[int] = []
+    got = _outcome(lambda t: read_standoff(t, lines), text)
+    expected = _outcome(lambda t: whole_record_read_standoff(t, expected_lines), text)
+    if not isinstance(got, tuple):
+        assert got == expected
+    elif isinstance(expected, tuple) and expected_lines[-1] == lines[-1]:
+        if _is_broken(got):  # no value failed before the break: json.loads words it
+            assert got == expected
+    else:  # a record that the whole-record reader accepts, before any it rejects
+        assert not isinstance(expected, tuple) or lines[-1] < expected_lines[-1]
+        assert _repeats_a_key(text.split("\n")[lines[-1] - 1])
+    got, expected = _outcome(from_standoff, text), _outcome(whole_record_from_standoff, text)
+    if _is_broken(got) or not isinstance(got, tuple):
+        assert got == expected
+    elif not isinstance(expected, tuple):
+        assert _repeats_a_key(text)
+
+
+@pytest.mark.parametrize("text", _ONE_FAULT_STREAMS)
+def test_one_fault_in_a_stream_reads_as_the_whole_record_reader_reads_it(text):
+    lines: list[int] = []
+    expected_lines: list[int] = []
+    expected = _outcome(lambda t: whole_record_read_standoff(t, expected_lines), text)
+    assert isinstance(expected, tuple)
+    assert _outcome(lambda t: read_standoff(t, lines), text) == expected
+    assert lines == expected_lines
+
+
+@pytest.mark.parametrize(
+    "read, text, error",
+    [
+        (read_standoff, '{"id":"x","units":[' + _C001_UNIT + "],}", ("C001", _C001_MESSAGE)),
+        (read_standoff, '{"units":[' + _C001_UNIT + '],"meta":[1]}', ("C001", _C001_MESSAGE)),
+        (read_standoff, '{"id":5,"id":"x","units":[]}', ("C004", "'id' must be a string")),
+        (read_standoff, '{"units":[5],"units":[{"text":"a"}]}',
+         ("C004", "unit record must be an object")),
+        (read_columns, "# doc a\n#\tO\tO\n\n甲\tO\tB\n",
+         ("C012", "line 1: unit text may not start with '#' outside an element")),
+    ],
+    ids=[
+        "bad unit, then a syntax error", "bad unit, then a key after units",
+        "id repeated, the first bad", "units repeated, the first bad",
+        "# unit first, bad role later",
+    ],
+)
+def test_a_file_fails_at_its_first_error_in_text_order(read, text, error):
+    # Each value is checked as it is decoded, also one that a repeated key
+    # replaces, and so are the document's rules for each unit.
+    assert _outcome(read, text) == error
 
 
 def test_standoff_reader_never_decodes_a_whole_record(monkeypatch, golden_doc):
@@ -731,8 +832,8 @@ def test_a_range_that_does_not_end_at_a_unit_is_a_value_error(golden_doc):
 @pytest.mark.parametrize("k", [0, 1])
 def test_a_range_stops_at_its_first_error(golden_doc, monkeypatch, k):
     # A range that fails sends its file to the one-process read, which words
-    # the error: so the range decodes no unit after the bad one, and the
-    # first range does not parse its whole record again to word it (C004).
+    # the error; the range raises its first error as it finds it, as that
+    # read does, so it decodes no unit after the bad one.
     text = to_standoff(Document("x", (), golden_doc.units * 4))
     bounds = range_bounds(text, "standoff", 2)
     at = text.index('"kind":"', bounds[k]) + len('"kind":"')
@@ -760,16 +861,16 @@ def test_a_column_range_without_a_unit_is_a_value_error():
                 read_range(text, "columns", bounds, k)
 
 
-_UNITS = '"units":[' + ",".join(['{"text":"a"}'] * 6) + "]"
+_SIX_UNITS = '"units":[' + ",".join(['{"text":"a"}'] * 6) + "]"
 
 
 @pytest.mark.parametrize(
     "record, seen, decodes",
     [
-        ("{" + _UNITS + ',"id":"x"}', True, False),
-        ('{"meta":["# m"],"id":"x",' + _UNITS + "}", False, True),
-        ('{"id":"x",' + _UNITS + ',"units":[{"text":"c"}]}', False, False),
-        ('{"id":"x",' + _UNITS + ',"x":1}', True, False),
+        ("{" + _SIX_UNITS + ',"id":"x"}', True, False),
+        ('{"meta":["# m"],"id":"x",' + _SIX_UNITS + "}", False, True),
+        ('{"id":"x",' + _SIX_UNITS + ',"units":[{"text":"c"}]}', False, False),
+        ('{"id":"x",' + _SIX_UNITS + ',"x":1}', True, False),
     ],
     ids=["units first", "meta first", "units repeated", "key after units"],
 )
@@ -806,3 +907,299 @@ def test_a_column_range_with_metadata_after_the_first_is_a_value_error():
     assert read_range(text, "columns", bounds, 0).units == read_columns(text)[0].units[:1]
     with pytest.raises(ValueError):
         read_range(text, "columns", bounds, 1)
+
+
+# --- the first error in text order against the earlier readers -------------
+#
+# The references below are the earlier readers, copied verbatim: they held
+# a unit's conversion error until the whole record had parsed, and checked
+# a record's values and a column document's header, metadata and units'
+# document rules when it closed. On one fault the readers must read as
+# they did; on two, as they did on the one that comes first in the text.
+
+
+def reference_units(
+    text: str, pos: int, end: int, hi: int | None, opener: re.Pattern[str]
+) -> tuple[list[LabelingUnit], ConvertError | None, int, int | None]:
+    """Decode unit records from ``pos``, where ``opener`` matches the
+    "units" array's "[" or the "," before a unit, through the array's "]",
+    or up to ``hi`` if a unit ends there: the units, the first unit's
+    conversion error, the position after the last, and 1 if "]" closed.
+    With ``hi``, a range's end, that error is raised at once instead."""
+    units: list[LabelingUnit] = []
+    unit_error = None
+    pos, closed = _step(opener, text, pos, end)
+    while not closed:
+        unit, pos = _decode(text, pos)
+        try:
+            units.append(_unit_from_record(unit))
+        except ConvertError as exc:
+            if hi is not None:  # the file is read again in one process
+                raise
+            unit_error = unit_error or exc
+        if pos == hi:
+            break
+        pos, closed = _step(_NEXT_UNIT, text, pos, end)
+    return units, unit_error, pos, closed
+
+
+def reference_record(text: str, start: int, end: int, hi: int | None = None) -> Document:
+    """Decode the standoff record ``text[start:end]`` one unit at a time, so
+    that one unit's dicts are alive at a time. Keys may come in any order and
+    the last of a repeated key wins. Errors come in ``json.loads`` order, so a
+    unit's conversion error is held until the whole record has parsed.
+
+    With ``hi``, only the units before ``hi`` are read: the record's first
+    range (see ``workers.read_range``). A unit must then end at ``hi``,
+    before the record closes, and an error is raised as it is found: a
+    ValueError."""
+    fields: dict[str, Any] = {"id": "", "meta": [], "units": []}
+    unit_error = None
+    try:
+        pos, closed = _step(_OPEN, text, start, end)
+        while not closed:
+            key, pos = _decode(text, pos)  # a string: it starts with a quote
+            pos, _ = _step(_COLON, text, pos, end)
+            if key == "units" and text.startswith("[", pos, end):
+                # An error of an earlier "units" goes with it.
+                fields[key], unit_error, pos, closed = reference_units(text, pos, end, hi, _UNITS)
+                if not closed:  # it stopped at hi
+                    break
+            else:
+                fields[key], pos = _decode(text, pos)
+            pos, closed = _step(_NEXT_KEY, text, pos, end)
+    except (ValueError, RecursionError):
+        if hi is not None:  # a range: the file is read again in one process
+            raise
+        # A broken record, worded as json.loads words it for the line alone.
+        try:
+            json.loads(text[start:end])
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConvertError("C004", f"record is not valid JSON: {exc}") from None
+        raise ConvertError("C004", "record must be a JSON object") from None
+    if hi is not None and closed:
+        raise ValueError("the record's first range does not end at a unit")
+    doc_id, meta, units = fields["id"], fields["meta"], fields["units"]
+    if type(doc_id) is not str:
+        raise ConvertError("C004", "'id' must be a string")
+    if type(meta) is not list or not all(type(m) is str for m in meta):
+        raise ConvertError("C004", "'meta' must be a list of strings")
+    if _LONE_SURROGATE.search(doc_id):
+        raise _lone_surrogate("id")
+    if any(map(_LONE_SURROGATE.search, meta)):
+        raise _lone_surrogate("meta")
+    if type(units) is not list:
+        raise ConvertError("C004", "'units' must be a list")
+    if unit_error is not None:
+        raise unit_error
+    try:
+        return Document(doc_id, tuple(meta), tuple(units))
+    except ModelError as exc:
+        raise ConvertError("C004", str(exc)) from None
+
+
+def reference_read_standoff(text: str, lines: list[int] | None = None) -> list[Document]:
+    """Parse a standoff stream: one JSON record per nonempty line, read in
+    place. Each record's 1-based line number is appended to ``lines``, if
+    given, before the record is decoded, so after a ConvertError the last
+    one is the failing record's line."""
+    docs, number, pos = [], 1, 0
+    for line in _RECORD_LINE.finditer(text):
+        number += text.count("\n", pos, line.start())
+        pos = line.start()
+        if lines is not None:
+            lines.append(number)
+        docs.append(reference_record(text, pos, line.end()))
+    return docs
+
+
+def reference_column_docs(text: str, lo: int, hi: int) -> list[Document]:
+    """The documents of the column rows in ``text[lo:hi]``, where ``lo`` is
+    a line start and ``text`` holds no "\\r". An error names a line: a
+    unit's first row, a document's first line (its ``# doc`` header if it
+    has one), or the malformed row."""
+    docs: list[Document] = []
+    doc_id = ""
+    meta: list[str] = []
+    units: list[LabelingUnit] = []
+    blocks: list[str] = []  # row runs of the open unit, split by "# meta" lines
+    started = False
+    doc_at = unit_at = lo  # where the open document and the open unit start
+
+    def close_unit() -> None:
+        if blocks:
+            try:
+                units.append(_unit_from_rows("".join(blocks)))
+            except ConvertError as exc:
+                raise _at_line(text, unit_at, exc) from None
+            blocks.clear()
+
+    def close_doc() -> None:
+        nonlocal doc_id, meta, units
+        close_unit()
+        if started:
+            try:
+                docs.append(Document(doc_id, tuple(meta), tuple(units)))
+            except ModelError as exc:
+                raise _at_line(text, doc_at, ConvertError("C012", str(exc))) from None
+        doc_id = ""
+        meta = []
+        units = []
+
+    for token in _COLUMN_TOKEN.finditer(text, lo, hi):
+        kind = token.lastgroup
+        if kind == "rows":
+            if not blocks:
+                unit_at = token.start()
+            started = True
+            blocks.append(token.group())
+        elif kind == "blank":
+            close_unit()
+        elif kind == "doc":
+            close_doc()
+            started = True
+            doc_id = token.group(kind)[6:]
+            doc_at = token.start()
+        elif kind == "meta":
+            started = True
+            meta.append(token.group(kind))
+        else:
+            line = token.group()
+            if line.count("\t") != 2:
+                error = ConvertError("C013", "expected 3 tab-separated fields")
+            else:
+                error = ConvertError("C013", "first field must be a single character")
+            raise _at_line(text, token.start(), error)
+    close_doc()
+    return docs
+
+
+def reference_read_columns(text: str) -> list[Document]:
+    """Parse a column-format stream into documents. A read error names its
+    line, as ``C011 line N: …``."""
+    if "\r" in text:  # one "\r" before each line end is dropped
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
+    return reference_column_docs(text, 0, len(text))
+
+
+# Faults to plant, by place: a standoff record's "id" or "meta" value or a
+# unit record, or a column document's header, one of its "# meta" lines
+# or a unit's rows. Those of ``_CLOSE_FAULTS`` break a model rule on a
+# standoff record's id or metadata, checked when the record closes.
+_STANDOFF_FAULTS = {
+    "id": ["5", '"\\udc00"', "[1,]"],
+    "meta": ["[1]", '"# x"', '["\\ud800"]', "[,]"],
+    "unit": [
+        "5",
+        "{}",
+        '{"text":""}',
+        '{"text":"#a"}',
+        '{"text":"\\ud800"}',
+        '{"text":"ab","elements":[{"kind":"X","start":0,"end":1}]}',
+        '{"text":"ab","elements":5}',
+        _C001_UNIT,
+        '{"text":"ab","elements":[{"kind":"UNC","start":0,"end":2},'
+        '{"kind":"UNC","start":1,"end":2}]}',
+        '{"text":"ab",}',
+    ],
+}
+_CLOSE_FAULTS = {"id": ['" x"'], "meta": ['["x"]']}
+_COLUMN_FAULTS = {
+    "header": ["# doc  x"],
+    "meta": ["# meta\tx"],
+    "unit": ["#\tO\tO", "甲\tO\tB", "甲\tI-PRE-S\tB", "甲\tB-XX\tB", "甲\tO", "甲甲\tO\tO"],
+}
+
+
+def _standoff_places(doc: Document, order: list[str]) -> list[tuple[str, str]]:
+    """The record of ``doc`` as (place, JSON text) pairs in text order: its
+    "id" and "meta" values and its unit records, the keys in ``order``. The
+    place "units" opens the units, with no text of its own."""
+    units = json.loads(to_standoff(doc))["units"]
+    values = {"id": doc.id, "meta": list(doc.metadata)}
+    places = []
+    for key in order:
+        if key == "units":
+            places.append(("units", ""))
+            places += [("unit", json.dumps(unit, ensure_ascii=False)) for unit in units]
+        else:
+            places.append((key, json.dumps(values[key], ensure_ascii=False)))
+    return places
+
+
+def _standoff_text(places: list[tuple[str, str]], faults: dict[int, str]) -> str:
+    members: list = []
+    for i, (place, value) in enumerate(places):
+        value = faults.get(i, value)
+        if place == "units":
+            units: list[str] = []
+            members.append(units)
+        elif place == "unit":
+            units.append(value)
+        else:
+            members.append(f'"{place}":{value}')
+    return "{" + ",".join(
+        m if isinstance(m, str) else '"units":[' + ",".join(m) + "]" for m in members
+    ) + "}"
+
+
+def _column_places(docs: list[Document]) -> list[tuple[str, str]]:
+    """The column text of ``docs`` as (place, text) pairs in text order: each
+    header, "# meta" line and unit's rows, and the blank lines between units,
+    each without its last newline."""
+    places = []
+    for doc in docs:
+        places.append(("header", f"# doc {doc.id}" if doc.id else "# doc"))
+        places += [("meta", f"# meta\t{line}") for line in doc.metadata]
+        for i, unit in enumerate(doc.units):
+            if i:
+                places.append(("blank", ""))
+            rows = to_columns(Document("", (), (unit,))).split("\n", 1)[1]
+            places.append(("unit", rows.rstrip("\n")))
+    return places
+
+
+def _column_text(places: list[tuple[str, str]], faults: dict[int, str]) -> str:
+    return "".join(faults.get(i, part) + "\n" for i, (_, part) in enumerate(places))
+
+
+@st.composite
+def planted(draw, faults: int):
+    """(reader, reference, text with ``faults`` faults, text with the first
+    of them only): a standoff record or a column stream."""
+    if draw(st.booleans()):
+        doc = draw(documents())
+        order = draw(st.permutations(["id", "meta", "units"]))
+        places = _standoff_places(doc, order)
+        table = _STANDOFF_FAULTS
+        if faults == 1:
+            table = {key: kinds + _CLOSE_FAULTS.get(key, []) for key, kinds in table.items()}
+        texts, readers = _standoff_text, (read_standoff, reference_read_standoff)
+    else:
+        places = _column_places(draw(st.lists(documents(), min_size=1, max_size=2)))
+        table, texts = _COLUMN_FAULTS, _column_text
+        readers = (read_columns, reference_read_columns)
+    spots = [i for i, (place, _) in enumerate(places) if place in table]
+    assume(len(spots) >= faults)
+    chosen = draw(st.lists(st.sampled_from(spots), min_size=faults, max_size=faults, unique=True))
+    plants = {i: draw(st.sampled_from(table[places[i][0]])) for i in sorted(chosen)}
+    first = min(plants)
+    return (*readers, texts(places, plants), texts(places, {first: plants[first]}))
+
+
+@given(planted(1))
+@settings(max_examples=300)
+def test_one_fault_reads_as_the_earlier_readers_read_it(case):
+    read, reference, text, _ = case
+    assert _outcome(read, text) == _outcome(reference, text)
+
+
+@given(planted(2))
+@settings(max_examples=300)
+def test_two_faults_read_as_the_first_alone(case):
+    read, reference, text, first = case
+    expected = _outcome(reference, first)
+    assert not isinstance(expected, list)
+    assert _outcome(read, text) == expected
