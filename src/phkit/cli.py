@@ -17,7 +17,7 @@ section or key in it is a usage error (exit 2). The
 lexicon file (one entry per line, UTF-8).
 
 Every subcommand reads annotation files through one function, ``_read``
-(one large file may be read in ranges instead; see below), one file at a
+(a large file or pair may be read in ranges; see below), one file at a
 time, and each file's documents are released before the next file is
 read, so memory follows the largest file per process, not the whole
 batch. File names are written as the bytes given, also when not UTF-8.
@@ -36,19 +36,21 @@ worker holds one document and one frame of output at a time, and the
 parent holds at most about 4 MB of frames. A worker that dies is one
 ``phk:`` line and exit 2, and no worker outlives ``main``.
 
-``stats`` and ``convert`` given one standoff or column file of 512 KB or
-more, and ``agree`` given two inline files of that size together, run the
-units in ranges on the workers the same way: a range is cut where a unit
-starts, at the same unit index in both of ``agree``'s files, and ``agree``
-adds up the ranges' counts (``metrics.AgreementCounts``), which are
-integers. The parent writes nothing until every range has decoded. At the
-first range that has not, or when the text cannot be cut (a "\\r" in
-column input, a second document, a ``#`` line after an inline file's
-first unit), the parent reads the text it holds in this process, so
-stdout, stderr and the status are those of one process. One file below
-that size or inline (for ``agree``, a pair below it or not inline), one
-usable CPU, ``-`` among the files, a platform without ``fork`` or a
-process that runs other threads keeps the run in one process.
+``stats`` and ``convert`` given one file, and ``agree`` given its pair,
+pass the range gate, ``_in_ranges``: when the files hold 512 KB or more
+together, it reads and sniffs their texts, and one standoff or column file,
+or a pair of inline files, goes to the range runner, ``workers.in_ranges``.
+That runs the units in ranges on the workers the same way: a range is cut
+where a unit starts, at the same unit index in both of ``agree``'s files,
+and ``agree`` adds up the ranges' counts (``metrics.AgreementCounts``),
+which are integers. The parent writes nothing until every range has
+decoded. At the first range that has not, or when the texts cannot be cut
+or are of other formats (a "\\r" in column input, a second document, a
+``#`` line after an inline file's first unit), the parent reads the texts
+it holds in this process, so stdout, stderr and the status are those of
+one process. Files below that size, one usable CPU, ``-`` among the files,
+a platform without ``fork`` or a process that runs other threads keep
+the run in one process.
 
 ``agree`` holds both of its documents, so it reads them through one map
 from unit line to unit: a line the two inline files share is parsed once,
@@ -89,7 +91,7 @@ import sys
 from functools import partial
 from importlib import import_module
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 # parse_bytes is unused here; the bench tracer wraps it as phkit.cli.parse_bytes.
 from .inline import decode_utf8, emit_document, parse_bytes, parse_document
@@ -242,58 +244,61 @@ _SPLIT_BYTES = 1 << 19
 
 def _each_file(
     paths: list[str], forced_format: str | None, use: Callable[..., T], split: bool = False
-) -> Iterator[T]:
+) -> Iterable[T]:
     """``use(path, status, docs)`` for each of ``paths``, where ``status,
     docs = _read(path, forced_format)``, with each file's output written in
     file order; yields the results in file order, each once its file's
     output is written, so that a caller folding them holds none. The first
     CliError raised ends the run, after the output of the earlier files only.
 
-    Several files run on forked workers when more than one CPU allows, and
-    with ``split`` so does one standoff or column file of ``_SPLIT_BYTES``
-    or more, cut into ranges of its units: ``use`` then runs once for each
-    range, in its worker, on a document of the range's units, and is told
-    which ends of the whole document it holds, as ``use(path, EXIT_OK,
-    [(part, None)], (opens, closes))``. The parent reads that file's text
-    once; when it is not one document that can be cut, or a range does not
-    decode, the file runs in this process on that text, so that stdout,
-    stderr and the status are those of one process (see the module
-    docstring).
+    Several files run on forked workers when more than one CPU allows. With
+    ``split``, one file goes through the range gate, ``_in_ranges``: a
+    standoff or column file of ``_SPLIT_BYTES`` or more may then be cut
+    into ranges of its units, and ``use`` runs once for each range, in its
+    worker, on a document of the range's units, and is told which ends of
+    the whole document it holds, as ``use(path, EXIT_OK, [(part, None)],
+    (opens, closes))`` (see the module docstring).
     """
 
-    def job(path: str, fmt: str | None = forced_format, text: str | None = None) -> T:
-        return use(path, *_read(path, fmt, text=text))
+    def job(path: str, text: str | None = None) -> T:
+        return use(path, *_read(path, forced_format, text=text))
 
-    one = len(paths) == 1
-    if one and not (split and forced_format != "inline" and _size(paths[0]) >= _SPLIT_BYTES):
-        return map(job, paths)
-    cpus = _workers_for(paths)
+    if split and len(paths) == 1:
+        def ranged(parts: list[Document], ends: tuple[bool, bool]) -> T:
+            return use(paths[0], EXIT_OK, [(parts[0], None)], ends)
+
+        return _in_ranges(paths, forced_format, ranged, lambda texts: job(paths[0], texts[0]))
+    cpus = min(len(paths), _workers_for(paths)) if len(paths) > 1 else 1
     if cpus < 2:
         return map(job, paths)
-    if not one:
-        from . import workers
+    from . import workers
 
-        return workers.fan_out([(path, partial(job, path)) for path in paths], min(len(paths), cpus))
-    path, text = paths[0], _read_text(paths[0])
-    fmt = forced_format or sniff_format(text)
-    count = 0
-    if fmt != "inline":
-        from . import workers
+    return workers.fan_out([(path, partial(job, path)) for path in paths], cpus)
 
-        bounds = workers.range_bounds(text, fmt, cpus)
-        count = len(bounds) - 1
-    if count < 2:
-        return map(job, paths, [fmt], [text])  # in this process, on the text read
 
-    def run(k: int) -> T:
+def _in_ranges(
+    paths: list[str], forced_format: str | None, use: Callable[..., T], whole: Callable[[list], T]
+) -> Iterable[T]:
+    """The range gate: the results of ``workers.in_ranges`` on the texts of
+    ``paths``, or ``[whole(texts)]`` in this process. The texts are read
+    (and sniffed) only when ``paths`` hold ``_SPLIT_BYTES`` or more together
+    and the run may fork; ranges are tried for one file that is not inline
+    or for two files that are both inline. ``whole`` is given the texts read,
+    or None for each file not read."""
+    texts: list = [None] * len(paths)
+    if sum(map(_size, paths)) >= _SPLIT_BYTES and (cpus := _workers_for(paths)) > 1:
         try:
-            part = workers.read_range(text, fmt, bounds, k)
-        except (ValueError, RecursionError) as exc:  # the parent runs the file itself
-            raise CliError(EXIT_PARSE, str(exc)) from None
-        return use(path, EXIT_OK, [(part, None)], (k == 0, k == count - 1))
+            texts = [_read_text(path) for path in paths]
+        except CliError:  # a pair is read again by whole(), which reports A's broken lines first
+            if len(paths) == 1:
+                raise
+        else:
+            fmts = [forced_format or sniff_format(text) for text in texts]
+            if fmts == ["inline", "inline"] or fmts in (["standoff"], ["columns"]):
+                from . import workers
 
-    jobs = [(path, partial(run, k)) for k in range(count)]
-    return workers.fan_out(jobs, count, partial(job, path, fmt, text))
+                return workers.in_ranges(", ".join(paths), texts, fmts[0], cpus, use, whole)
+    return [whole(texts)]
 
 
 def _workers_for(paths: list[str]) -> int:

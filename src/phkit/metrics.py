@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import partial
 from itertools import chain
 from operator import attrgetter, is_
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -515,7 +514,7 @@ def cmd_agree(args) -> int:
                 print(row)
         return cli.EXIT_OK
 
-    def whole(texts=(None, None)) -> int:
+    def whole(texts: list) -> int:
         """The pair in this process, read from ``texts`` where given."""
         docs = []
         known: dict = {}  # unit lines of both files; see the cli docstring
@@ -534,21 +533,10 @@ def cmd_agree(args) -> int:
             raise cli.CliError(cli.EXIT_USAGE, f"{exc.code} {exc.message}") from None
         return show(report)
 
-    if args.from_format not in (None, "inline") or sum(map(cli._size, paths)) < cli._SPLIT_BYTES:
-        return whole()
-    cpus = cli._workers_for(paths)
-    if cpus < 2:
-        return whole()
-    try:
-        texts = [cli._read_text(path) for path in paths]
-    except cli.CliError:  # read again in this process, to fail where it fails
-        return whole()
-    if args.from_format is None and any(cli.sniff_format(text) != "inline" for text in texts):
-        return whole(texts)
-    from . import workers
+    def score(parts: list[Document], ends: tuple[bool, bool]) -> AgreementCounts:
+        return agreement_counts(parts[0].units, parts[1].units, criterion, normalize)
 
-    def done(parts: list[AgreementCounts]) -> int:
-        return show(AgreementCounts.total(parts).report(criterion))
-
-    score = partial(agreement_counts, criterion=criterion, normalize_rai=normalize)
-    return workers.score_pair(texts, cpus, score, done, partial(whole, texts))
+    counts = list(cli._in_ranges(paths, args.from_format, score, whole))
+    if isinstance(counts[0], int):  # the status of whole(), which wrote any report
+        return counts[0]
+    return show(AgreementCounts.total(counts).report(criterion))

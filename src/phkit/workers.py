@@ -1,17 +1,19 @@
-"""The forked workers of ``phk``'s per-file commands, and where and how
-the text of one file, or of ``agree``'s pair, is cut into ranges of units.
+"""The forked workers of ``phk``'s per-file commands, and the range
+runner, ``in_ranges``: where and how the text of one file, or of
+``agree``'s pair, is cut into ranges of units, and how they run.
 
-``cli`` imports this module only for a run that fans out or may read in
-ranges (see the ``cli`` docstring), so that a one-file command below the
-range size, or an ``agree`` pair below it, does not compile it. A job is
-a name, for messages, and a call: a file, or a range of one file or pair.
+``cli`` imports this module only for a run that fans out, or whose range
+gate (``cli._in_ranges``) finds texts that may be cut (see the ``cli``
+docstring), so that a one-file command below the range size, or an
+``agree`` pair below it or not inline, does not compile it. A job is a
+name, for messages, and a call: a file, or a range of one file or pair.
 Worker ``w`` of ``count`` runs jobs ``w``, ``w + count``, … with its
 ``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a pipe.
 The parent walks the jobs in order: it writes job ``i``'s frames, taken
 from worker ``i % count``'s queue, through its own ``sys.stdout`` and
-stderr, and stops at the first job that fails. The ranges of one file are
-all or nothing: at the first range that does not decode, the parent stops
-the workers and reads the file itself.
+stderr, and stops at the first job that fails. The ranges of one file or
+pair are all or nothing: at the first range that does not decode, the
+parent stops the workers and reads the texts itself.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 from collections import deque
 from functools import partial
 from itertools import groupby
-from typing import Callable, Iterator, NoReturn, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from .cli import _NON_BLANK, EXIT_PARSE, EXIT_USAGE, CliError, _to_stderr
 from .inline import parse_document
@@ -182,14 +184,15 @@ def fan_out(
     them, it reads only the due job's worker, so that a worker far ahead
     waits on its pipe.
 
-    ``whole`` is given for the ranges of one file, a job per worker, each
-    of which writes nothing before it has decoded its range, and is that
-    file read in this process. A worker's first frame is then its verdict:
-    output or a result says the range decoded, a CliError or a pipe closed
-    first says it did not. The parent writes nothing until every worker has
-    given its verdict; a worker that has decoded meanwhile waits on its
-    pipe. At the first verdict that a range did not decode, the parent
-    stops waiting, kills and reaps the workers, and yields ``whole()``.
+    ``whole`` is given for the ranges of one file or pair (``in_ranges``),
+    a job per worker, each of which writes nothing before it has decoded
+    its range, and is those texts read in this process. A worker's first
+    frame is then its verdict: output or a result says the range decoded,
+    a CliError or a pipe closed first says it did not. The parent writes
+    nothing until every worker has given its verdict; a worker that has
+    decoded meanwhile waits on its pipe. At the first verdict that a range
+    did not decode, the parent stops waiting, kills and reaps the workers,
+    and yields ``whole()``.
     """
     pids: list[int] = []
     read_ends: list[int] = []  # by worker
@@ -311,34 +314,34 @@ def pair_bounds(texts: list[str], count: int) -> list[list[int]]:
     return [[0, *(at[u] for u in cuts), len(text)] for text, at in zip(texts, starts)]
 
 
-def score_pair(
-    texts: list[str],
-    count: int,
-    score: Callable[..., object],
-    done: Callable[[list], T],
-    whole: Callable[[], T],
-) -> T:
-    """``done`` of the list, in range order, of ``score(units_a, units_b)``
-    of each range of ``pair_bounds(texts, count)``: the units of the two
-    inline texts in that range, scored on a worker per range. ``whole()``
-    instead when the texts cannot be cut, or at the first range that does
-    not decode: a line that does not parse, or ``score`` raising a
-    ValueError."""
-    bounds = pair_bounds(texts, count)
-    if not bounds:
-        return whole()
+def in_ranges(
+    name: str, texts: list[str], fmt: str, count: int,
+    use: Callable[..., T], whole: Callable[[list[str]], T],
+) -> Iterable[T]:
+    """The range runner: ``use(parts, (opens, closes))`` for each range of
+    ``texts``, one standoff or column text cut by ``range_bounds`` or an
+    inline pair cut by ``pair_bounds``, in at most ``count`` ranges on a
+    worker each; ``parts`` holds each text's document of the range's units,
+    read through one ``known`` map, and ``opens, closes`` tell which ends
+    of the whole documents they hold. Yields the results in range order,
+    or ``whole(texts)`` alone when the texts cannot be cut, or at the first
+    range that does not decode: ``read_range`` or ``use`` raising a
+    ValueError or RecursionError. ``name`` names the jobs in messages."""
+    bounds = pair_bounds(texts, count) if fmt == "inline" else [range_bounds(texts[0], fmt, count)]
+    count = len(bounds[0]) - 1 if bounds else 0
+    if count < 2:
+        return [whole(texts)]
 
-    def run(k: int) -> object:
-        known: dict = {}  # unit lines of both ranges
+    def run(k: int) -> T:
+        known: dict = {}  # unit lines of both inline ranges
         try:
-            a, b = (read_range(text, "inline", at, k, known) for text, at in zip(texts, bounds))
-            return score(a.units, b.units)
-        except ValueError as exc:  # the parent runs the pair itself
+            parts = [read_range(text, fmt, at, k, known) for text, at in zip(texts, bounds)]
+            return use(parts, (k == 0, k == count - 1))
+        except (ValueError, RecursionError) as exc:  # the parent reads the texts itself
             raise CliError(EXIT_PARSE, str(exc)) from None
 
-    count = len(bounds[0]) - 1
-    parts = list(fan_out([(f"range {k}", partial(run, k)) for k in range(count)], count, whole))
-    return parts[0] if len(parts) < count else done(parts)  # fewer: whole() alone
+    jobs = [(name, partial(run, k)) for k in range(count)]
+    return fan_out(jobs, count, partial(whole, texts))
 
 
 def read_range(

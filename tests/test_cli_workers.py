@@ -4,6 +4,7 @@ the exit status and the processes left behind must be those of one worker."""
 import errno
 import hashlib
 import io
+import json
 import os
 import re
 import signal
@@ -28,6 +29,7 @@ from phkit.inline import emit_document, emit_unit
 from phkit.model import Document, LabelingUnit
 
 from .conftest import GOLDEN_PATH, child_env
+from .strategies import documents
 from .test_cli import _fuzz_inputs, run_encoded
 
 COMMANDS = [
@@ -701,12 +703,12 @@ def test_the_first_range_that_fails_stops_the_others(range_files, monkeypatch, t
     # Range 1 would take 30 s to decode; range 0 fails once range 1 has started.
     real, started = workers.read_range, tmp_path / "started"
 
-    def stalled(text: str, fmt: str, bounds: list[int], k: int):
+    def stalled(text: str, fmt: str, bounds: list[int], k: int, *known):
         if k == 1:
             (tmp_path / "pid").write_text(str(os.getpid()))
             (tmp_path / "pid").rename(started)
             time.sleep(30)
-            return real(text, fmt, bounds, k)
+            return real(text, fmt, bounds, k, *known)
         for _ in range(2000):
             if started.exists():
                 break
@@ -769,23 +771,34 @@ def test_one_file_below_the_range_size_or_inline_forks_nothing(tmp_path, golden_
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, split",
     [
-        ["parse", "{path}"],
-        ["stats", "{path}.jsonl"],
-        ["convert", "--to", "inline", "{path}.jsonl"],
-        ["agree", "{path}", "{path}"],
+        (["parse", "{path}"], None),
+        (["stats", "{path}.jsonl"], None),
+        (["convert", "--to", "inline", "{path}.jsonl"], None),
+        (["agree", "{path}", "{path}"], None),
+        # Pairs of any size that the range gate reads, sniffs and keeps here.
+        (["agree", "{path}.jsonl", "{path}.jsonl"], 0),
+        (["agree", "--from", "standoff", "{path}.jsonl", "{path}.jsonl"], 0),
+        (["agree", "{path}.cols", "{path}.cols"], 0),
+        (["agree", "--from", "columns", "{path}.cols", "{path}.cols"], 0),
     ],
 )
-def test_a_one_file_run_below_the_range_size_does_not_load_the_workers(tmp_path, argv):
+def test_a_one_file_run_below_the_range_size_does_not_load_the_workers(tmp_path, argv, split):
     path = tmp_path / "empty.ann"
     path.write_bytes(b"")
     (tmp_path / "empty.ann.jsonl").write_text('{"id":"x","units":[{"text":"a"}]}\n')
+    (tmp_path / "empty.ann.cols").write_text("# doc x\na\tO\tO\n")
+    # On two usable CPUs, with a fork that ends the run with status 8.
     code = (
-        "import sys; from phkit.cli import main; status = main(sys.argv[1:]); "
-        "sys.stdout.flush(); sys.exit(status if 'phkit.workers' not in sys.modules else 9)"
+        "import os, sys; from phkit import cli; cli._SPLIT_BYTES = int(sys.argv[1]); "
+        "cli._usable_cpus = lambda: 2; os.fork = lambda: os._exit(8); "
+        "status = cli.main(sys.argv[2:]); sys.stdout.flush(); "
+        "sys.exit(status if 'phkit.workers' not in sys.modules else 9)"
     )
-    argv = [arg.format(path=path) for arg in argv]
+    argv = [str(cli._SPLIT_BYTES if split is None else split)] + [
+        arg.format(path=path) for arg in argv
+    ]
     child = subprocess.run(
         [sys.executable, "-c", code, *argv], env=child_env(), capture_output=True, timeout=60
     )
@@ -801,3 +814,93 @@ def test_several_files_fork_a_worker_per_file_up_to_the_cpus(
     for command in RANGE_COMMANDS[:4]:
         runs = _runs(command + paths[:files], [1, cpus])
         assert runs[cpus] == (runs[1][0], min(files, cpus))
+
+
+FORMATS = ("inline", "standoff", "columns")
+
+
+def _halved(doc: Document) -> Document:
+    """``doc`` as a second annotator might give it: each unit keeps its
+    text and the first half of its elements."""
+    units = (LabelingUnit(u.text, u.elements[: len(u.elements) // 2]) for u in doc.units)
+    return Document(doc.id, doc.metadata, tuple(units))
+
+
+def _stored(folder: Path, name: str, doc: Document) -> dict[str, str]:
+    """``doc`` stored in each format, by format: the path of its file."""
+    texts = {
+        "inline": emit_document(doc),
+        "standoff": to_standoff(doc) + "\n",
+        "columns": to_columns(doc),
+    }
+    paths = {}
+    for fmt, text in texts.items():
+        paths[fmt] = str(folder / f"{name}.{fmt}")
+        Path(paths[fmt]).write_text(text, encoding="utf-8", newline="")
+    return paths
+
+
+def _records(out: str) -> list[tuple]:
+    """The (unit, code, start, end) of each ``validate --format records`` line."""
+    rows = [json.loads(line) for line in out.splitlines()]
+    return [(r["unit"], r["code"], r.get("start"), r.get("end")) for r in rows]
+
+
+def _assert_one_answer_per_format(
+    a: dict[str, str], b: dict[str, str], splits: tuple[int, ...]
+) -> set[tuple]:
+    """``stats``, ``agree`` and ``validate --format records`` answer alike
+    whichever format each file is stored in, at 1, 2 and 8 workers, with
+    ``cli._SPLIT_BYTES`` at each of ``splits``. Returns the runs, as
+    (command, format, …), that forked workers."""
+    commands = {
+        ("stats", fmt): (["stats", a[fmt]], lambda run: run[:2]) for fmt in FORMATS
+    }
+    commands.update({
+        ("validate", fmt): (
+            ["validate", "--format", "records", a[fmt]], lambda run: (run[0], _records(run[1]))
+        )
+        for fmt in FORMATS
+    })
+    commands.update({
+        ("agree", fa, fb): (["agree", "--format", "records", a[fa], b[fb]], lambda run: run[:2])
+        for fa in FORMATS
+        for fb in FORMATS
+    })
+    answers: dict[str, set] = {"stats": set(), "validate": set(), "agree": set()}
+    forking = set()
+    for key, (argv, answer) in commands.items():
+        for split in splits:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_SPLIT_BYTES", split)
+                for run, forked in _runs(argv, WORKERS).values():
+                    assert "Traceback" not in run[2]
+                    answers[key[0]].add(repr(answer(run)))
+                    if forked:
+                        forking.add(key)
+    assert {command: len(seen) for command, seen in answers.items()} == dict.fromkeys(answers, 1)
+    return forking
+
+
+@given(doc=documents())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_corpus_reads_alike_in_every_format(tmp_path, doc):
+    a, b = _stored(tmp_path, "a", doc), _stored(tmp_path, "b", _halved(doc))
+    _assert_one_answer_per_format(a, b, (cli._SPLIT_BYTES, 0))
+
+
+def test_a_corpus_large_enough_to_cut_reads_alike_in_every_format(tmp_path, golden_doc):
+    # 4,800 units: A's smallest file (columns) is 790 KB and the inline pair
+    # 540 KB, so every file and pair is cut at the unpatched value, and
+    # patched to 0 it would take the same path.
+    doc = Document("big", golden_doc.metadata, golden_doc.units * 480)
+    a, b = _stored(tmp_path, "a", doc), _stored(tmp_path, "b", _halved(doc))
+    assert os.path.getsize(a["columns"]) >= cli._SPLIT_BYTES
+    assert os.path.getsize(a["inline"]) + os.path.getsize(b["inline"]) >= cli._SPLIT_BYTES
+    assert _assert_one_answer_per_format(a, b, (cli._SPLIT_BYTES,)) == {
+        ("stats", "standoff"), ("stats", "columns"), ("agree", "inline", "inline")
+    }
