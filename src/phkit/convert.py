@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .model import STANDOFF_TAGS, Document, Element, LabelingUnit, compact_json
+from .model import STANDOFF_TAGS, TAGS, Document, Element, LabelingUnit, compact_json
 
 
 class ConvertError(ValueError):
@@ -41,9 +41,9 @@ class ConvertError(ValueError):
 # Each element record up to its first offset, by (kind, pattern, form),
 # e.g. '{"kind":"PRE","sub":"S","start":'.
 _RECORD_HEADS = {
-    entry: compact_json({"kind": kind} if sub is None else {"kind": kind, "sub": sub})[:-1]
+    TAGS[tag]: compact_json({"kind": kind} if sub is None else {"kind": kind, "sub": sub})[:-1]
     + ',"start":'
-    for (kind, sub), entry in STANDOFF_TAGS.items()
+    for (kind, sub), tag in STANDOFF_TAGS.items()
 }
 
 

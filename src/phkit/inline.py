@@ -45,18 +45,10 @@ P012  ``#id:`` line after an ``#id:`` line with an empty id
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import cache, partial
 
-from .model import (
-    TAGS,
-    Document,
-    Element,
-    LabelingUnit,
-    ModelError,
-    Segment,
-    Span,
-    Value,
-)
+from . import model
+from .model import Document, Element, LabelingUnit, ModelError, Segment, Value
 
 RESERVED_CHARS = "[]()-\\"
 _ESCAPE_MAP = {ord(c): "\\" + c for c in RESERVED_CHARS}
@@ -76,9 +68,9 @@ def _element_regex(escape: str) -> re.Pattern[str]:
     return re.compile(rf"({gap})(?:\[([-A-Z]+) {seg}(?:-{seg})?\]|\Z)")
 
 
-# Lines without a backslash (nearly all) take the variant without escapes.
+# Most lines hold no backslash, so the variant with escapes compiles on first use.
 _PLAIN_ELEMENT = _element_regex("")
-_ESCAPED_ELEMENT = _element_regex(rf"|\\[{_RESERVED}]")
+_escaped_element = cache(partial(_element_regex, rf"|\\[{_RESERVED}]"))
 _unescape = partial(re.compile(r"\\(.)").sub, r"\1")
 
 class ParseDiagnostic(Value):
@@ -107,21 +99,6 @@ class ParseResult(Value):
         return not self.diagnostics
 
 
-def _segment(
-    parts: list[str], start: int, pre: str, head: str | None, post: str | None
-) -> Segment:
-    """The segment ``pre(head)post`` (just ``pre`` when ``head`` is None)
-    at text offset ``start``, its pieces appended to ``parts``. The model
-    rejects an empty segment and a head that covers all of it."""
-    if head is None:
-        parts.append(pre)
-        return Segment(Span(start, start + len(pre)))
-    head_start = start + len(pre)
-    head_end = head_start + len(head)
-    parts += (pre, head, post)
-    return Segment(Span(start, head_end + len(post)), Span(head_start, head_end))
-
-
 def parse_unit(
     line: str, line_no: int = 1
 ) -> tuple[LabelingUnit | None, list[ParseDiagnostic]]:
@@ -135,7 +112,7 @@ def parse_unit(
     if "\n" in line:
         raise ValueError("parse_unit expects a single line without line breaks")
     escaped = "\\" in line
-    match = (_ESCAPED_ELEMENT if escaped else _PLAIN_ELEMENT).match
+    match = (_escaped_element() if escaped else _PLAIN_ELEMENT).match
     parts: list[str] = []
     elements: list[Element] = []
     pos = tlen = 0
@@ -149,22 +126,29 @@ def parse_unit(
         parts.append(gap)
         if tag is None:
             return LabelingUnit("".join(parts), tuple(elements)), []
-        entry = TAGS.get(tag)
-        if entry is None:
-            break
-        tlen += len(gap)
+        # A segment is pre(head)post, or just pre when head is None.
+        start = tlen = tlen + len(gap)
+        body_start = head_start = head_end = trig_head_start = trig_head_end = None
+        if pre2 is not None:  # the first segment is the trigger
+            tlen += len(pre)
+            parts.append(pre)
+            if head is not None:
+                trig_head_start, trig_head_end = tlen, tlen + len(head)
+                tlen = trig_head_end + len(post)
+                parts += (head, post)
+            body_start, pre, head, post = tlen, pre2, head2, post2
+        tlen += len(pre)
+        parts.append(pre)
+        if head is not None:
+            head_start, head_end = tlen, tlen + len(head)
+            tlen = head_end + len(post)
+            parts += (head, post)
         try:
-            first = _segment(parts, tlen, pre, head, post)
-            if pre2 is None:
-                body, trigger = first, None
-            else:
-                body = _segment(parts, first.span.end, pre2, head2, post2)
-                trigger = first
-        except ModelError:
-            break  # an empty segment, or a head covering one: diagnosed below
-        kind, pattern, form = entry
-        elements.append(Element(kind, body, trigger, pattern, form))
-        tlen = body.span.end
+            elements.append(model.read_element(
+                tag, start, body_start, tlen, head_start, head_end, trig_head_start, trig_head_end
+            ))
+        except (KeyError, ModelError):
+            break  # an unknown tag, an empty segment or a head covering one: diagnosed below
         pos = m.end()
     from .validation import _diagnose  # imported for a broken line only
     return None, _diagnose(line, line_no)

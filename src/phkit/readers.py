@@ -17,8 +17,9 @@ illegal kind/subtag combination, C004 malformed standoff record, C010
 I-tag without a matching B, C011 role flag inconsistent with the
 boundary tag, C012 bad document structure, C013 malformed column row.
 The geometry codes (C001 standoff, C011 columns) report the model's
-rules: the readers check only their format's own structure, and map a
-``ModelError`` from the model constructors to the code.
+rules: the readers check only their format's own structure and map a
+``ModelError`` from ``model.read_element``, which builds each element, to
+the code. So a standoff element's keys are all checked before its geometry.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import re
 from operator import itemgetter
 from typing import Any
 
+from . import model
 from .convert import ConvertError
-from .model import STANDOFF_TAGS, TAGS, Document, Element, LabelingUnit, ModelError, Segment, Span
+from .model import STANDOFF_TAGS, TAGS, Document, Element, LabelingUnit, ModelError
 from .model import document_unit, read_document
 
 
@@ -42,18 +44,18 @@ def _offset_type_error(rec: dict[str, Any], *keys: str) -> ConvertError | None:
     return None
 
 
-def _span_keys(rec: dict[str, Any], start_key: str, end_key: str) -> Span | None:
-    """The span under a pair of offset keys, or None when both are absent.
+def _span_keys(rec: dict[str, Any], start_key: str, end_key: str) -> tuple[int | None, int | None]:
+    """The offsets under a pair of keys, or two Nones when both are absent.
     Only the keys' types and pairing are checked here."""
     s = rec.get(start_key)
     e = rec.get(end_key)
     if s is None and e is None:
-        return None
+        return s, e
     if type(s) is not int or type(e) is not int:
         raise _offset_type_error(rec, start_key, end_key) or ConvertError(
             "C001", f"{start_key}/{end_key} must be given together"
         )
-    return Span(s, e)
+    return s, e
 
 
 def _element_from_record(rec: Any) -> tuple[int, int, Element]:
@@ -66,8 +68,8 @@ def _element_from_record(rec: Any) -> tuple[int, int, Element]:
         raise ConvertError("C004", "element record needs a 'kind'")
     sub = rec.get("sub")
     # Check the types first: a list or object is not a valid dict key.
-    entry = STANDOFF_TAGS.get((kind, sub)) if sub is None or type(sub) is str else None
-    if entry is None:
+    tag = STANDOFF_TAGS.get((kind, sub)) if sub is None or type(sub) is str else None
+    if tag is None:
         raise ConvertError("C003", f"illegal kind/subtag combination {kind!r}/{sub!r}")
 
     start = rec.get("start")
@@ -76,19 +78,23 @@ def _element_from_record(rec: Any) -> tuple[int, int, Element]:
         raise _offset_type_error(rec, "start", "end") or ConvertError(
             "C004", "element record needs 'start' and 'end'"
         )
-    trig = _span_keys(rec, "trig_start", "trig_end")
-    if trig is None:
+    # Most records have no trigger and a head: _span_keys runs for the others.
+    trig_start = body_start = trig_head_start = trig_head_end = None
+    if "trig_start" in rec or "trig_end" in rec:
+        trig_start, body_start = _span_keys(rec, "trig_start", "trig_end")
+    if trig_start is None:
         if "trig_head_start" in rec or "trig_head_end" in rec:
             raise ConvertError("C001", "trigger head offsets without a trigger span")
-        trigger = None
-    elif trig.start != start:
+    elif trig_start != start:
         raise ConvertError("C001", "trigger must start at the element start")
     else:
-        trigger = Segment(trig, _span_keys(rec, "trig_head_start", "trig_head_end"))
-    body_start = start if trig is None else trig.end
-    body = Segment(Span(body_start, end), _span_keys(rec, "head_start", "head_end"))
-    kind, pattern, form = entry
-    return start, end, Element(kind, body, trigger, pattern, form)
+        trig_head_start, trig_head_end = _span_keys(rec, "trig_head_start", "trig_head_end")
+    head_start, head_end = rec.get("head_start"), rec.get("head_end")
+    if type(head_start) is not int or type(head_end) is not int:
+        head_start, head_end = _span_keys(rec, "head_start", "head_end")
+    return start, end, model.read_element(
+        tag, start, body_start, end, head_start, head_end, trig_head_start, trig_head_end
+    )
 
 
 # A \ud800-\udfff escape that json did not join with its pair into one code
@@ -271,8 +277,8 @@ def _unit_from_rows(block: str) -> LabelingUnit:
             if not btag.startswith("B-"):
                 raise ConvertError("C010", f"{btag!r} without a preceding matching B tag")
             # An empty subtag after UNC ("B-UNC-") reads as bare UNC.
-            entry = TAGS.get("UNC" if btag == "B-UNC-" else btag[2:])
-            if entry is None:
+            tag = "UNC" if btag == "B-UNC-" else btag[2:]
+            if tag not in TAGS:
                 raise ConvertError("C003", f"illegal element tag {btag!r}")
             inside = "I" + btag[1:]
             while i < n and btags[i] == inside:
@@ -287,14 +293,16 @@ def _unit_from_rows(block: str) -> LabelingUnit:
                     " each head one run",
                 )
             body_start = match.end(1)
-            trigger = None
-            if body_start > start:
-                hs, he = match.span(2)
-                trigger = Segment(Span(start, body_start), Span(hs, he) if hs < he else None)
-            hs, he = match.span(3)
-            body = Segment(Span(body_start, i), Span(hs, he) if hs < he else None)
-            kind, pattern, form = entry
-            elements.append(Element(kind, body, trigger, pattern, form))
+            trig_head_start, trig_head_end = match.span(2)
+            if trig_head_start == trig_head_end:
+                trig_head_start = trig_head_end = None
+            head_start, head_end = match.span(3)
+            if head_start == head_end:
+                head_start = head_end = None
+            elements.append(model.read_element(
+                tag, start, body_start if body_start > start else None, i,
+                head_start, head_end, trig_head_start, trig_head_end,
+            ))
         return LabelingUnit("".join(fields[0::3]), tuple(elements))
     except ModelError as exc:
         # Span geometry (an empty body, a head run as long as its whole

@@ -19,14 +19,14 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from phkit import cli, convert, workers
 from phkit.cli import main
 from phkit.convert import to_columns, to_standoff
 from phkit.inline import emit_document, emit_unit
-from phkit.model import Document, LabelingUnit
+from phkit.model import Document, Element, ElementType, LabelingUnit, PredicatePattern, Segment, Span
 
 from .conftest import GOLDEN_PATH, child_env
 from .strategies import documents
@@ -821,8 +821,12 @@ FORMATS = ("inline", "standoff", "columns")
 
 def _halved(doc: Document) -> Document:
     """``doc`` as a second annotator might give it: each unit keeps its
-    text and the first half of its elements."""
-    units = (LabelingUnit(u.text, u.elements[: len(u.elements) // 2]) for u in doc.units)
+    text and the first half of its elements, and at least the first when
+    its text starts with "#", which only an element may cover there."""
+    units = (
+        LabelingUnit(u.text, u.elements[: max(len(u.elements) // 2, u.text.startswith("#"))])
+        for u in doc.units
+    )
     return Document(doc.id, doc.metadata, tuple(units))
 
 
@@ -882,7 +886,14 @@ def _assert_one_answer_per_format(
     return forking
 
 
+# One unit of one element that covers its leading "#": halving must keep it.
+HASH_FIRST = Document(units=(LabelingUnit("#0", (Element(
+    ElementType.PRE, Segment(Span(1, 2)), Segment(Span(0, 1)), PredicatePattern.SINGLETON
+),)),))
+
+
 @given(doc=documents())
+@example(doc=HASH_FIRST)
 @settings(
     max_examples=25,
     deadline=None,

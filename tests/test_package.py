@@ -172,6 +172,32 @@ def test_parse_child_imports_neither_metrics_nor_segmentation_nor_validation(
     assert not not_imported & set(modules)
 
 
+@pytest.mark.parametrize("escaped, compiled", [(False, 0), (True, 1)])
+def test_parse_compiles_the_escaped_element_regex_only_for_a_backslash(
+    golden_path, tmp_path, escaped, compiled
+):
+    # The golden file holds no backslash; the other file holds one escape.
+    path = golden_path
+    if escaped:
+        path = tmp_path / "escaped.ann"
+        path.write_text("[PRE-S 吃\\-]了\n", encoding="utf-8")
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['phkit', 'parse', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('phkit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "regex = sys.modules['phkit.inline']._escaped_element\n"
+        "sys.stderr.write(f'{status} {regex.cache_info().currsize}')\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, env=child_env()
+    )
+    assert child.stderr.decode().split() == ["0", str(compiled)]
+    assert child.stdout.startswith(b'{"id":')
+
+
 @pytest.mark.parametrize(
     "code, not_imported",
     [
