@@ -88,7 +88,7 @@ import json
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from importlib import import_module
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -144,13 +144,12 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-# A character that is not whitespace; from one to the end of its line.
-_NON_BLANK = re.compile(r"\S")
-_NEXT_LINE = re.compile(r"\S[^\n]*")
-# A line that opens a JSON object: "{", then a key or the closing brace.
-_JSON_OBJECT = re.compile(r'\{[^\S\n]*["}]')
-# A "# doc" header from its "#": the line right-stripped is "# doc" or starts "# doc ".
-_DOC_HEADER = re.compile(r"# doc(?: |[^\S\n]*(?:\n|\Z))")
+# The patterns of sniff_format, compiled on its first call: a character that
+# is not whitespace; from one to the end of its line; a line that opens a JSON
+# object ("{", then a key or the closing brace); a "# doc" header from its "#"
+# (the line right-stripped is "# doc" or starts "# doc ").
+_SNIFFS = (r"\S", r"\S[^\n]*", r'\{[^\S\n]*["}]', r"# doc(?: |[^\S\n]*(?:\n|\Z))")
+_sniff_patterns = cache(lambda: [re.compile(pattern) for pattern in _SNIFFS])
 
 
 def sniff_format(text: str) -> str:
@@ -165,15 +164,16 @@ def sniff_format(text: str) -> str:
     standoff input it can be a whole document, so it is read to its end
     only when it is a ``# doc`` header.
     """
-    first = _NON_BLANK.search(text)
+    non_blank, next_line, json_object, doc_header = _sniff_patterns()
+    first = non_blank.search(text)
     if first is None:
         return "inline"
-    if _JSON_OBJECT.match(text, first.start()):
+    if json_object.match(text, first.start()):
         return "standoff"
-    if not _DOC_HEADER.match(text, first.start()):
+    if not doc_header.match(text, first.start()):
         return "inline"
-    for line in _NEXT_LINE.finditer(text, first.start()):
-        if not _DOC_HEADER.match(text, line.start()):
+    for line in next_line.finditer(text, first.start()):
+        if not doc_header.match(text, line.start()):
             return "columns" if "\t" in line.group() else "inline"
     return "columns"
 

@@ -26,16 +26,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .model import STANDOFF_TAGS, TAGS, Document, Element, LabelingUnit, compact_json
+from .model import STANDOFF_TAGS, TAGS, CodedError, Document, Element, LabelingUnit, compact_json
 
 
-class ConvertError(ValueError):
+class ConvertError(CodedError):
     """A record cannot be converted into a valid document."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
 
 
 # Each element record up to its first offset, by (kind, pattern, form),
@@ -67,7 +62,7 @@ def standoff_pieces(doc: Document, opens: bool = True, closes: bool = True) -> I
 
     The pieces join to ``compact_json`` of the whole record as a dict, with
     the keys in the order the module docstring gives. A document that holds
-    one range of a record's units (see ``workers.read_range``) leaves out the
+    one range of a record's units (see ``readers.read_range``) leaves out the
     header unless it ``opens`` the record, then starts its first unit with
     a comma, and leaves out ``]}`` unless it ``closes`` the record.
     """
@@ -126,7 +121,7 @@ def columns_pieces(doc: Document, opens: bool = True, closes: bool = True) -> It
     """Yield the column block of ``doc`` in pieces: the ``# doc`` and
     ``# meta`` rows, then one piece per unit (its rows, after a blank line
     from the second unit on). Every piece ends with a newline. A document
-    that holds one range of a block's units (see ``workers.read_range``)
+    that holds one range of a block's units (see ``readers.read_range``)
     leaves out the header rows unless it ``opens`` the block, and then
     starts its first unit with a blank line; a block has no closing piece."""
     separator = "\n"

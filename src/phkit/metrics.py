@@ -38,6 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .model import (
     TAG_NAMES,
+    CodedError,
     Document,
     Element,
     ElementForm,
@@ -62,13 +63,8 @@ class MatchCriterion(str, enum.Enum):
     HEAD_OVERLAP = "head_overlap"  # same kind, overlapping body-head (or full) spans
 
 
-class AgreementError(ValueError):
+class AgreementError(CodedError):
     """The two documents are not comparable (AGR001/AGR002)."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
 
 
 class StatsReport(Value):

@@ -31,6 +31,16 @@ class ModelError(ValueError):
     """A constructed object violates a model invariant."""
 
 
+class CodedError(ValueError):
+    """An error with a ``code`` (C004, AGR001, …) and a ``message``; its
+    ``str()`` is ``"code: message"``."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.code = code
+        self.message = message
+
+
 class Value:
     """An immutable value with slots. A subclass annotates its fields, then
     sets ``__slots__ = _fields = tuple(__annotations__)``, from which come eq

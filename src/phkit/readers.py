@@ -20,6 +20,10 @@ The geometry codes (C001 standoff, C011 columns) report the model's
 rules: the readers check only their format's own structure and map a
 ``ModelError`` from ``model.read_element``, which builds each element, to
 the code. So a standoff element's keys are all checked before its geometry.
+
+The range rules are here too: ``range_bounds`` cuts one record or column
+document into ranges of units, which ``read_range`` decodes with the same
+decoders (``workers.in_ranges`` runs them).
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ def _record(text: str, start: int, end: int, hi: int | None = None) -> tuple[Doc
     The model's rules on the id and metadata are checked last; any error is
     a ConvertError, C004 but a unit's own, and a broken record is worded as
     ``json.loads`` words it. With ``hi``, it stops after a unit that ends at
-    ``hi``, if one does: the record's first range (see ``workers``)."""
+    ``hi``, if one does: the record's first range (see ``read_range``)."""
     fields: dict[str, Any] = {"id": "", "meta": [], "units": []}
     try:
         pos, closed = _step(_OPEN, text, start, end)
@@ -393,3 +397,63 @@ def from_columns(text: str) -> Document:
     if len(docs) != 1:
         raise ConvertError("C012", f"expected one document, found {len(docs)} '# doc' headers")
     return docs[0]
+
+
+# Where a range of a one-document file may start: the "," before a unit
+# record, which can also open an element record, and a blank line.
+_CUTS = {"standoff": (',{"text":', 0), "columns": ("\n\n", 1)}  # (text, offset)
+_NON_BLANK = re.compile(r"\S")  # a character that is not whitespace
+
+
+def range_bounds(text: str, fmt: str, count: int) -> list[int]:
+    """Where to cut ``text``, one standoff record or one column document,
+    into at most ``count`` ranges of its units, each range after the first
+    starting at a cut candidate: ``[start, cut, …, end]``. Empty when the
+    text is not one such document, holds "\\r" (columns), or is a record
+    whose line does not end with ``]}`` (standoff). A standoff candidate
+    may be false: ``read_range`` of its range raises a ValueError."""
+    if fmt == "columns":
+        if "\r" in text or "\n# doc" in text:
+            return []
+        start, end = 0, len(text)
+    else:  # the one record's line, found without a regex scan of it
+        first = _NON_BLANK.search(text)  # None in a blank text, which has no "]}"
+        start = text.rfind("\n", 0, first.start()) + 1 if first else 0
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        if _NON_BLANK.search(text, end) or not text.endswith(("]}", "]}\r"), start, end):
+            return []
+    cut, offset = _CUTS[fmt]
+    bounds = [start]
+    for k in range(1, count):
+        at = text.find(cut, max(start + (end - start) * k // count, bounds[-1] + 1), end)
+        if at < 0:
+            break
+        bounds.append(at + offset)
+    return bounds + [end]
+
+
+def read_range(text: str, fmt: str, bounds: list[int], k: int) -> Document:
+    """Decode range ``k`` of ``range_bounds(text, fmt, …)``: a document of
+    the units from ``bounds[k]`` to ``bounds[k + 1]``, with every check of
+    the reader of ``fmt``. A ConvertError or a ModelError is a ValueError,
+    and so is a range that is empty, holds a second document or metadata
+    (columns), or does not end where a unit does, the last at the record's
+    closing "]}" (standoff)."""
+    lo, hi, end = bounds[k], bounds[k + 1], bounds[-1]
+    if fmt == "columns":
+        docs = _column_docs(text, lo, hi)
+        if len(docs) != 1 or not docs[0].units or k and (docs[0].id or docs[0].metadata):
+            raise ValueError("a column range holds no unit, or more than units")
+        return docs[0]
+    last = hi == end
+    if k == 0:  # with the id and metadata: later ranges hold units only
+        doc, closed = _record(text, lo, end, None if last else hi)
+    else:
+        units, pos, closed = _units(text, lo, end, hi, _NEXT_UNIT)
+        if last:
+            _, closed = _step(_NEXT_KEY, text, pos, end)  # "}" and the line end
+        doc = read_document("", (), tuple(units))
+    if bool(closed) != last:  # stopped at hi, or closed the record
+        raise ValueError("a standoff range does not end where a unit does")
+    return doc

@@ -1,19 +1,17 @@
-"""The forked workers of ``phk``'s per-file commands, and the range
-runner, ``in_ranges``: where and how the text of one file, or of
-``agree``'s pair, is cut into ranges of units, and how they run.
+"""The forked workers of ``phk``'s per-file commands, the range runner,
+``in_ranges``, and the cut rule of an inline pair, ``pair_bounds``; one
+standoff or column file is cut and read by the range rules of ``readers``.
 
 ``cli`` imports this module only for a run that fans out, or whose range
 gate (``cli._in_ranges``) finds texts that may be cut (see the ``cli``
-docstring), so that a one-file command below the range size, or an
-``agree`` pair below it or not inline, does not compile it. A job is a
-name, for messages, and a call: a file, or a range of one file or pair.
-Worker ``w`` of ``count`` runs jobs ``w``, ``w + count``, … with its
-``sys.stdout`` and ``sys.stderr`` replaced by frames sent over a pipe.
-The parent walks the jobs in order: it writes job ``i``'s frames, taken
-from worker ``i % count``'s queue, through its own ``sys.stdout`` and
-stderr, and stops at the first job that fails. The ranges of one file or
-pair are all or nothing: at the first range that does not decode, the
-parent stops the workers and reads the texts itself.
+docstring). A job is a name, for messages, and a call: a file, or a range
+of one file or pair. Worker ``w`` of ``count`` runs jobs ``w``, ``w +
+count``, … with its ``sys.stdout`` and ``sys.stderr`` replaced by frames
+sent over a pipe. The parent walks the jobs in order: it writes job
+``i``'s frames, taken from worker ``i % count``'s queue, through its own
+stdout and stderr, and stops at the first job that fails. The ranges of
+one file or pair are all or nothing: at the first range that does not
+decode, the parent stops the workers and reads the texts itself.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ from functools import partial
 from itertools import groupby
 from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
 
-from .cli import _NON_BLANK, EXIT_PARSE, EXIT_USAGE, CliError, _to_stderr
+from .cli import EXIT_PARSE, EXIT_USAGE, CliError, _to_stderr
 from .inline import parse_document
-from .model import Document
 
 T = TypeVar("T")
 
@@ -251,48 +248,9 @@ def fan_out(
         _stop(read_ends, pids)
 
 
-# Where a range of a one-document file may start: the "," before a unit
-# record, which can also open an element record, and a blank line.
-_CUTS = {"standoff": (',{"text":', 0), "columns": ("\n\n", 1)}  # (text, offset)
 # A line end and the next line, if it is an inline unit line: neither blank
 # nor "#" (a "\r" at a line end is dropped, so a lone one makes a blank line).
 _UNIT_LINE = re.compile(r"\n(?:[^#\r\n]|\r.)")
-
-
-def range_bounds(text: str, fmt: str, count: int) -> list[int]:
-    """Where to cut ``text``, one standoff record or one column document,
-    into at most ``count`` ranges of its units, each range after the first
-    starting at a cut candidate: ``[start, cut, …, end]``. Empty when the
-    text is not one such document, holds "\\r" (columns), or is a record
-    whose line does not end with ``]}`` (standoff): such a record cannot
-    end with its units, as ``read_range`` requires.
-
-    A standoff candidate is not checked here: ``read_range`` finds out
-    whether a unit ends at it."""
-    # Imported here, before the workers fork, which all read with it.
-    from . import readers  # noqa: F401
-
-    if fmt == "columns":
-        if "\r" in text or "\n# doc" in text:
-            return []
-        start, end = 0, len(text)
-    else:  # the one record's line, found without a regex scan of it
-        line = _NON_BLANK.search(text)
-        if line is None:
-            return []
-        start = text.rfind("\n", 0, line.start()) + 1
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        if _NON_BLANK.search(text, end) or not text.endswith(("]}", "]}\r"), start, end):
-            return []
-    cut, offset = _CUTS[fmt]
-    bounds = [start]
-    for k in range(1, count):
-        at = text.find(cut, max(start + (end - start) * k // count, bounds[-1] + 1), end)
-        if at < 0:
-            break
-        bounds.append(at + offset)
-    return bounds + [end]
 
 
 def pair_bounds(texts: list[str], count: int) -> list[list[int]]:
@@ -319,15 +277,19 @@ def in_ranges(
     use: Callable[..., T], whole: Callable[[list[str]], T],
 ) -> Iterable[T]:
     """The range runner: ``use(parts, (opens, closes))`` for each range of
-    ``texts``, one standoff or column text cut by ``range_bounds`` or an
-    inline pair cut by ``pair_bounds``, in at most ``count`` ranges on a
-    worker each; ``parts`` holds each text's document of the range's units,
-    read through one ``known`` map, and ``opens, closes`` tell which ends
-    of the whole documents they hold. Yields the results in range order,
-    or ``whole(texts)`` alone when the texts cannot be cut, or at the first
-    range that does not decode: ``read_range`` or ``use`` raising a
+    ``texts``, one standoff or column text cut by ``readers.range_bounds``
+    or an inline pair cut by ``pair_bounds`` (read through one ``known``
+    map), in at most ``count`` ranges on a worker each; ``parts`` holds each
+    text's document of the range's units, and ``opens, closes`` tell which
+    ends of the whole documents they hold. Yields the results in range
+    order, or ``whole(texts)`` alone when the texts cannot be cut, or at the
+    first range that does not decode: ``read_range`` or ``use`` raising a
     ValueError or RecursionError. ``name`` names the jobs in messages."""
-    bounds = pair_bounds(texts, count) if fmt == "inline" else [range_bounds(texts[0], fmt, count)]
+    if fmt == "inline":
+        bounds = pair_bounds(texts, count)
+    else:  # imported here, before the workers fork, which all read with it
+        from . import readers
+        bounds = [readers.range_bounds(texts[0], fmt, count)]
     count = len(bounds[0]) - 1 if bounds else 0
     if count < 2:
         return [whole(texts)]
@@ -344,42 +306,14 @@ def in_ranges(
     return fan_out(jobs, count, partial(whole, texts))
 
 
-def read_range(
-    text: str, fmt: str, bounds: list[int], k: int, known: dict | None = None
-) -> Document:
-    """Decode range ``k`` of ``range_bounds(text, fmt, …)`` or, inline, of
-    ``pair_bounds``: a document of the units from ``bounds[k]`` to
-    ``bounds[k + 1]``, with every check of the reader of ``fmt``. A
-    ConvertError, a ModelError or an inline line that does not parse is a
-    ValueError, and so is a range that is empty, holds a second document or
-    metadata (columns), or does not end where a unit does, the last at the
-    record's closing "]}" (standoff). ``known`` goes to ``parse_document``.
-
-    Only the first range holds the id and metadata. In standoff, every later
-    range must end at the next cut and the last must close the record, so
-    no key follows the ``units`` array in which the first range stops: the
-    keys it reads, in any order, are all the record's keys."""
-    lo, hi, end = bounds[k], bounds[k + 1], bounds[-1]
-    if fmt == "inline":
-        result = parse_document(text[lo:hi], known)
-        if result.diagnostics:
-            raise ValueError("an inline range has a line that does not parse")
-        return result.document
-    from . import readers
-
-    if fmt == "columns":
-        docs = readers._column_docs(text, lo, hi)
-        if len(docs) != 1 or not docs[0].units or k and (docs[0].id or docs[0].metadata):
-            raise ValueError("a column range holds no unit, or more than units")
-        return docs[0]
-    last = hi == end
-    if k == 0:
-        doc, closed = readers._record(text, lo, end, None if last else hi)
-    else:
-        units, pos, closed = readers._units(text, lo, end, hi, readers._NEXT_UNIT)
-        if last:
-            _, closed = readers._step(readers._NEXT_KEY, text, pos, end)  # "}" and the line end
-        doc = readers.read_document("", (), tuple(units))
-    if bool(closed) != last:  # stopped at hi, or closed the record
-        raise ValueError("a standoff range does not end where a unit does")
-    return doc
+def read_range(text: str, fmt: str, bounds: list[int], k: int, known: dict | None = None):
+    """Range ``k`` of ``text`` cut at ``bounds``, decoded: inline, the unit
+    lines from ``bounds[k]`` to ``bounds[k + 1]`` read through ``known`` (see
+    ``parse_document``), a broken one a ValueError; else ``readers.read_range``."""
+    if fmt != "inline":
+        from . import readers
+        return readers.read_range(text, fmt, bounds, k)
+    result = parse_document(text[bounds[k] : bounds[k + 1]], known)
+    if result.diagnostics:
+        raise ValueError("an inline range has a line that does not parse")
+    return result.document

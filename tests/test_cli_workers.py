@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from phkit import cli, convert, workers
+from phkit import cli, convert, readers, workers
 from phkit.cli import main
 from phkit.convert import to_columns, to_standoff
 from phkit.inline import emit_document, emit_unit
@@ -484,6 +484,7 @@ def _range_inputs(golden_doc) -> dict[str, str]:
         "bom columns": "\ufeff" + columns,
         "two records": record + "\n\n" + record + "\n",
         "two column documents": columns + columns,
+        "crlf standoff": record + "\r\n",
     }
 
 
@@ -548,7 +549,7 @@ RANGE_CASES = [
     "units repeated, the first bad", "# unit first, bad row later",
     "#id: without an id, bad unit later", "element text a number",
     "meta in a late unit", "blank lines after the header", "crlf columns", "bom standoff",
-    "bom columns", "two records", "two column documents",
+    "bom columns", "two records", "two column documents", "crlf standoff",
 ]
 PAIR_CASES = [
     "pair", "pair, blank lines", "pair, crlf", "pair, bom", "broken line in a",
@@ -595,7 +596,7 @@ def range_files(tmp_path_factory) -> dict[str, list[str]]:
 # The cases whose ranges all decode; the parent reads every other file itself.
 DECODED = {
     "standoff", "columns", "keys meta first", "units repeated, the last long", "bom standoff",
-    "bom columns", "pair", "pair, blank lines", "pair, crlf", "pair, bom",
+    "bom columns", "pair", "pair, blank lines", "pair, crlf", "pair, bom", "crlf standoff",
 }
 
 
@@ -637,7 +638,7 @@ def _unit_lines(text: str) -> list[int]:
             "bad unit in the middle", "bad unit, then a syntax error",
             # The key orders that range_bounds does not decline.
             "keys units first", "keys meta first", "units repeated, the last short",
-            "units repeated, the last long",
+            "units repeated, the last long", "crlf standoff",
             # The pairs that pair_bounds cuts.
             "pair", "pair, blank lines", "pair, crlf", "pair, bom", "broken line in a",
             "broken lines in both", "agr001 in a middle range",
@@ -650,11 +651,11 @@ def test_any_cuts_give_the_one_process_run(range_files, run, data):
     # Ranges cut at any candidates, false ones among them, up to 8 ranges;
     # a pair at any unit lines, the same ones in A and B or, as often, not.
     command, case = run
-    real = workers.range_bounds
+    real = readers.range_bounds
 
     def any_bounds(text: str, fmt: str, count: int) -> list[int]:
         bounds = real(text, fmt, 2)
-        cut, offset = workers._CUTS[fmt]
+        cut, offset = readers._CUTS[fmt]
         found = (m.start() + offset for m in re.finditer(re.escape(cut), text))
         candidates = [at for at in found if bounds[0] < at < bounds[-1]]
         cuts = st.lists(st.sampled_from(candidates), min_size=1, max_size=7, unique=True)
@@ -673,7 +674,7 @@ def test_any_cuts_give_the_one_process_run(range_files, run, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_SPLIT_BYTES", 0)
-        mp.setattr(workers, "range_bounds", any_bounds)
+        mp.setattr(readers, "range_bounds", any_bounds)
         mp.setattr(workers, "pair_bounds", any_pair_bounds)
         runs = _runs(command + range_files[case], [1, 2, 8])
     assert runs[2][0] == runs[8][0] == runs[1][0]

@@ -36,8 +36,9 @@ from phkit.readers import (
     _step,
     _unit_from_record,
     _unit_from_rows,
+    range_bounds,
+    read_range,
 )
-from phkit.workers import range_bounds, read_range
 
 from .strategies import JSON_ESCAPE_ALPHABET, documents, json_escape_ids
 

@@ -199,6 +199,32 @@ def test_parse_compiles_the_escaped_element_regex_only_for_a_backslash(
 
 
 @pytest.mark.parametrize(
+    "args, sniffs",
+    [
+        (["parse"], 0),
+        (["convert", "--from", "inline", "--to", "standoff"], 0),
+        (["convert", "--to", "standoff"], 1),
+    ],
+)
+def test_a_command_compiles_the_sniffing_patterns_only_when_it_sniffs(golden_path, args, sniffs):
+    # ``parse`` and a forced format never sniff.
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['phkit', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('phkit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "patterns = sys.modules['phkit.cli']._sniff_patterns\n"
+        "sys.stderr.write(f'{status} {patterns.cache_info().currsize}')\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, *args, str(golden_path)], capture_output=True, env=child_env()
+    )
+    assert child.stderr.decode().split() == ["0", str(sniffs)]
+
+
+@pytest.mark.parametrize(
     "code, not_imported",
     [
         # The commands moved into these modules import cli when they run.
@@ -208,6 +234,8 @@ def test_parse_compiles_the_escaped_element_regex_only_for_a_backslash(
         # The writers alone, and the readers' names only once used.
         ("import phkit.convert", {"phkit.cli", "argparse", "phkit.readers"}),
         ("from phkit.convert import to_standoff, to_columns", {"phkit.readers"}),
+        # The range rules of standoff and columns, which the range runner calls.
+        ("import phkit.readers", {"phkit.cli", "argparse", "phkit.workers"}),
     ],
 )
 def test_a_library_module_imports_neither_cli_nor_what_it_does_not_run(code, not_imported):
@@ -227,6 +255,25 @@ def test_the_convert_module_names_the_readers(golden_doc):
     assert phkit.convert.read_standoff(phkit.convert.to_standoff(golden_doc)) == [golden_doc]
     with pytest.raises(AttributeError, match="no attribute '_record'"):
         phkit.convert._record
+
+
+def test_the_workers_name_no_private_of_the_readers():
+    # The range rules of standoff and columns are the readers' own: the
+    # workers call them by their public names.
+    tree = ast.parse((Path(phkit.__file__).parent / "workers.py").read_text(encoding="utf-8"))
+    named = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "readers"
+    } | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "readers"
+        for alias in node.names
+    }
+    assert named >= {"range_bounds", "read_range"}
+    assert not {name for name in named if name.startswith("_")}
 
 
 def test_the_package_imports_the_standard_library_only():
