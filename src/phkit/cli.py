@@ -1,82 +1,22 @@
-"""Command line interface for batch corpus work.
+"""The ``phk`` command line. README "Command line" states its contract:
+output, exit status, the config file, input sniffing, the file-by-file
+runs on forked workers, the range runs and why the collector is paused.
 
-Subcommands: ``parse``, ``validate``, ``segment``, ``convert``, ``stats``,
-``agree``. Data goes to stdout, diagnostics to stderr, output is UTF-8
-with LF endings and is byte-identical across runs on identical input.
+``main`` builds the parser of the running subcommand alone, pauses the
+cyclic collector while it runs, and imports the module of its
+``cmd_<name>``: this one for ``parse`` and ``convert``, ``validation`` for
+``validate``, ``segmentation`` for ``segment`` and ``metrics`` for
+``stats`` and ``agree``. Every command loads ``inline`` and ``model``;
+output in standoff or columns loads the writers (``convert``), input in
+them the readers (``readers``), a run that forks ``workers``, and an
+inline line that does not parse the diagnoser (in ``validation``).
+Library functions are looked up through their module at call time.
 
-Exit status: 0 success (also when a reader closes the stdout pipe), 1
-validation errors present, 2 usage or I/O error (stdout too), 3 parse failure.
-A stderr that cannot be written loses its messages, not the exit status.
-
-Input format is sniffed per file (inline, standoff JSON lines, or column
-rows) and can be forced with ``--from``. ``-`` reads stdin. Input that is
-not UTF-8 is a fatal P010 (exit 3) for every subcommand. A JSON config
-file may supply defaults for flags; explicit flags always win. An unknown
-section or key in it is a usage error (exit 2). The
-``PHK_CONJ_LEXICON`` environment variable points at a default conjunction
-lexicon file (one entry per line, UTF-8).
-
-Every subcommand reads annotation files through one function, ``_read``
-(a large file or pair may be read in ranges; see below), one file at a
-time, and each file's documents are released before the next file is
-read, so memory follows the largest file per process, not the whole
-batch. File names are written as the bytes given, also when not UTF-8.
-``parse`` is ``convert --from inline --to standoff``; it and ``convert
---to standoff|columns`` write each document as soon as it is read, one
-unit at a time. So when a later file cannot be read (an I/O error or a
-coded read error), the complete output of the earlier files is already on
-stdout, and no output of later files is written.
-
-``parse``, ``validate``, ``stats`` and ``convert --to standoff|columns``
-work file by file, and with k = min(files, usable CPUs) of at least 2
-``main`` forks k workers, which read the files (``workers``). The parent
-writes each file's output in file order and stops at the first failing
-file, so stdout, stderr and the exit status are those of one process. A
-worker holds one document and one frame of output at a time, and the
-parent holds at most about 4 MB of frames. A worker that dies is one
-``phk:`` line and exit 2, and no worker outlives ``main``.
-
-``stats`` and ``convert`` given one file, and ``agree`` given its pair,
-pass the range gate, ``_in_ranges``: when the files hold 512 KB or more
-together, it reads and sniffs their texts, and one standoff or column file,
-or a pair of inline files, goes to the range runner, ``workers.in_ranges``.
-That runs the units in ranges on the workers the same way: a range is cut
-where a unit starts, at the same unit index in both of ``agree``'s files,
-and ``agree`` adds up the ranges' counts (``metrics.AgreementCounts``),
-which are integers. The parent writes nothing until every range has
-decoded. At the first range that has not, or when the texts cannot be cut
-or are of other formats (a "\\r" in column input, a second document, a
-``#`` line after an inline file's first unit), the parent reads the texts
-it holds in this process, so stdout, stderr and the status are those of
-one process. Files below that size, one usable CPU, ``-`` among the files,
-a platform without ``fork`` or a process that runs other threads keep
-the run in one process.
-
-``agree`` holds both of its documents, so it reads them through one map
-from unit line to unit: a line the two inline files share is parsed once,
-and both documents hold the same unit object for it; a worker does so for
-its two ranges. Both files are read, and their broken lines reported,
-before a parse failure ends ``agree``.
-``segment`` opens its ``--boundaries`` sidecar before any output and
-writes each line's pieces, and its boundary records, as the line is cut.
-
-A command compiles only the code it runs. ``main`` builds the parser of
-the chosen subcommand alone and imports the module of its ``cmd_<name>``:
-this one for ``parse`` and ``convert``, ``validation``, ``segmentation``
-or ``metrics`` for the others. Every command loads ``inline`` and
-``model``; output in standoff or columns loads the writers (``convert``),
-input in them the readers (``readers``), a run that forks ``workers``, and
-an inline line that does not parse the diagnoser (in ``validation``). So
-``phk parse`` on valid input compiles ``cli``, ``inline``, ``model`` and
-``convert`` only. Library functions are looked up through their module at
-call time.
-
-``main`` pauses Python's cyclic garbage collector while the subcommand
-runs and restores the caller's setting afterwards. The values phkit builds
-are trees without reference cycles, which reference counting frees as soon
-as they are dropped; a running collector would still walk every object of
-a growing document again and again, about a third of parse time, and find
-nothing to free.
+``_read`` is the one reader of an annotation file. ``_each_file`` runs
+every per-file command (``parse``, ``validate``, ``stats``, ``convert``)
+over its files, on ``workers.fan_out`` when several files may fork.
+``_in_ranges`` is the range gate of ``stats`` and ``convert`` on one file
+and of ``agree``'s pair: texts that may be cut go to ``workers.in_ranges``.
 """
 
 from __future__ import annotations
@@ -90,6 +30,7 @@ import re
 import sys
 from functools import cache, partial
 from importlib import import_module
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -109,6 +50,9 @@ class CliError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+    def __reduce__(self):  # pickled and copied through the constructor
+        return type(self), (self.status, str(self))
 
 
 def _to_stderr(text: str) -> None:
@@ -245,19 +189,13 @@ _SPLIT_BYTES = 1 << 19
 def _each_file(
     paths: list[str], forced_format: str | None, use: Callable[..., T], split: bool = False
 ) -> Iterable[T]:
-    """``use(path, status, docs)`` for each of ``paths``, where ``status,
-    docs = _read(path, forced_format)``, with each file's output written in
-    file order; yields the results in file order, each once its file's
-    output is written, so that a caller folding them holds none. The first
-    CliError raised ends the run, after the output of the earlier files only.
-
-    Several files run on forked workers when more than one CPU allows. With
-    ``split``, one file goes through the range gate, ``_in_ranges``: a
-    standoff or column file of ``_SPLIT_BYTES`` or more may then be cut
-    into ranges of its units, and ``use`` runs once for each range, in its
-    worker, on a document of the range's units, and is told which ends of
-    the whole document it holds, as ``use(path, EXIT_OK, [(part, None)],
-    (opens, closes))`` (see the module docstring).
+    """Yields ``use(path, *_read(path, forced_format))`` for each of
+    ``paths``, in file order, each once its file's output is written. With
+    ``split``, one file may be read in ranges instead (``_in_ranges``):
+    then ``use(path, EXIT_OK, [(part, None)], (opens, closes))`` runs once
+    per range, on a document of the range's units, and is told which ends
+    of the whole document it holds. The first CliError raised ends the run,
+    after the output of the earlier files only.
     """
 
     def job(path: str, text: str | None = None) -> T:
@@ -303,7 +241,7 @@ def _in_ranges(
 
 def _workers_for(paths: list[str]) -> int:
     """How many workers a run over ``paths`` may fork: the usable CPUs, or
-    1 when it must stay in this process (see the module docstring)."""
+    1 with ``-`` among them, without ``fork`` or while other threads run."""
     if "-" in paths or not hasattr(os, "fork"):
         return 1
     import threading
@@ -407,40 +345,28 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    if args.to == "inline" and len(args.files) == 1:
+    if args.to != "inline":
+        return _write_files(args.files, args.from_format, args.to)
 
-        def emit(path: str, status: int, docs: list, ends=_WHOLE) -> int:
-            kept = [doc for doc, _ in docs if not _is_empty(doc)]
-            if len(kept) > 1:
-                raise CliError(EXIT_USAGE, "inline output holds a single document per stream")
-            for doc in kept:
-                sys.stdout.write(emit_document(doc))
-            return status
+    def emit(path: str, status: int, docs: list, ends=_WHOLE) -> tuple[int, list[str]]:
+        """A range is written at once; a whole file gives its status and the
+        text of at most its first two nonempty documents."""
+        if ends != _WHOLE:
+            sys.stdout.write(emit_document(docs[0][0]))
+            return status, []
+        kept = islice((doc for doc, _ in docs if not _is_empty(doc)), 2)
+        return status, [emit_document(doc) for doc in kept]
 
-        return max(_each_file(args.files, args.from_format, emit, split=True))
-    if args.to == "inline":
-        # Every file is still read (and its diagnostics reported) before a
-        # second document is refused, so nothing reaches stdout then.
-        status, extra = EXIT_OK, False
-        first: Document | None = None
-        for path in args.files:
-            file_status, docs = _read(path, args.from_format)
-            status = max(status, file_status)
-            for doc, _ in docs:
-                if not _is_empty(doc):
-                    if first is None:
-                        first = doc
-                    else:
-                        extra = True
-            docs = doc = None  # not kept alive while the next file is read
-        if extra:
-            raise CliError(
-                EXIT_USAGE, "inline output holds a single document per stream"
-            )
-        if first is not None:
-            sys.stdout.write(emit_document(first))
-        return status
-    return _write_files(args.files, args.from_format, args.to)
+    # Every file is read, and its diagnostics reported, before a second
+    # document is refused, so nothing reaches stdout then.
+    status, texts = EXIT_OK, []
+    for file_status, file_texts in _each_file(args.files, args.from_format, emit, split=True):
+        status, texts = max(status, file_status), (texts + file_texts)[:2]
+    if len(texts) > 1:
+        raise CliError(EXIT_USAGE, "inline output holds a single document per stream")
+    if texts:
+        sys.stdout.write(texts[0])
+    return status
 
 
 # The module of each ``cmd_<name>`` that is not in this one.
@@ -539,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:  # started with descriptor 1 closed
         _to_stderr(f"phk: cannot write stdout: {os.strerror(errno.EBADF)}\n")
         return EXIT_USAGE
-    # Collector paused for the subcommand; see the module docstring.
+    # Collector paused for the subcommand; README "Command line" says why.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

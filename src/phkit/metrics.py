@@ -513,7 +513,7 @@ def cmd_agree(args) -> int:
     def whole(texts: list) -> int:
         """The pair in this process, read from ``texts`` where given."""
         docs = []
-        known: dict = {}  # unit lines of both files; see the cli docstring
+        known: dict = {}  # unit lines of both files; see parse_document
         status = cli.EXIT_OK  # both files are read, and their broken lines reported, first
         for path, text in zip(paths, texts):
             file_status, loaded = cli._read(path, args.from_format, known, text)

@@ -40,6 +40,9 @@ class CodedError(ValueError):
         self.code = code
         self.message = message
 
+    def __reduce__(self):  # pickled and copied through the constructor
+        return type(self), (self.code, self.message)
+
 
 class Value:
     """An immutable value with slots. A subclass annotates its fields, then

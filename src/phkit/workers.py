@@ -3,9 +3,9 @@
 standoff or column file is cut and read by the range rules of ``readers``.
 
 ``cli`` imports this module only for a run that fans out, or whose range
-gate (``cli._in_ranges``) finds texts that may be cut (see the ``cli``
-docstring). A job is a name, for messages, and a call: a file, or a range
-of one file or pair. Worker ``w`` of ``count`` runs jobs ``w``, ``w +
+gate (``cli._in_ranges``) finds texts that may be cut (see README "Command
+line"). A job is a name, for messages, and a call: a file, or a range of
+one file or pair. Worker ``w`` of ``count`` runs jobs ``w``, ``w +
 count``, … with its ``sys.stdout`` and ``sys.stderr`` replaced by frames
 sent over a pipe. The parent walks the jobs in order: it writes job
 ``i``'s frames, taken from worker ``i % count``'s queue, through its own

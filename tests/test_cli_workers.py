@@ -42,6 +42,7 @@ COMMANDS = [
     ["stats", "--format", "records"],
     ["convert", "--to", "standoff"],
     ["convert", "--to", "columns"],
+    ["convert", "--to", "inline"],
 ]
 
 # Lists of the files made by ``_files``; each is a case the fan-out must
@@ -812,9 +813,31 @@ def test_several_files_fork_a_worker_per_file_up_to_the_cpus(
 ):
     monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)  # the file fan-out, never ranges
     paths = [*range_files["standoff"], *range_files["columns"]] * 2
-    for command in RANGE_COMMANDS[:4]:
+    for command in RANGE_COMMANDS:
         runs = _runs(command + paths[:files], [1, cpus])
         assert runs[cpus] == (runs[1][0], min(files, cpus))
+
+
+def test_inline_output_of_a_file_of_many_documents_emits_at_most_two(
+    tmp_path, golden_doc, monkeypatch
+):
+    path = tmp_path / "many.jsonl"
+    path.write_text(
+        "".join(to_standoff(Document(f"d{i}", (), golden_doc.units[:1])) + "\n" for i in range(50)),
+        encoding="utf-8",
+    )
+    emitted = []
+
+    def counted(doc: Document) -> str:
+        emitted.append(doc.id)
+        return emit_document(doc)
+
+    monkeypatch.setattr(cli, "emit_document", counted)
+    with _workers(1) as forked:
+        status, out, err = _run(["convert", "--to", "inline", str(path)])
+    assert (status, out, forked) == (2, "", [])
+    assert err == "phk: inline output holds a single document per stream\n"
+    assert len(emitted) <= 2
 
 
 FORMATS = ("inline", "standoff", "columns")

@@ -4,9 +4,12 @@ import pickle
 import pytest
 from hypothesis import given
 
+from phkit.cli import CliError
+from phkit.convert import ConvertError
 from phkit.inline import ParseDiagnostic, ParseResult
 from phkit.metrics import (
     AgreementCounts,
+    AgreementError,
     AgreementReport,
     KindAgreement,
     MatchCriterion,
@@ -298,6 +301,22 @@ def test_every_value_class_keeps_the_value_contract():
         Diagnostic("W010", Severity.WARNING, 0, None)
     with pytest.raises(TypeError):
         ParseDiagnostic("P001", 2, 3, "m", code="P002")
+
+
+@pytest.mark.parametrize(
+    "error, fields",
+    [
+        (ConvertError("C004", "bad record"), ("code", "message")),
+        (AgreementError("AGR001", "unit 2 text differs"), ("code", "message")),
+        (CliError(2, "cannot read x: No such file"), ("status",)),
+    ],
+    ids=("ConvertError", "AgreementError", "CliError"),
+)
+def test_a_coded_error_survives_pickling_and_copying(error, fields):
+    for twin in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+        assert type(twin) is type(error)
+        assert str(twin) == str(error)
+        assert [getattr(twin, name) for name in fields] == [getattr(error, name) for name in fields]
 
 
 @given(labeling_units())

@@ -276,6 +276,24 @@ def test_the_workers_name_no_private_of_the_readers():
     assert not {name for name in named if name.startswith("_")}
 
 
+def test_only_the_file_loop_and_agree_call_the_reader():
+    # Every per-file command reads through cli._each_file, which fans the
+    # files out; agree reads its pair through the range gate's fallback.
+    callers = set()
+    for path in sorted(Path(phkit.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers.update(
+                (path.stem, top.name)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "_read"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "_read"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "cli"
+                )
+            )
+    assert callers == {("cli", "_each_file"), ("metrics", "cmd_agree")}
+
+
 def test_the_package_imports_the_standard_library_only():
     imported = set()
     for path in sorted(Path(phkit.__file__).parent.glob("*.py")):
