@@ -217,12 +217,10 @@ def _each_file(
 def _in_ranges(
     paths: list[str], forced_format: str | None, use: Callable[..., T], whole: Callable[[list], T]
 ) -> Iterable[T]:
-    """The range gate: the results of ``workers.in_ranges`` on the texts of
-    ``paths``, or ``[whole(texts)]`` in this process. The texts are read
-    (and sniffed) only when ``paths`` hold ``_SPLIT_BYTES`` or more together
-    and the run may fork; ranges are tried for one file that is not inline
-    or for two files that are both inline. ``whole`` is given the texts read,
-    or None for each file not read."""
+    """The results of ``workers.in_ranges`` of ``use`` and ``whole`` on the
+    texts of ``paths``, or ``[whole(texts)]`` in this process, ``texts``
+    holding None for each file not read. Raises the CliError of a file that
+    cannot be read."""
     texts: list = [None] * len(paths)
     if sum(map(_size, paths)) >= _SPLIT_BYTES and (cpus := _workers_for(paths)) > 1:
         try:

@@ -72,6 +72,9 @@ def _element_regex(escape: str) -> re.Pattern[str]:
 _PLAIN_ELEMENT = _element_regex("")
 _escaped_element = cache(partial(_element_regex, rf"|\\[{_RESERVED}]"))
 _unescape = partial(re.compile(r"\\(.)").sub, r"\1")
+# A line end and the next line, if it is a unit line: neither blank nor "#"
+# (a "\r" at a line end is dropped, so a lone one makes a blank line).
+_unit_line = cache(partial(re.compile, r"\n(?:[^#\r\n]|\r.)"))
 
 class ParseDiagnostic(Value):
     """One parse finding, located by 1-based line and codepoint column."""
@@ -209,6 +212,12 @@ def parse_document(source: str, known: dict[str, LabelingUnit] | None = None) ->
         unit_lines.append(line_no)
     doc = Document(doc_id, tuple(metadata), tuple(units))
     return ParseResult(doc, diags, unit_lines)
+
+
+def unit_line_starts(text: str) -> list[int]:
+    """Where each line of ``text`` that ``parse_document`` reads as a unit starts."""
+    # Found after a line end, so the first line is found after a "\n" put first.
+    return [line.start() for line in _unit_line().finditer("\n" + text)]
 
 
 def decode_utf8(data: bytes) -> str:

@@ -1,16 +1,7 @@
-"""The readers of the formats that ``convert`` describes, imported when
-one is first used. Both take tags from ``model.TAGS``, the standoff reader
-through its ``(kind, sub)`` view ``model.STANDOFF_TAGS``.
-
-The standoff reader takes the keys in any order and decodes a record one
-unit at a time, so its peak memory is about the document's; a broken line
-gets C004 with ``json.loads``' own message for it, and so does a lone
-surrogate escape (of U+D800 to U+DFFF, without its pair) in ``text``,
-``id`` or ``meta``, which UTF-8 cannot encode.
-
-Both readers raise the first error in text order: each value, unit (with
-the document's rules for it) and column header or metadata line is checked
-as it is decoded. Only the model's rules on a record's id and metadata wait.
+"""The standoff and column readers, imported when one is first used, and
+their range rules: ``range_bounds`` cuts one record or column document into
+ranges of units, which ``read_range`` decodes with the same decoders. README
+"Storage formats" states what each reader accepts and which error it reports.
 
 Error codes: C001 bad span geometry, C002 overlapping elements, C003
 illegal kind/subtag combination, C004 malformed standoff record, C010
@@ -19,11 +10,7 @@ boundary tag, C012 bad document structure, C013 malformed column row.
 The geometry codes (C001 standoff, C011 columns) report the model's
 rules: the readers check only their format's own structure and map a
 ``ModelError`` from ``model.read_element``, which builds each element, to
-the code. So a standoff element's keys are all checked before its geometry.
-
-The range rules are here too: ``range_bounds`` cuts one record or column
-document into ranges of units, which ``read_range`` decodes with the same
-decoders (``workers.in_ranges`` runs them).
+the code.
 """
 
 from __future__ import annotations

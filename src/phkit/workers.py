@@ -1,24 +1,16 @@
-"""The forked workers of ``phk``'s per-file commands, the range runner,
-``in_ranges``, and the cut rule of an inline pair, ``pair_bounds``; one
-standoff or column file is cut and read by the range rules of ``readers``.
+"""The forked workers of ``phk``'s per-file commands; README "Command
+line" states when a run forks and what its output is:
 
-``cli`` imports this module only for a run that fans out, or whose range
-gate (``cli._in_ranges``) finds texts that may be cut (see README "Command
-line"). A job is a name, for messages, and a call: a file, or a range of
-one file or pair. Worker ``w`` of ``count`` runs jobs ``w``, ``w +
-count``, … with its ``sys.stdout`` and ``sys.stderr`` replaced by frames
-sent over a pipe. The parent walks the jobs in order: it writes job
-``i``'s frames, taken from worker ``i % count``'s queue, through its own
-stdout and stderr, and stops at the first job that fails. The ranges of
-one file or pair are all or nothing: at the first range that does not
-decode, the parent stops the workers and reads the texts itself.
+- ``fan_out`` runs jobs on forked workers and writes their output in job order;
+- ``in_ranges`` runs the ranges of one standoff or column text, or of an inline pair;
+- ``pair_bounds`` cuts an inline pair at the same units;
+- ``read_range`` decodes one range.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import re
 import select
 import signal
 import sys
@@ -28,7 +20,7 @@ from itertools import groupby
 from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from .cli import EXIT_PARSE, EXIT_USAGE, CliError, _to_stderr
-from .inline import parse_document
+from .inline import parse_document, unit_line_starts
 
 T = TypeVar("T")
 
@@ -173,23 +165,13 @@ def _stop(read_ends: list[int], pids: list[int]) -> None:
 def fan_out(
     jobs: list[tuple[str, Callable[[], T]]], count: int, whole: Callable[[], T] | None = None
 ) -> Iterator[T]:
-    """``cli._each_file`` on ``count`` forked workers; worker ``w`` runs jobs
-    ``w``, ``w + count``, … The parent walks the jobs in order: it writes
-    each frame of job ``i`` from worker ``i % count``'s queue, and yields
-    the job's result at its end frame. It splits the frames out of every
-    worker's pipe as they arrive; once it holds ``_HELD_BYTES`` or more of
-    them, it reads only the due job's worker, so that a worker far ahead
-    waits on its pipe.
-
-    ``whole`` is given for the ranges of one file or pair (``in_ranges``),
-    a job per worker, each of which writes nothing before it has decoded
-    its range, and is those texts read in this process. A worker's first
-    frame is then its verdict: output or a result says the range decoded,
-    a CliError or a pipe closed first says it did not. The parent writes
-    nothing until every worker has given its verdict; a worker that has
-    decoded meanwhile waits on its pipe. At the first verdict that a range
-    did not decode, the parent stops waiting, kills and reaps the workers,
-    and yields ``whole()``.
+    """Run ``jobs``, each a name (for messages) and a call, on ``count``
+    forked workers: write each job's stdout and stderr in job order, and
+    yield its result. Raises the first job's CliError, or one for a worker
+    that cannot start or ends without a result. ``whole`` is given for
+    jobs, one per worker, that write nothing before they have decoded their
+    range: at the first that does not (a CliError, or its worker ended), no
+    output is written and ``whole()`` alone is yielded.
     """
     pids: list[int] = []
     read_ends: list[int] = []  # by worker
@@ -248,21 +230,12 @@ def fan_out(
         _stop(read_ends, pids)
 
 
-# A line end and the next line, if it is an inline unit line: neither blank
-# nor "#" (a "\r" at a line end is dropped, so a lone one makes a blank line).
-_UNIT_LINE = re.compile(r"\n(?:[^#\r\n]|\r.)")
-
-
 def pair_bounds(texts: list[str], count: int) -> list[list[int]]:
-    """Where to cut each of ``texts``, inline, into the same at most
-    ``count`` ranges of unit indexes: for each text ``[0, cut, …, end]``,
-    each cut at the start of the same unit line of each (a line neither
-    blank nor ``#``). Empty when the texts do not hold as many unit lines
-    each, or fewer than two, or when one has a ``#`` line after its first
-    unit line: a metadata line belongs to the header, which only the first
-    range reads, whatever the cuts."""
-    # Found after a line end, so the first line is found after a "\n" put first.
-    starts = [[line.start() for line in _UNIT_LINE.finditer("\n" + text)] for text in texts]
+    """Where to cut each of the inline ``texts`` into the same at most
+    ``count`` ranges of units: ``[0, cut, …, len(text)]`` for each. Empty
+    when they hold unequal numbers of unit lines, or fewer than two, or one
+    has a ``#`` line after its first unit line."""
+    starts = [unit_line_starts(text) for text in texts]
     units = len(starts[0])
     count = min(count, units)
     if count < 2 or any(len(at) != units or text.find("\n#", at[0]) >= 0
@@ -276,15 +249,14 @@ def in_ranges(
     name: str, texts: list[str], fmt: str, count: int,
     use: Callable[..., T], whole: Callable[[list[str]], T],
 ) -> Iterable[T]:
-    """The range runner: ``use(parts, (opens, closes))`` for each range of
-    ``texts``, one standoff or column text cut by ``readers.range_bounds``
-    or an inline pair cut by ``pair_bounds`` (read through one ``known``
-    map), in at most ``count`` ranges on a worker each; ``parts`` holds each
-    text's document of the range's units, and ``opens, closes`` tell which
-    ends of the whole documents they hold. Yields the results in range
-    order, or ``whole(texts)`` alone when the texts cannot be cut, or at the
-    first range that does not decode: ``read_range`` or ``use`` raising a
-    ValueError or RecursionError. ``name`` names the jobs in messages."""
+    """``use(parts, (opens, closes))`` for each range of ``texts`` in
+    ``fmt``, one standoff or column text or an inline pair, in at most
+    ``count`` ranges on a worker each: ``parts`` holds each text's document
+    of the range's units, and ``opens, closes`` whether they hold the start
+    and the end of the whole documents. Yields the results in range order,
+    or ``whole(texts)`` alone when the texts are not cut or a range does not
+    decode (``read_range`` or ``use`` raises a ValueError or
+    RecursionError). ``name`` names the jobs in messages."""
     if fmt == "inline":
         bounds = pair_bounds(texts, count)
     else:  # imported here, before the workers fork, which all read with it
@@ -307,9 +279,9 @@ def in_ranges(
 
 
 def read_range(text: str, fmt: str, bounds: list[int], k: int, known: dict | None = None):
-    """Range ``k`` of ``text`` cut at ``bounds``, decoded: inline, the unit
-    lines from ``bounds[k]`` to ``bounds[k + 1]`` read through ``known`` (see
-    ``parse_document``), a broken one a ValueError; else ``readers.read_range``."""
+    """Range ``k`` of ``text`` in ``fmt`` cut at ``bounds``, decoded, an
+    inline range through ``known`` (see ``parse_document``). Raises a
+    ValueError when it does not decode."""
     if fmt != "inline":
         from . import readers
         return readers.read_range(text, fmt, bounds, k)

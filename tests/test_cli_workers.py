@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from phkit import cli, convert, readers, workers
 from phkit.cli import main
 from phkit.convert import to_columns, to_standoff
-from phkit.inline import emit_document, emit_unit
+from phkit.inline import emit_document, emit_unit, unit_line_starts
 from phkit.model import Document, Element, ElementType, LabelingUnit, PredicatePattern, Segment, Span
 
 from .conftest import GOLDEN_PATH, child_env
@@ -357,6 +357,16 @@ def test_no_more_workers_than_usable_cpus(tmp_path, golden_doc):
     assert len(forked) == 3
 
 
+def test_the_readme_states_the_sizes_of_the_code():
+    # README "Command line" is the one prose statement of both sizes.
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    section = " ".join(readme.split("## Command line", 1)[1].split("\n## ", 1)[0].split())
+    split = re.findall(r"hold (\d+) KB or more together", section)
+    held = re.findall(r"once they reach (\d+) MB", section)
+    assert [int(kb) << 10 for kb in split] == [cli._SPLIT_BYTES]
+    assert [int(mb) << 20 for mb in held] == [workers._HELD_BYTES]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_each_worker_starts_on_its_own_cpu_and_may_move(tmp_path, golden_doc, monkeypatch):
     files = _files(tmp_path, golden_doc)
@@ -625,11 +635,6 @@ def test_any_worker_count_reads_one_file_as_one_process(range_files, monkeypatch
     assert "Traceback" not in runs[1][0][2]
 
 
-def _unit_lines(text: str) -> list[int]:
-    """Where each unit line of the inline ``text`` starts."""
-    return [line.start() for line in workers._UNIT_LINE.finditer("\n" + text)]
-
-
 @given(
     run=st.sampled_from([
         (command, case)
@@ -664,7 +669,7 @@ def test_any_cuts_give_the_one_process_run(range_files, run, data):
         return [bounds[0], *sorted(cuts), bounds[-1]]
 
     def any_pair_bounds(texts: list[str], count: int) -> list[list[int]]:
-        starts = [_unit_lines(text) for text in texts]
+        starts = [unit_line_starts(text) for text in texts]
         units = min(map(len, starts))
         size = data.draw(st.integers(1, 7))
         indexes = st.lists(st.integers(1, units - 1), min_size=size, max_size=size, unique=True)
@@ -689,7 +694,7 @@ def test_the_pair_is_cut_at_the_same_unit_lines(range_files):
             bounds = workers.pair_bounds(texts, count)
             assert [len(at) for at in bounds] == [count + 1] * 2
             for text, at in zip(texts, bounds):
-                starts = _unit_lines(text)
+                starts = unit_line_starts(text)
                 assert at[0] == 0 and at[-1] == len(text)
                 assert [starts.index(cut) for cut in at[1:-1]] == [
                     len(starts) * k // count for k in range(1, count)

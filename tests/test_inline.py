@@ -12,6 +12,7 @@ from phkit.inline import (
     parse_bytes,
     parse_document,
     parse_unit,
+    unit_line_starts,
 )
 from phkit.model import TAGS, Document, Element, LabelingUnit, Segment, Span
 from phkit.validation import _tag_message
@@ -632,3 +633,24 @@ def test_known_lines_are_not_kept_twice(golden_lines):
     parse_document(source, known)
     shared, independent = _kept(_one_line_changed(source), known), _kept(source)
     assert shared <= 0.25 * independent, (shared, independent)
+
+
+# --- the unit lines at which an inline pair is cut -------------------------
+
+# "\x85" and "\x0c" end a line for ``str.splitlines``, not for the parser.
+_SOURCE_TOKENS = ["\n", "\r", "#", "#id:", "\t", "[", "]", "\\", "\ufeff", "\x85", "\x0c",
+                " ", "王", "[SUB-W 王]"]
+
+
+@given(st.lists(st.sampled_from(_SOURCE_TOKENS), max_size=30).map("".join))
+@example("\r\n\r\r\n#x\n\r#\n\ufeff#\n\x85\n\x0c#\n\r")
+@settings(max_examples=1000, deadline=None)
+def test_the_unit_line_starts_are_the_lines_the_parser_reads_as_units(text):
+    lines = text.split("\n")
+    result = parse_document(text)
+    read = set(result.unit_lines) | {
+        d.line for d in result.diagnostics if not lines[d.line - 1].startswith("#")
+    }
+    starts = unit_line_starts(text)
+    assert all(at == 0 or text[at - 1] == "\n" for at in starts)
+    assert [text.count("\n", 0, at) + 1 for at in starts] == sorted(read)

@@ -225,6 +225,39 @@ def test_a_command_compiles_the_sniffing_patterns_only_when_it_sniffs(golden_pat
 
 
 @pytest.mark.parametrize(
+    "command, forks, compiled",
+    [(["parse"], False, 0), (["stats"], True, 0), (["agree"], True, 1)],
+    ids=["parse", "stats", "agree"],
+)
+def test_only_a_ranged_pair_compiles_the_unit_line_pattern(
+    golden_path, tmp_path, command, forks, compiled
+):
+    # ``stats`` of two files fans them out; an ``agree`` pair of any size is
+    # cut at its unit lines. Both run on two usable CPUs.
+    copy = tmp_path / "copy.ann"
+    copy.write_bytes(golden_path.read_bytes())
+    paths = [str(golden_path)] if command == ["parse"] else [str(golden_path), str(copy)]
+    code = (
+        "import runpy, sys\n"
+        "from phkit import cli\n"
+        "cli._usable_cpus = lambda: 2\n"
+        "cli._SPLIT_BYTES = 0\n"
+        "sys.argv = ['phkit', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('phkit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "pattern = sys.modules['phkit.inline']._unit_line\n"
+        "forked = 'phkit.workers' in sys.modules\n"
+        "sys.stderr.write(f'{status} {forked} {pattern.cache_info().currsize}')\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code, *command, *paths], capture_output=True, env=child_env()
+    )
+    assert child.stderr.decode().split() == ["0", str(forks), str(compiled)]
+
+
+@pytest.mark.parametrize(
     "code, not_imported",
     [
         # The commands moved into these modules import cli when they run.
@@ -257,23 +290,35 @@ def test_the_convert_module_names_the_readers(golden_doc):
         phkit.convert._record
 
 
-def test_the_workers_name_no_private_of_the_readers():
-    # The range rules of standoff and columns are the readers' own: the
-    # workers call them by their public names.
-    tree = ast.parse((Path(phkit.__file__).parent / "workers.py").read_text(encoding="utf-8"))
-    named = {
+def _names_of(tree: ast.Module, module: str) -> set[str]:
+    """The names that ``tree`` imports from ``module`` or reads as ``module.name``."""
+    return {
         node.attr
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "readers"
+        and node.value.id == module
     } | {
         alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "readers"
+        if isinstance(node, ast.ImportFrom) and node.module == module
         for alias in node.names
     }
-    assert named >= {"range_bounds", "read_range"}
-    assert not {name for name in named if name.startswith("_")}
+
+
+def test_the_workers_name_no_private_of_the_readers():
+    # The range rules of standoff and columns are the readers' own, and the
+    # unit-line rule of an inline pair the parser's: the workers call them
+    # by their public names, and compile no pattern of their own.
+    tree = ast.parse((Path(phkit.__file__).parent / "workers.py").read_text(encoding="utf-8"))
+    uses = {"readers": {"range_bounds", "read_range"}, "inline": {"unit_line_starts"}}
+    for module, used in uses.items():
+        named = _names_of(tree, module)
+        assert named >= used
+        assert not {name for name in named if name.startswith("_")}
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "re" not in imported
 
 
 def test_only_the_file_loop_and_agree_call_the_reader():
